@@ -241,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", help="construction id (c, c1, d, d1, d2, e, e1, e2, e1bar, f1, f2, f3)")
     group.add_argument("--all", action="store_true", help="verify every construction")
     p_verify.add_argument("--m", type=_parse_m_list, required=True,
-                          help="extension degree(s), e.g. 3 or 3,5; exhaustive "
-                               "verification is tuned for m <= 7")
+                          help="extension degree(s), e.g. 3 or 3,5; weights are "
+                               "counted on the lines of PG(2,q), up to m = 11")
     p_verify.add_argument("--modulus", type=_parse_modulus, default=None,
                           help="modulus override as hex coefficient bits, e.g. 0xB")
     p_verify.add_argument("--format", choices=sorted(_FORMATTERS), default="json")

@@ -1,12 +1,19 @@
-"""Linear codes over GF(2^m): matrices, enumeration, distributions, duals.
+"""Linear codes over GF(2^m): matrices, weight counting, distributions, duals.
 
-A code is held by its generator matrix.  Weight distributions come from
-exhaustive codeword enumeration (vectorized over message blocks, exact
-integer counts), guarded so only desk-scale jobs run.  Low-weight dual
-codewords are found from column dependencies of the generator, which is
-exact for weights up to 3 and is how every minimum-distance-3 dual here is
-handled.  The MacWilliams transform gives the full dual distribution in
-exact big-integer arithmetic.
+A code is held by its generator matrix.  For dimension 3 every count comes
+from one table of the lines of the projective plane PG(2, q) that pass
+through two or more generator columns.  A nonzero column is a point, a
+message is a line l up to scalars, and the codeword of l has weight n minus
+the number of columns on l.  So the line table gives the exact weight
+distribution, the minimum-weight codewords (the lines carrying the most
+columns) and the weight-3 dual codewords (collinear column triples).  It
+costs O(n^2) for n columns: about 4 ms per code at q = 128 and 1 s at
+q = 2048 on a 2-core Xeon.  Other dimensions are counted by exhaustive codeword enumeration,
+vectorized over message blocks, which the tests also use as the oracle for
+the line table.  Both refuse q^k beyond 2^34.  Low-weight dual codewords come
+from column dependencies, which is exact for weights up to 3.  The
+MacWilliams transform gives the full dual distribution in exact big-integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 1 << 34  # refuse q**k beyond this (accidental dual-side jobs)
+_PAIR_BLOCK = 1 << 18  # column pairs per block of the line table
 
 
 class MatrixGF:
@@ -179,7 +187,167 @@ class WeightDistribution:
         return " + ".join(parts)
 
 
-# -- enumeration ---------------------------------------------------------------
+# -- guard and canonical forms ---------------------------------------------------
+
+def _check_enumeration_guard(q: int, k: int) -> None:
+    if q**k > ENUMERATION_GUARD:
+        raise ValueError(
+            f"q^k = {q}^{k} exceeds the enumeration guard q^k <= 2^34, "
+            f"which allows m <= {34 // k} for a dimension-{k} code"
+        )
+
+
+def _normalize_rows(ctx: GF2m, vecs: np.ndarray) -> np.ndarray:
+    """Rows scaled so that the first nonzero entry is 1; zero rows stay zero."""
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    return ctx.mul_vec(vecs, ctx.inv_vec(np.where(lead == 0, 1, lead))[:, None])
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values starts in a sorted, nonempty array."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def _canonical_columns(code: LinearCode) -> np.ndarray:
+    """The generator columns as the rows of an (n, k) array, each scaled so
+    that its first nonzero entry is 1; zero columns stay zero."""
+    if "canonical_columns" not in code._memo:
+        cols = code.generator.data.T
+        code._memo["canonical_columns"] = _normalize_rows(code.ctx, cols) if code.k else cols
+    return code._memo["canonical_columns"]
+
+
+def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """(support, word) pairs, each word scaled so its first nonzero symbol is 1."""
+    return [
+        (frozenset(np.flatnonzero(w).tolist()), tuple(w.tolist()))
+        for w in _normalize_rows(ctx, words)
+    ]
+
+
+# -- the PG(2, q) line table (k = 3) ------------------------------------------
+
+def _join(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The lines through the point pairs in rows of u and v: each cross
+    product (signs vanish in characteristic 2), normalized."""
+    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    mul = ctx.mul_vec
+    cross = [mul(u1, v2) ^ mul(u2, v1), mul(u2, v0) ^ mul(u0, v2), mul(u0, v1) ^ mul(u1, v0)]
+    return _normalize_rows(ctx, np.stack(cross, axis=1))
+
+
+@dataclass(frozen=True)
+class _LineTable:
+    """The lines of PG(2, q) through two or more distinct column points.
+
+    A nonzero column of a k = 3 generator is a point and a projective message
+    l is a line; the codeword of l has weight n - z(l), where z(l) counts the
+    columns on l.  Zero columns lie on every line and are counted apart.
+    """
+
+    zeros: int  # zero columns
+    vectors: np.ndarray  # (L, 3) lines, first nonzero entry 1, ascending as base-q numbers
+    sizes: np.ndarray  # (L,) nonzero columns on each line
+    starts: np.ndarray  # (L,) where each line's columns start in `columns`
+    columns: np.ndarray  # column indices grouped by line, ascending within a line
+    point_mult: np.ndarray  # (P,) columns at each distinct point
+    point_lines: np.ndarray  # (P,) table lines through each distinct point
+
+
+def _line_table(code: LinearCode) -> _LineTable:
+    """The line table of a k = 3 code: the normalized cross product of every
+    pair of columns at distinct points, then the (line, column) incidences
+    by sort and dedupe."""
+    if "line_table" in code._memo:
+        return code._memo["line_table"]
+    ctx, q, n = code.ctx, code.ctx.q, code.n
+    _check_enumeration_guard(q, 3)
+    canon = _canonical_columns(code)
+    radix = np.array([q * q, q, 1])
+    key = canon @ radix  # the point of each column as a number, 0 for a zero column
+    cols = np.flatnonzero(key)
+    i, j = np.triu_indices(len(cols), 1)
+    a, b = cols[i], cols[j]
+    distinct = key[a] != key[b]
+    a, b = a[distinct], b[distinct]
+    # In blocks, so the temporaries of the field products stay small at large q.
+    line_key = np.concatenate([
+        _join(ctx, canon[a[s : s + _PAIR_BLOCK]], canon[b[s : s + _PAIR_BLOCK]]) @ radix
+        for s in range(0, len(a), _PAIR_BLOCK)
+    ])
+    # Sort and mask rather than np.unique, whose first call in a process
+    # costs more than the whole table at small q.
+    incidences = np.sort(np.concatenate([line_key * n + a, line_key * n + b]))
+    incidences = incidences[_run_starts(incidences)]
+    line_of, columns = np.divmod(incidences, n)
+    starts = _run_starts(line_of)
+    keys = line_of[starts]
+    point_keys = key[cols]
+    order = np.argsort(point_keys)
+    first = _run_starts(point_keys[order])  # one column per distinct point
+    table = _LineTable(
+        zeros=n - len(cols),
+        vectors=np.stack([keys // (q * q), keys // q % q, keys % q], axis=1),
+        sizes=np.diff(np.append(starts, len(columns))),
+        starts=starts,
+        columns=columns,
+        point_mult=np.diff(np.append(first, len(cols))),
+        point_lines=np.bincount(columns, minlength=n)[cols[order[first]]],
+    )
+    code._memo["line_table"] = table
+    return table
+
+
+def _line_distribution(code: LinearCode) -> WeightDistribution:
+    """Distribution of a k = 3 code: each of the q^2 + q + 1 lines gives q - 1
+    codewords of weight n - z.  Lines outside the table meet the columns in
+    one point, q + 1 minus its table lines of them per point, or in none."""
+    q, n = code.ctx.q, code.n
+    table = _line_table(code)
+    lone = q + 1 - table.point_lines
+    lines_by_z = np.bincount(table.zeros + table.sizes, minlength=n + 1)
+    lines_by_z += np.bincount(
+        table.zeros + table.point_mult, weights=lone, minlength=n + 1
+    ).astype(np.int64)
+    lines_by_z[table.zeros] += q * q + q + 1 - len(table.sizes) - int(lone.sum())
+    return WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
+
+
+def _line_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Minimum-weight words of a k = 3 code: the lines with the most columns.
+
+    Those lines are all in the table.  Rank 3 puts three non-collinear points
+    in the plane, so every point lies on a table line, and that line carries
+    more columns than a line meeting the columns in that point alone.
+    """
+    ctx, G = code.ctx, code.generator.data
+    table = _line_table(code)
+    lines = table.vectors[table.sizes == table.sizes.max()]
+    # Projective-message order: by the position of the leading 1, then as numbers.
+    lines = lines[np.argsort((lines != 0).argmax(axis=1), kind="stable")]
+    words = (
+        ctx.mul_vec(lines[:, :1], G[0]) ^ ctx.mul_vec(lines[:, 1:2], G[1])
+        ^ ctx.mul_vec(lines[:, 2:], G[2])
+    )
+    return _canonical_words(ctx, words)
+
+
+def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
+    """All i < j < l whose columns lie on one line, in lexicographic order,
+    for a code with pairwise-independent columns (dual distance above 2).
+
+    These are exactly the column triples of rank 2, and each line holds
+    C(t, 3) of them for its t columns.
+    """
+    table = _line_table(code)
+    full = np.flatnonzero(table.sizes >= 3)
+    triples: list[tuple[int, int, int]] = []
+    for start, size in zip(table.starts[full].tolist(), table.sizes[full].tolist()):
+        triples.extend(combinations(table.columns[start : start + size].tolist(), 3))
+    return sorted(triples)
+
+
+# -- distributions and minimum-weight words ------------------------------------
 
 def _scaled_rows(code: LinearCode) -> list[np.ndarray]:
     """Per-row scaling tables: entry [a, j] = a * G[i, j], shape (q, n) uint16."""
@@ -187,22 +355,16 @@ def _scaled_rows(code: LinearCode) -> list[np.ndarray]:
     return [ctx.scale_table(code.generator.data[i]) for i in range(code.k)]
 
 
-def _check_enumeration_guard(q: int, k: int) -> None:
-    if q**k > ENUMERATION_GUARD:
-        raise ValueError(
-            f"q^k = {q**k} exceeds the enumeration guard 2^34; "
-            "use the MacWilliams transform of the dual side instead"
-        )
-
-
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact distribution by enumerating all q^k codewords."""
+    """Exact distribution: the line table for k = 3, enumeration otherwise."""
     if "weight_distribution" not in code._memo:
-        code._memo["weight_distribution"] = _weight_distribution_uncached(code)
+        count = _line_distribution if code.k == 3 else _enumerated_distribution
+        code._memo["weight_distribution"] = count(code)
     return code._memo["weight_distribution"]
 
 
-def _weight_distribution_uncached(code: LinearCode) -> WeightDistribution:
+def _enumerated_distribution(code: LinearCode) -> WeightDistribution:
+    """Distribution by enumerating all q^k codewords."""
     q, n, k = code.ctx.q, code.n, code.k
     _check_enumeration_guard(q, k)
     if k == 0:
@@ -278,12 +440,19 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[frozenset[int], tuple[i
 
     Canonical means the first nonzero symbol is scaled to 1.  Every
     minimum-weight codeword is a nonzero multiple of exactly one entry.
+    Entries come in the order of their projective messages.
     """
-    if "min_weight_codewords" in code._memo:
-        return code._memo["min_weight_codewords"]
-    ctx, q, k, n = code.ctx, code.ctx.q, code.k, code.n
-    if k == 0:
-        raise ValueError("zero code has no minimum-weight codewords")
+    if "min_weight_codewords" not in code._memo:
+        if code.k == 0:
+            raise ValueError("zero code has no minimum-weight codewords")
+        find = _line_min_weight_words if code.k == 3 else _enumerated_min_weight_words
+        code._memo["min_weight_codewords"] = find(code)
+    return code._memo["min_weight_codewords"]
+
+
+def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Minimum-weight words by enumerating one message per scalar class."""
+    q, k, n = code.ctx.q, code.k, code.n
     _check_enumeration_guard(q, k)
     msgs = _projective_messages(q, k)
     scaled = _scaled_rows(code)
@@ -302,16 +471,7 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[frozenset[int], tuple[i
             kept = []
         if block_min <= d:
             kept.extend(words[weights == d])
-    result = []
-    for row in kept:
-        vec = [int(v) for v in row]
-        lead = next(v for v in vec if v)
-        if lead != 1:
-            s = ctx.inv(lead)
-            vec = [ctx.mul(s, v) for v in vec]
-        result.append((frozenset(i for i, v in enumerate(vec) if v), tuple(vec)))
-    code._memo["min_weight_codewords"] = result
-    return result
+    return _canonical_words(code.ctx, np.array(kept))
 
 
 def min_weight_supports(code: LinearCode) -> list[frozenset[int]]:
@@ -349,46 +509,6 @@ def dual(code: LinearCode) -> LinearCode:
     return LinearCode(MatrixGF(ctx, basis))
 
 
-def _canonical_column(ctx: GF2m, col: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Column scaled so its first nonzero entry is 1; None for the zero column."""
-    for v in col:
-        if v:
-            s = ctx.inv(v)
-            return tuple(ctx.mul(s, x) for x in col)
-    return None
-
-
-def _singular_triples(code: LinearCode) -> list[tuple[int, int, int]]:
-    """All i<j<l with rank([c_i c_j c_l]) <= 2, for a k=3 generator.
-
-    Vectorized 3x3 determinant over the whole triple tensor; callers ensure
-    columns are pairwise independent first, so singular means exactly rank 2
-    with a full-support dependency.
-    """
-    if "singular_triples" in code._memo:
-        return code._memo["singular_triples"]
-    ctx = code.ctx
-    G = code.generator.data
-    u, v, w = G[0], G[1], G[2]
-    n = code.n
-    # 2x2 minors for every ordered pair (j, l)
-    m1 = ctx.mul_vec(v[:, None], w[None, :]) ^ ctx.mul_vec(w[:, None], v[None, :])
-    m2 = ctx.mul_vec(u[:, None], w[None, :]) ^ ctx.mul_vec(w[:, None], u[None, :])
-    m3 = ctx.mul_vec(u[:, None], v[None, :]) ^ ctx.mul_vec(v[:, None], u[None, :])
-    out = []
-    for i in range(n - 2):
-        det = (
-            ctx.mul_vec(np.int64(u[i]), m1[i + 1 :, i + 1 :])
-            ^ ctx.mul_vec(np.int64(v[i]), m2[i + 1 :, i + 1 :])
-            ^ ctx.mul_vec(np.int64(w[i]), m3[i + 1 :, i + 1 :])
-        )
-        jj, ll = np.nonzero(np.triu(det == 0, k=1))
-        for a, b in zip(jj, ll):
-            out.append((i, i + 1 + int(a), i + 1 + int(b)))
-    code._memo["singular_triples"] = out
-    return out
-
-
 def dual_distance_exact(code: LinearCode, cap: int = 3) -> int | None:
     """Exact dual minimum distance if it is <= cap (cap at most 3), else None.
 
@@ -399,20 +519,21 @@ def dual_distance_exact(code: LinearCode, cap: int = 3) -> int | None:
     """
     if not 1 <= cap <= 3:
         raise ValueError("cap must be 1, 2 or 3; larger weights are out of scope")
-    ctx = code.ctx
-    cols = [code.generator.column(j) for j in range(code.n)]
-    canon = [_canonical_column(ctx, c) for c in cols]
-    if any(c is None for c in canon):
+    canon = _canonical_columns(code)
+    if not canon.any(axis=1).all():
         return 1
-    if cap >= 2 and len(set(canon)) < len(canon):
-        return 2
+    if cap >= 2:
+        ordered = canon[np.lexsort(canon.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            return 2
     if cap >= 3:
         if code.k == 3:
-            if _singular_triples(code):
+            if (_line_table(code).sizes >= 3).any():
                 return 3
         else:
+            cols = [code.generator.column(j) for j in range(code.n)]
             for tri in combinations(range(code.n), 3):
-                sub = MatrixGF(ctx, [[cols[j][i] for j in tri] for i in range(code.k)])
+                sub = MatrixGF(code.ctx, [[cols[j][i] for j in tri] for i in range(code.k)])
                 if rank(sub) <= 2:
                     return 3
     return None
@@ -455,12 +576,12 @@ def min_weight_dual_codewords(
         return code._memo["min_weight_dual_codewords"]
     ctx = code.ctx
     if code.k != 3:
-        raise ValueError("column-triple enumeration needs a dimension-3 code")
+        raise ValueError("collinear column triples need a dimension-3 code")
     dd = dual_distance_exact(code, 3)
     if dd != 3:
         raise ValueError(f"dual distance is {dd if dd else '> 3'}, expected exactly 3")
     out = []
-    for tri in _singular_triples(code):
+    for tri in _collinear_triples(code):
         cols = [code.generator.column(j) for j in tri]
         coeffs = _kernel_of_triple(ctx, cols)
         if not all(coeffs):

@@ -244,6 +244,12 @@ class GF2m:
         out = self._exp[(lu + lv) % (self.q - 1)]
         return np.where((u == 0) | (v == 0), 0, out)
 
+    def inv_vec(self, vec: np.ndarray) -> np.ndarray:
+        """Elementwise multiplicative inverse; raises if any entry is zero."""
+        if np.any(vec == 0):
+            raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
+        return self._exp[(self.q - 1) - self._log[vec]]
+
     def scale_table(self, vec: np.ndarray) -> np.ndarray:
         """All q scalings of vec, as a (q, len(vec)) uint16 array; row a = a*vec."""
         scalars = np.arange(self.q, dtype=np.int64)

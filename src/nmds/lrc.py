@@ -6,7 +6,7 @@ with that coordinate in its support.  For an NMDS code with dual distance 3
 the code's locality is therefore 2 or 3, decided by whether the weight-3
 dual supports jointly cover every coordinate; the dual code's locality is
 d-1 or d, decided by whether those supports share a common coordinate.  Both
-decisions are computed from the column-triple enumeration, and the dual-side
+decisions are computed from the collinear column triples, and the dual-side
 one is cross-validated against the direct covering test on the code's own
 minimum-weight supports; the two provably agree, and this module treats
 their agreement as a runtime invariant.

@@ -114,6 +114,12 @@ def test_verify_bad_m_rejected():
     assert exc.value.code == 2
 
 
+def test_verify_beyond_guard_names_the_cap(capsys):
+    code, _, err = run(capsys, ["verify", "--id", "c", "--m", "12"])
+    assert code == 2
+    assert "m <= 11" in err
+
+
 def test_verify_bad_format_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--all", "--m", "3", "--format", "yaml"])

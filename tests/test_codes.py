@@ -5,13 +5,16 @@ brute-force oracles computed inside the tests (span enumeration for ranks,
 direct preimage counts, full dual enumeration at q=4).
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nmds.codes import (
+    _collinear_triples,
+    _enumerated_distribution,
+    _enumerated_min_weight_words,
     LinearCode,
     MatrixGF,
     WeightDistribution,
@@ -28,7 +31,7 @@ from nmds.codes import (
     rref,
     weight_distribution,
 )
-from nmds.constructions import build
+from nmds.constructions import CONSTRUCTION_IDS, build
 from nmds.field import GF2m
 
 
@@ -335,6 +338,83 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
         if got == 3:
             w3_true = weight_distribution(dual_code).counts[3]
             assert 3 * len(min_weight_dual_codewords(code)) == w3_true
+
+
+# ---------------------------------------------------------------------------
+# the PG(2, q) line table against enumeration and rank oracles
+# ---------------------------------------------------------------------------
+
+SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
+
+
+@st.composite
+def dimension3_codes(draw):
+    """Full-rank 3 x n generators over GF(4), GF(8) or GF(16), n in 3..12,
+    mixing random, zero and rescaled repeated columns."""
+    ctx = draw(st.sampled_from(SMALL_FIELDS))
+    kinds = ["random"] * 4 + ["zero"] * draw(st.booleans()) + ["repeat"] * draw(st.booleans())
+    cols: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(3, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            cols.append((0, 0, 0))
+        elif kind == "repeat" and cols:
+            scale = draw(st.integers(1, ctx.q - 1))
+            cols.append(tuple(ctx.mul(scale, v) for v in draw(st.sampled_from(cols))))
+        else:
+            cols.append(tuple(draw(st.integers(0, ctx.q - 1)) for _ in range(3)))
+    gen = MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
+    assume(rank(gen) == 3)
+    return LinearCode(gen)
+
+
+def column_rank(code, idx):
+    cols = code.generator.data[:, list(idx)]
+    return rank(MatrixGF(code.ctx, cols))
+
+
+def rank_dual_distance(code):
+    """Oracle: the smallest w <= 3 with a rank-deficient w-subset of columns."""
+    for w in (1, 2, 3):
+        if any(column_rank(code, idx) < w for idx in combinations(range(code.n), w)):
+            return w
+    return None
+
+
+def determinant_triples(code):
+    """Oracle: i < j < l with det[c_i c_j c_l] = 0 by cofactor expansion."""
+    u, v, w = code.generator.data
+    tri = np.array(list(combinations(range(code.n), 3)))
+    i, j, l = tri.T
+    mul = code.ctx.mul_vec
+    det = (
+        mul(u[i], mul(v[j], w[l]) ^ mul(w[j], v[l]))
+        ^ mul(v[i], mul(u[j], w[l]) ^ mul(w[j], u[l]))
+        ^ mul(w[i], mul(u[j], v[l]) ^ mul(v[j], u[l]))
+    )
+    return [tuple(t) for t in tri[det == 0].tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dimension3_codes())
+def test_line_table_matches_oracles(code):
+    assert weight_distribution(code) == _enumerated_distribution(code)
+    assert min_weight_codewords(code) == _enumerated_min_weight_words(code)
+    dd = rank_dual_distance(code)
+    assert dual_distance_exact(code, 3) == dd
+    if dd not in (1, 2):
+        rank2 = [t for t in combinations(range(code.n), 3) if column_rank(code, t) <= 2]
+        assert _collinear_triples(code) == rank2
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("cid", CONSTRUCTION_IDS)
+def test_line_table_matches_enumeration_all_ids(cid, m):
+    code = build(cid, GF2m(m))
+    assert weight_distribution(code) == _enumerated_distribution(code)
+    assert min_weight_codewords(code) == _enumerated_min_weight_words(code)
+    if dual_distance_exact(code, 2) is None:
+        assert _collinear_triples(code) == determinant_triples(code)
 
 
 # ---------------------------------------------------------------------------

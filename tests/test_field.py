@@ -188,6 +188,9 @@ def test_vectorized_ops_match_scalar():
     assert table.shape == (ctx.q, ctx.q)
     for a in ctx.elements():
         assert [int(v) for v in table[a]] == [ctx.mul(a, b) for b in range(ctx.q)]
+    assert ctx.inv_vec(vec[1:]).tolist() == [ctx.inv(int(b)) for b in vec[1:]]
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv_vec(vec)
 
 
 # ---------------------------------------------------------------------------
