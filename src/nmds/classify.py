@@ -4,18 +4,21 @@ A code with Singleton defect 0 is MDS; defect 1 is AMDS; AMDS with an AMDS
 dual is NMDS.  For an NMDS code the whole weight distribution of either side
 follows from one seed count by a recurrence, computed here in exact
 big-integer arithmetic (the counts overflow 64-bit well inside the supported
-range).  The pairing check confirms that minimum-weight codewords of the code
-and its dual come in disjoint-support pairs, unique up to scalars.
+range) with one Horner step per weight.  The pairing check confirms that
+minimum-weight codewords of the code and its dual come in disjoint-support
+pairs, unique up to scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from math import comb
 
 from .codes import (
     LinearCode,
     WeightDistribution,
+    _binomial_row,
     dual,
     dual_distance_exact,
     min_weight_codewords,
@@ -81,6 +84,27 @@ def classify(code: LinearCode) -> CodeClass:
     return CodeClass(tag, n, k, d, dd, defect, dual_defect)
 
 
+def _alternating_sums(base: int, count: int, q: int) -> list[int]:
+    """S_1..S_count with S_s = sum_{j<s} (-1)^j C(base+s, j) (q^{s-j} - 1).
+
+    Split S_s = F_s - G_s.  The -1 part is the alternating binomial sum
+    G_s = sum_{j<s} (-1)^j C(base+s, j) = t_s with t_s = (-1)^(s-1) C(base+s-1, s-1).
+    Pascal's rule on C(base+s+1, j) gives F_{s+1} = (q-1) F_s + q t_{s+1}
+    from F_0 = 0, so F_s = sum_{u<=s} (q-1)^(s-u) q t_u is evaluated by
+    Horner's rule in q-1, one step per s, with the binomial carried
+    multiplicatively: O(count) big-integer updates for all the sums.
+    """
+    sums = []
+    f = 0
+    binom = 1  # C(base+s-1, s-1)
+    for s in range(1, count + 1):
+        t = binom if s & 1 else -binom
+        f = (q - 1) * f + q * t
+        sums.append(f - t)
+        binom = binom * (base + s) // s
+    return sums
+
+
 def nmds_dual_distribution_from_Ak(n: int, k: int, q: int, a_k_dual: int) -> WeightDistribution:
     """Full dual distribution of an [n, k, n-k] NMDS code from the seed A_k(dual).
 
@@ -96,13 +120,10 @@ def nmds_dual_distribution_from_Ak(n: int, k: int, q: int, a_k_dual: int) -> Wei
     counts[0] = 1
     if k <= n:
         counts[k] = a_k_dual
-    for s in range(1, n - k + 1):
-        acc = 0
-        for j in range(s):
-            term = comb(k + s, j) * (q ** (s - j) - 1)
-            acc += -term if j & 1 else term
-        val = comb(n, k + s) * acc
-        tail = comb(n - k, s) * a_k_dual
+    choose_n, choose_nk = _binomial_row(n, 1), _binomial_row(n - k, 1)
+    for s, acc in enumerate(_alternating_sums(k, n - k, q), 1):
+        val = choose_n[k + s] * acc
+        tail = choose_nk[s] * a_k_dual
         val += -tail if s & 1 else tail
         if val < 0:
             raise ValueError(f"recurrence produced negative count at weight {k + s}")
@@ -120,14 +141,12 @@ def nmds_primal_distribution_from_Ank(n: int, k: int, q: int, a_nk: int) -> Weig
     """
     if a_nk < 0:
         raise ValueError("seed count must be non-negative")
+    if not 0 <= k <= n:
+        raise ValueError(f"dimension k = {k} outside 0..n = {n}")
     counts = [0] * (n + 1)
     counts[0] = 1
     counts[n - k] = a_nk
-    for s in range(1, k + 1):
-        acc = 0
-        for j in range(s):
-            term = comb(n - k + s, j) * (q ** (s - j) - 1)
-            acc += -term if j & 1 else term
+    for s, acc in enumerate(_alternating_sums(n - k, k, q), 1):
         val = comb(n, k - s) * acc
         tail = comb(k, s) * a_nk
         val += -tail if s & 1 else tail
@@ -172,8 +191,22 @@ def check_min_weight_pairing(code: LinearCode) -> PairingReport:
         dual_count=(q - 1) * len(duals),
         counts_equal=(len(primal) == len(duals)),
     )
+    # A dual support disjoint from a primal support lies in its complement,
+    # which has n - d = 3 coordinates here: look up the complement's subsets
+    # instead of testing every (primal, dual) pair.
+    by_support: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for sup, _ in duals:
+        by_support.setdefault(frozenset(sup), []).append(sup)
+    sizes = {len(sup) for sup in by_support}
+    coords = frozenset(range(code.n))
     for support, _vec in primal:
-        partners = [sup for sup, _ in duals if not support & set(sup)]
+        rest = coords - support
+        partners = [
+            sup
+            for w in sizes
+            for sub in combinations(rest, w)
+            for sup in by_support.get(frozenset(sub), ())
+        ]
         if len(partners) != 1:
             report.all_paired_uniquely = False
             continue

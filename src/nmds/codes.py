@@ -13,14 +13,16 @@ vectorized over message blocks, which the tests also use as the oracle for
 the line table.  Both refuse q^k beyond 2^34.  Low-weight dual codewords come
 from column dependencies, which is exact for weights up to 3.  The
 MacWilliams transform gives the full dual distribution in exact big-integer
-arithmetic.
+arithmetic, from the generating function of the Krawtchouk polynomials,
+sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
+one product of two binomial rows, which for an NMDS distribution is O(n k)
+multiply-adds in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -599,30 +601,47 @@ def min_weight_dual_codewords(
 
 # -- MacWilliams ---------------------------------------------------------------
 
+def _binomial_row(e: int, x: int) -> list[int]:
+    """Coefficients of (1 + x z)^e: C(e, t) x^t for t = 0..e, built multiplicatively."""
+    row = [1]
+    for t in range(e):
+        row.append(row[-1] * (e - t) * x // (t + 1))  # exact: C(e, t)(e-t) = C(e, t+1)(t+1)
+    return row
+
+
 def macwilliams(dist: WeightDistribution, k: int, q: int) -> WeightDistribution:
     """Dual weight distribution via the MacWilliams identity, exactly.
 
     A_j(dual) = q^-k * sum_i A_i K_j(i) with the Krawtchouk polynomial
-    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s).  Inputs that do not
-    come from a genuine [n, k] code surface as non-integer or negative
-    outputs, which raise.
+    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s).  The K_j(i) for
+    all j at once are the coefficients of the generating function
+
+        sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i),
+
+    so each nonzero A_i adds A_i times the product of two binomial rows to
+    one list of n+1 integers, multiplying the shorter row into the longer.
+    That costs O(n * min(i, n-i)) multiply-adds per weight, so O(n k) for an
+    NMDS distribution (weights 0 and n-k..n).  Inputs that do not come from
+    a genuine [n, k] code surface as non-integer or negative outputs, which
+    raise.
     """
     n = dist.n
     items = dist.nonzero_items()
-    if sum(c for _, c in items) != q**k:
+    qk = q**k
+    if sum(c for _, c in items) != qk:
         raise ValueError("counts do not sum to q^k; not a valid [n, k] distribution")
+    sums = [0] * (n + 1)
+    for i, a_i in items:
+        short, long = sorted((_binomial_row(i, -1), _binomial_row(n - i, q - 1)), key=len)
+        for s, c in enumerate(short):
+            c *= a_i
+            end = s + len(long)
+            sums[s:end] = [acc + c * v for acc, v in zip(sums[s:end], long)]
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, a_i in items:
-            kraw = 0
-            for s in range(0, min(i, j) + 1):
-                term = (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
-                kraw += -term if s & 1 else term
-            acc += a_i * kraw
-        quot, rem = divmod(acc, q**k)
+    for j, acc in enumerate(sums):
+        quot, rem = divmod(acc, qk)
         if rem or quot < 0:
-            raise ValueError(f"inconsistent distribution: dual count at weight {j} is {acc}/{q**k}")
+            raise ValueError(f"inconsistent distribution: dual count at weight {j} is {acc}/{qk}")
         out.append(quot)
     return WeightDistribution(n, tuple(out))
 

@@ -14,6 +14,7 @@ from nmds.codes import (
     MatrixGF,
     dual,
     macwilliams,
+    min_weight_codewords,
     min_weight_dual_codewords,
     minimum_distance,
     weight_distribution,
@@ -176,6 +177,26 @@ def test_pairing_e_q4(ctx4):
     report = check_min_weight_pairing(build("e", ctx4))
     assert report.ok
     assert report.primal_count == report.dual_count == 6
+
+
+def scan_pairings(code):
+    """Oracle: test every (primal, dual) pair of minimum-weight supports."""
+    duals = min_weight_dual_codewords(code)
+    pairings, unique = [], True
+    for support, _vec in min_weight_codewords(code):
+        partners = [sup for sup, _ in duals if not support & set(sup)]
+        if len(partners) != 1:
+            unique = False
+            continue
+        pairings.append((support, partners[0]))
+    return pairings, unique
+
+
+def test_pairing_matches_scan_oracle(codes8, codes32):
+    for bundle in (codes8, codes32):
+        for cid, code in bundle.items():
+            report = check_min_weight_pairing(code)
+            assert (report.pairings, report.all_paired_uniquely) == scan_pairings(code), cid
 
 
 def test_pairing_rejects_non_nmds(ctx4):

@@ -1,0 +1,237 @@
+"""The exact big-integer transforms against their definitional oracles.
+
+``macwilliams`` multiplies binomial rows (the Krawtchouk generating
+function) and the NMDS recurrences step one Horner recurrence across the
+weights.  The oracles below are the direct formulas they replaced: the
+triple Krawtchouk sum and the double loop over each recurrence's inner sum,
+one ``q**e`` and two ``comb`` calls per term.  The new kernels must agree
+with them exactly, error messages included, on real code distributions,
+on closed forms, on arbitrary counts and over a grid of parameters.
+"""
+
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from nmds.classify import nmds_dual_distribution_from_Ak, nmds_primal_distribution_from_Ank
+from nmds.codes import LinearCode, MatrixGF, WeightDistribution, macwilliams, weight_distribution
+from nmds.constructions import CONSTRUCTION_IDS, expected_profile
+from nmds.field import GF2m
+
+
+# -- oracles -------------------------------------------------------------------------
+
+def macwilliams_oracle(dist: WeightDistribution, k: int, q: int) -> WeightDistribution:
+    """Dual weight distribution via the MacWilliams identity, exactly.
+
+    A_j(dual) = q^-k * sum_i A_i K_j(i) with the Krawtchouk polynomial
+    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s).  Inputs that do not
+    come from a genuine [n, k] code surface as non-integer or negative
+    outputs, which raise.
+    """
+    n = dist.n
+    items = dist.nonzero_items()
+    if sum(c for _, c in items) != q**k:
+        raise ValueError("counts do not sum to q^k; not a valid [n, k] distribution")
+    out = []
+    for j in range(n + 1):
+        acc = 0
+        for i, a_i in items:
+            kraw = 0
+            for s in range(0, min(i, j) + 1):
+                term = (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+                kraw += -term if s & 1 else term
+            acc += a_i * kraw
+        quot, rem = divmod(acc, q**k)
+        if rem or quot < 0:
+            raise ValueError(f"inconsistent distribution: dual count at weight {j} is {acc}/{q**k}")
+        out.append(quot)
+    return WeightDistribution(n, tuple(out))
+
+
+def dual_recurrence_oracle(n: int, k: int, q: int, a_k_dual: int) -> WeightDistribution:
+    """Full dual distribution of an [n, k, n-k] NMDS code from the seed A_k(dual).
+
+    The dual is an [n, n-k, k] code: A(dual)_i = 0 for 0 < i < k, the given
+    seed at weight k, and for s = 1..n-k
+
+        A(dual)_{k+s} = C(n, k+s) * sum_{j<s} (-1)^j C(k+s, j) (q^{s-j} - 1)
+                        + (-1)^s C(n-k, s) * A_k(dual).
+    """
+    if a_k_dual < 0:
+        raise ValueError("seed count must be non-negative")
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    if k <= n:
+        counts[k] = a_k_dual
+    for s in range(1, n - k + 1):
+        acc = 0
+        for j in range(s):
+            term = comb(k + s, j) * (q ** (s - j) - 1)
+            acc += -term if j & 1 else term
+        val = comb(n, k + s) * acc
+        tail = comb(n - k, s) * a_k_dual
+        val += -tail if s & 1 else tail
+        if val < 0:
+            raise ValueError(f"recurrence produced negative count at weight {k + s}")
+        counts[k + s] = val
+    return WeightDistribution(n, tuple(counts))
+
+
+def primal_recurrence_oracle(n: int, k: int, q: int, a_nk: int) -> WeightDistribution:
+    """Full distribution of an [n, k, n-k] NMDS code from the seed A_{n-k}.
+
+    For s = 1..k:
+
+        A_{n-k+s} = C(n, k-s) * sum_{j<s} (-1)^j C(n-k+s, j) (q^{s-j} - 1)
+                    + (-1)^s C(k, s) * A_{n-k}.
+    """
+    if a_nk < 0:
+        raise ValueError("seed count must be non-negative")
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    counts[n - k] = a_nk
+    for s in range(1, k + 1):
+        acc = 0
+        for j in range(s):
+            term = comb(n - k + s, j) * (q ** (s - j) - 1)
+            acc += -term if j & 1 else term
+        val = comb(n, k - s) * acc
+        tail = comb(k, s) * a_nk
+        val += -tail if s & 1 else tail
+        if val < 0:
+            raise ValueError(f"recurrence produced negative count at weight {n - k + s}")
+        counts[n - k + s] = val
+    return WeightDistribution(n, tuple(counts))
+
+
+def outcome(fn, *args):
+    """The counts ``fn`` returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args).counts
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same(fast, oracle, *args):
+    got, want = outcome(fast, *args), outcome(oracle, *args)
+    assert got == want, args
+
+
+# -- closed forms --------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_kernels_match_oracles_on_closed_forms(m):
+    q = 1 << m
+    for cid in CONSTRUCTION_IDS:
+        profile = expected_profile(cid, q)
+        n, k = profile.n, profile.k
+        closed = WeightDistribution(n, profile.distribution_counts())
+        assert_same(macwilliams, macwilliams_oracle, closed, k, q)
+        a3 = profile.dual_weight3_count
+        assert_same(nmds_dual_distribution_from_Ak, dual_recurrence_oracle, n, k, q, a3)
+        seed = closed.counts[n - k]
+        assert_same(nmds_primal_distribution_from_Ank, primal_recurrence_oracle, n, k, q, seed)
+
+
+# -- random codes and arbitrary counts -----------------------------------------------
+
+@st.composite
+def small_codes(draw):
+    """Random full-rank k x n generators over GF(4) or GF(8), k = 1..4."""
+    m = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    ctx = GF2m(m)
+    rows = draw(st.lists(
+        st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n), min_size=k, max_size=k,
+    ))
+    try:
+        return LinearCode(MatrixGF(ctx, np.array(rows, dtype=np.int64)))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=small_codes())
+def test_macwilliams_matches_oracle_on_random_codes(code):
+    dist = weight_distribution(code)
+    q = code.ctx.q
+    got = macwilliams(dist, code.k, q)
+    assert got.counts == macwilliams_oracle(dist, code.k, q).counts
+    assert got.total() == q ** (code.n - code.k)
+
+
+@st.composite
+def counts_summing_to_qk(draw):
+    """Arbitrary non-negative counts with A_0 = 1 and sum q^k: mostly not a code."""
+    q = draw(st.sampled_from([2, 4, 8]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(n, 3)))
+    rest = q**k - 1
+    cuts = sorted(draw(st.lists(st.integers(0, rest), min_size=n - 1, max_size=n - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, rest])]
+    return WeightDistribution(n, (1, *parts)), k, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=counts_summing_to_qk())
+def test_macwilliams_matches_oracle_on_arbitrary_counts(args):
+    # both raise the same "inconsistent distribution" error or agree exactly
+    assert_same(macwilliams, macwilliams_oracle, *args)
+
+
+# -- recurrence grid -----------------------------------------------------------------
+
+@st.composite
+def recurrence_args(draw):
+    """(n, k, q, seed) with 0 <= k <= n, any q >= 2 and seeds small, large or negative."""
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(0, n))
+    q = draw(st.integers(2, 64))
+    seed = draw(st.one_of(st.integers(-2, 0), st.integers(0, 10**4), st.integers(0, 10**30)))
+    return n, k, q, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=recurrence_args())
+def test_recurrences_match_oracles_on_grid(args):
+    assert_same(nmds_dual_distribution_from_Ak, dual_recurrence_oracle, *args)
+    assert_same(nmds_primal_distribution_from_Ank, primal_recurrence_oracle, *args)
+
+
+@pytest.mark.parametrize("q", [4, 8, 32])
+def test_recurrences_match_oracles_at_true_seeds(q):
+    # seeds from the closed forms keep every count non-negative, so the
+    # comparison covers the returned distributions, not only the errors
+    for cid in CONSTRUCTION_IDS:
+        profile = expected_profile(cid, q)
+        n = profile.n
+        for k in (2, 3, 4):
+            for seed in (0, profile.dual_weight3_count, comb(n, k) * (q - 1)):
+                assert_same(nmds_dual_distribution_from_Ak, dual_recurrence_oracle, n, k, q, seed)
+                assert_same(nmds_primal_distribution_from_Ank, primal_recurrence_oracle, n, k, q, seed)
+
+
+# -- big-integer regime --------------------------------------------------------------
+
+def test_transforms_agree_on_closed_forms_m9():
+    # q = 512: counts of about 4600 bits, where the oracles take minutes
+    q = 512
+    for cid in CONSTRUCTION_IDS:
+        profile = expected_profile(cid, q)
+        n, k = profile.n, profile.k
+        closed = WeightDistribution(n, profile.distribution_counts())
+        dual_dist = macwilliams(closed, k, q)
+        assert dual_dist.counts == nmds_dual_distribution_from_Ak(
+            n, k, q, profile.dual_weight3_count).counts, cid
+        assert dual_dist.total() == q ** (n - k), cid
+        assert nmds_primal_distribution_from_Ank(n, k, q, closed.counts[n - k]) == closed, cid
+
+
+def test_primal_recurrence_rejects_dimension_beyond_length():
+    for fn in (nmds_primal_distribution_from_Ank, primal_recurrence_oracle):
+        with pytest.raises(ValueError):
+            fn(3, 5, 8, 1)
