@@ -24,6 +24,7 @@ from .codes import (
     min_weight_codewords,
     min_weight_dual_codewords,
     minimum_distance,
+    per_code,
 )
 
 __all__ = [
@@ -62,6 +63,7 @@ def _dual_min_distance(code: LinearCode) -> int | None:
     return None
 
 
+@per_code
 def classify(code: LinearCode) -> CodeClass:
     """Tag per the Singleton defects of the code and its dual."""
     n, k = code.n, code.k
@@ -116,10 +118,11 @@ def nmds_dual_distribution_from_Ak(n: int, k: int, q: int, a_k_dual: int) -> Wei
     """
     if a_k_dual < 0:
         raise ValueError("seed count must be non-negative")
+    if not 0 <= k <= n:
+        raise ValueError(f"dimension k = {k} outside 0..n = {n}")
     counts = [0] * (n + 1)
     counts[0] = 1
-    if k <= n:
-        counts[k] = a_k_dual
+    counts[k] = a_k_dual
     choose_n, choose_nk = _binomial_row(n, 1), _binomial_row(n - k, 1)
     for s, acc in enumerate(_alternating_sums(k, n - k, q), 1):
         val = choose_n[k + s] * acc

@@ -19,6 +19,8 @@ consumers well inside the supported field range.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -31,12 +33,7 @@ from .classify import (
     nmds_dual_distribution_from_Ak,
     nmds_primal_distribution_from_Ank,
 )
-from .codes import (
-    WeightDistribution,
-    macwilliams,
-    matrix_to_text,
-    weight_distribution,
-)
+from .codes import macwilliams, matrix_to_text, weight_distribution
 from .field import GF2m, MAX_M
 from .lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
 
@@ -56,7 +53,7 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
     q = ctx.q
     code = cons.build(cid, ctx)
     vr = cons.verify_construction(cid, ctx, code=code)
-    dist = WeightDistribution(vr.n, vr.distribution)
+    dist = weight_distribution(code)
     constraint_ok = cons.m_constraint_ok(cid, m)
 
     verdict = classify(code)
@@ -175,18 +172,11 @@ def _flatten(report: dict) -> dict:
 
 
 def report_to_csv(reports: list[dict]) -> str:
-    lines = [",".join(_CSV_FIELDS)]
-    for rep in reports:
-        flat = _flatten(rep)
-        row = []
-        for f in _CSV_FIELDS:
-            v = flat.get(f)
-            s = "" if v is None else str(v)
-            if "," in s or '"' in s:
-                s = '"' + s.replace('"', '""') + '"'
-            row.append(s)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(_flatten(rep) for rep in reports)
+    return out.getvalue()
 
 
 def report_to_markdown(reports: list[dict]) -> str:
@@ -373,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "show":
             return _cmd_show(args)
         return _cmd_repair(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"nmds: {exc}", file=sys.stderr)
         return 2
 

@@ -17,11 +17,17 @@ arithmetic, from the generating function of the Krawtchouk polynomials,
 sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
 one product of two binomial rows, which for an NMDS distribution is O(n k)
 multiply-adds in all.
+
+Every derivation of a code (canonical columns, line table, distribution,
+minimum-weight words of the code and of its dual) runs once per code: the
+``per_code`` decorator keeps each result on the code, keyed by the deriving
+function, and hands the same object to every later caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 
 import numpy as np
@@ -132,8 +138,7 @@ class LinearCode:
             raise ValueError(f"k={self.k} exceeds n={self.n}")
         if self.k and rank(generator) != self.k:
             raise ValueError("generator matrix does not have full row rank")
-        # Memo for the expensive pure derivations (distribution, triples, ...).
-        self._memo: dict = {}
+        self._derived: dict = {}  # per_code results, keyed by the deriving function
 
     def codeword(self, message) -> np.ndarray:
         """Encode one message vector of length k."""
@@ -189,6 +194,24 @@ class WeightDistribution:
         return " + ".join(parts)
 
 
+def per_code(fn):
+    """Derive ``fn(code)`` once per code and keep it on the code.
+
+    A pure derivation of a code is computed on first use and then shared by
+    every caller.  Two threads may both compute it, but ``setdefault`` keeps
+    the first result, so every caller gets the same object.
+    """
+
+    @wraps(fn)
+    def derived(code: LinearCode):
+        facts = code._derived
+        if fn not in facts:
+            facts.setdefault(fn, fn(code))
+        return facts[fn]
+
+    return derived
+
+
 # -- guard and canonical forms ---------------------------------------------------
 
 def _check_enumeration_guard(q: int, k: int) -> None:
@@ -210,13 +233,12 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
+@per_code
 def _canonical_columns(code: LinearCode) -> np.ndarray:
     """The generator columns as the rows of an (n, k) array, each scaled so
     that its first nonzero entry is 1; zero columns stay zero."""
-    if "canonical_columns" not in code._memo:
-        cols = code.generator.data.T
-        code._memo["canonical_columns"] = _normalize_rows(code.ctx, cols) if code.k else cols
-    return code._memo["canonical_columns"]
+    cols = code.generator.data.T
+    return _normalize_rows(code.ctx, cols) if code.k else cols
 
 
 def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int], tuple[int, ...]]]:
@@ -229,13 +251,13 @@ def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int],
 
 # -- the PG(2, q) line table (k = 3) ------------------------------------------
 
-def _join(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The lines through the point pairs in rows of u and v: each cross
-    product (signs vanish in characteristic 2), normalized."""
+def _cross(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross products u x v (signs vanish in characteristic 2).
+    For two distinct points it is the line through them."""
     (u0, u1, u2), (v0, v1, v2) = u.T, v.T
     mul = ctx.mul_vec
     cross = [mul(u1, v2) ^ mul(u2, v1), mul(u2, v0) ^ mul(u0, v2), mul(u0, v1) ^ mul(u1, v0)]
-    return _normalize_rows(ctx, np.stack(cross, axis=1))
+    return np.stack(cross, axis=1)
 
 
 @dataclass(frozen=True)
@@ -256,12 +278,11 @@ class _LineTable:
     point_lines: np.ndarray  # (P,) table lines through each distinct point
 
 
+@per_code
 def _line_table(code: LinearCode) -> _LineTable:
     """The line table of a k = 3 code: the normalized cross product of every
     pair of columns at distinct points, then the (line, column) incidences
     by sort and dedupe."""
-    if "line_table" in code._memo:
-        return code._memo["line_table"]
     ctx, q, n = code.ctx, code.ctx.q, code.n
     _check_enumeration_guard(q, 3)
     canon = _canonical_columns(code)
@@ -273,9 +294,9 @@ def _line_table(code: LinearCode) -> _LineTable:
     distinct = key[a] != key[b]
     a, b = a[distinct], b[distinct]
     # In blocks, so the temporaries of the field products stay small at large q.
+    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, len(a), _PAIR_BLOCK)]
     line_key = np.concatenate([
-        _join(ctx, canon[a[s : s + _PAIR_BLOCK]], canon[b[s : s + _PAIR_BLOCK]]) @ radix
-        for s in range(0, len(a), _PAIR_BLOCK)
+        _normalize_rows(ctx, _cross(ctx, canon[a[s]], canon[b[s]])) @ radix for s in blocks
     ])
     # Sort and mask rather than np.unique, whose first call in a process
     # costs more than the whole table at small q.
@@ -287,7 +308,7 @@ def _line_table(code: LinearCode) -> _LineTable:
     point_keys = key[cols]
     order = np.argsort(point_keys)
     first = _run_starts(point_keys[order])  # one column per distinct point
-    table = _LineTable(
+    return _LineTable(
         zeros=n - len(cols),
         vectors=np.stack([keys // (q * q), keys // q % q, keys % q], axis=1),
         sizes=np.diff(np.append(starts, len(columns))),
@@ -296,8 +317,6 @@ def _line_table(code: LinearCode) -> _LineTable:
         point_mult=np.diff(np.append(first, len(cols))),
         point_lines=np.bincount(columns, minlength=n)[cols[order[first]]],
     )
-    code._memo["line_table"] = table
-    return table
 
 
 def _line_distribution(code: LinearCode) -> WeightDistribution:
@@ -357,12 +376,11 @@ def _scaled_rows(code: LinearCode) -> list[np.ndarray]:
     return [ctx.scale_table(code.generator.data[i]) for i in range(code.k)]
 
 
+@per_code
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact distribution: the line table for k = 3, enumeration otherwise."""
-    if "weight_distribution" not in code._memo:
-        count = _line_distribution if code.k == 3 else _enumerated_distribution
-        code._memo["weight_distribution"] = count(code)
-    return code._memo["weight_distribution"]
+    count = _line_distribution if code.k == 3 else _enumerated_distribution
+    return count(code)
 
 
 def _enumerated_distribution(code: LinearCode) -> WeightDistribution:
@@ -437,6 +455,7 @@ def _projective_messages(q: int, k: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+@per_code
 def min_weight_codewords(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     """Canonical minimum-weight codewords, one per scalar class.
 
@@ -444,12 +463,10 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[frozenset[int], tuple[i
     minimum-weight codeword is a nonzero multiple of exactly one entry.
     Entries come in the order of their projective messages.
     """
-    if "min_weight_codewords" not in code._memo:
-        if code.k == 0:
-            raise ValueError("zero code has no minimum-weight codewords")
-        find = _line_min_weight_words if code.k == 3 else _enumerated_min_weight_words
-        code._memo["min_weight_codewords"] = find(code)
-    return code._memo["min_weight_codewords"]
+    if code.k == 0:
+        raise ValueError("zero code has no minimum-weight codewords")
+    find = _line_min_weight_words if code.k == 3 else _enumerated_min_weight_words
+    return find(code)
 
 
 def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
@@ -541,30 +558,7 @@ def dual_distance_exact(code: LinearCode, cap: int = 3) -> int | None:
     return None
 
 
-def _kernel_of_triple(ctx: GF2m, cols: list[tuple[int, ...]]) -> tuple[int, int, int]:
-    """Nonzero (a, b, c) with a*c0 + b*c1 + c*c2 = 0 for a rank-2 column triple.
-
-    Uses the adjugate: in characteristic 2 the cofactor signs vanish, and any
-    nonzero column of adj(M) spans the kernel of M when rank(M) = 2.
-    """
-    M = [[cols[j][i] for j in range(3)] for i in range(3)]  # columns -> matrix
-
-    def minor(r: int, c: int) -> int:
-        rs = [i for i in range(3) if i != r]
-        cs = [j for j in range(3) if j != c]
-        return ctx.mul(M[rs[0]][cs[0]], M[rs[1]][cs[1]]) ^ ctx.mul(
-            M[rs[0]][cs[1]], M[rs[1]][cs[0]]
-        )
-
-    # Column r of adj(M) is (minor(r, 0), minor(r, 1), minor(r, 2)) in
-    # characteristic 2, and M @ adj(M) = det(M) I = 0.
-    for r in range(3):
-        vec = tuple(minor(r, c) for c in range(3))
-        if any(vec):
-            return vec  # type: ignore[return-value]
-    raise ValueError("column triple has rank < 2; no unique dependency")
-
-
+@per_code
 def min_weight_dual_codewords(
     code: LinearCode,
 ) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
@@ -573,30 +567,29 @@ def min_weight_dual_codewords(
     Requires k = 3 and dual distance exactly 3.  Each support carries exactly
     one dependency up to scalar; the representative scales the first nonzero
     coefficient to 1, and each entry stands for the q-1 multiples of itself.
+
+    For collinear columns u, v, w the identity
+    [v,w,x] u + [w,u,x] v + [u,v,x] w = [u,v,w] x = 0 at x = e_i gives the
+    dependency ((v x w)_i, (w x u)_i, (u x v)_i), a column of the adjugate;
+    any i with (v x w)_i != 0 makes it nonzero.
     """
-    if "min_weight_dual_codewords" in code._memo:
-        return code._memo["min_weight_dual_codewords"]
     ctx = code.ctx
     if code.k != 3:
         raise ValueError("collinear column triples need a dimension-3 code")
     dd = dual_distance_exact(code, 3)
     if dd != 3:
         raise ValueError(f"dual distance is {dd if dd else '> 3'}, expected exactly 3")
-    out = []
-    for tri in _collinear_triples(code):
-        cols = [code.generator.column(j) for j in tri]
-        coeffs = _kernel_of_triple(ctx, cols)
-        if not all(coeffs):
-            raise AssertionError(
-                "partial-support dependency found; columns were not pairwise independent"
-            )
-        lead = next(v for v in coeffs if v)
-        if lead != 1:
-            s = ctx.inv(lead)
-            coeffs = tuple(ctx.mul(s, v) for v in coeffs)  # type: ignore[assignment]
-        out.append((tri, coeffs))
-    code._memo["min_weight_dual_codewords"] = out
-    return out
+    triples = np.array(_collinear_triples(code), dtype=np.int64).reshape(-1, 3)
+    u, v, w = (code.generator.data.T[triples[:, j]] for j in range(3))
+    vw, wu, uv = _cross(ctx, v, w), _cross(ctx, w, u), _cross(ctx, u, v)
+    i = (vw != 0).argmax(axis=1)  # v x w != 0: the columns are pairwise independent
+    rows = np.arange(len(triples))
+    coeffs = _normalize_rows(ctx, np.stack([vw[rows, i], wu[rows, i], uv[rows, i]], axis=1))
+    if not coeffs.all():
+        raise AssertionError(
+            "partial-support dependency found; columns were not pairwise independent"
+        )
+    return [(tuple(t), tuple(c)) for t, c in zip(triples.tolist(), coeffs.tolist())]
 
 
 # -- MacWilliams ---------------------------------------------------------------

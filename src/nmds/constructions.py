@@ -7,9 +7,13 @@ distinguishes the constructions.  The id "e1bar" is the extension of "e1" by
 one column making each row sum to zero.
 
 For each id the registry carries the closed-form parameters, the four
-nonzero weight-enumerator coefficients as polynomials in q, the minimum m
-and odd-m requirement under which the closed forms are proved, and the
-expected locality pair and optimality flags of the code and its dual.
+nonzero weight-enumerator coefficients as data, the minimum m and odd-m
+requirement under which the closed forms are proved, and the expected
+locality pair and optimality flags of the code and its dual.  The codes are
+NMDS of distance d = n - 3, so A_(d+i) is q - 1 times the number of lines of
+PG(2, q) that meet the columns in 3 - i points.  That number is
+(a q^2 + b q + c) / 2 for the registry's row (a, b, c) of i; the four rows
+of an id sum to (2, 2, 2), the q^2 + q + 1 lines of the plane.
 
 The expected localities recorded here are the computationally verified
 values.  For ids "e" and "e2" the dual locality is q-2: columns 0..q-1 are
@@ -61,6 +65,9 @@ class Construction:
     # optimality flags (d_optimal, almost_d_optimal, k_optimal) per side
     flags_code: tuple[bool, bool, bool] = (True, False, True)
     flags_dual: tuple[bool, bool, bool] = (True, False, True)
+    # For i = 0..3, (a, b, c) such that (a q^2 + b q + c) / 2 lines of PG(2, q)
+    # meet the columns in 3 - i points; each gives q - 1 codewords of weight d + i.
+    lines: tuple[tuple[int, int, int], ...] = dc_field(kw_only=True)
 
 
 def _f(d_opt: bool, almost: bool, k_opt: bool = True) -> tuple[bool, bool, bool]:
@@ -71,162 +78,85 @@ CONSTRUCTIONS: dict[str, Construction] = {
     "c": Construction(
         "c", ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=1,
+        lines=((0, 2, 4), (1, 1, 0), (0, 2, -4), (1, -3, 2)),
         r_code=2, r_dual_offset=0,
     ),
     "c1": Construction(
         "c1", ((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=1,
+        lines=((0, 3, 2), (1, -2, 6), (0, 5, -10), (1, -4, 4)),
         r_code=2, r_dual_offset=0,
     ),
     "d": Construction(
         "d", ((1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=0,
+        lines=((0, 2, 0), (1, -1, 6), (0, 4, -6), (1, -3, 2)),
         r_code=2, r_dual_offset=-1,
     ),
     "d1": Construction(
         "d1", ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
         min_m=2, odd_m_only=False, d_offset=0,
+        lines=((0, 1, 2), (1, 2, 0), (0, 1, 0), (1, -2, 0)),
         r_code=2, r_dual_offset=0,
         flags_dual=_f(False, True),
     ),
     "d2": Construction(
         "d2", ((1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)),
         min_m=3, odd_m_only=True, d_offset=0,
+        lines=((0, 3, -2), (1, -4, 12), (0, 7, -12), (1, -4, 4)),
         r_code=2, r_dual_offset=-1,
     ),
     "e": Construction(
         "e", ((1, 0, 0), (0, 1, 1)),
         min_m=2, odd_m_only=False, d_offset=-2,
+        lines=((0, 1, 0), (1, -2, 0), (0, 5, 2), (1, -2, 0)),
         r_code=2, r_dual_offset=-2,
         flags_dual=_f(False, True),
     ),
     "e1": Construction(
         "e1", ((1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=-2,
+        lines=((0, 2, -4), (1, -5, 12), (0, 8, -10), (1, -3, 4)),
         r_code=3, r_dual_offset=-3,
         flags_code=_f(False, True),
     ),
     "e2": Construction(
         "e2", ((1, 0, 0), (1, 0, 1)),
         min_m=2, odd_m_only=False, d_offset=-2,
+        lines=((0, 1, -2), (1, -2, 6), (0, 5, -4), (1, -2, 2)),
         r_code=3, r_dual_offset=-2,
         flags_code=_f(False, True), flags_dual=_f(False, True),
     ),
     "e1bar": Construction(
         "e1bar", ((1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, extends="e1", d_offset=-1,
+        lines=((0, 2, -2), (1, -3, 8), (0, 6, -6), (1, -3, 2)),
         r_code=2, r_dual_offset=-2,
     ),
     "f1": Construction(
         "f1", ((1, 0, 1), (1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=-1,
+        lines=((0, 3, -4), (1, -6, 14), (0, 9, -12), (1, -4, 4)),
         r_code=3, r_dual_offset=-2,
         flags_code=_f(False, True),
     ),
     "f2": Construction(
         "f2", ((1, 0, 0), (1, 0, 1), (1, 1, 0)),
         min_m=3, odd_m_only=True, d_offset=-1,
+        lines=((0, 2, -4), (1, -3, 14), (0, 6, -12), (1, -3, 4)),
         r_code=3, r_dual_offset=-2,
         flags_code=_f(False, True),
     ),
     "f3": Construction(
         "f3", ((1, 0, 0), (0, 0, 1), (1, 0, 1)),
         min_m=3, odd_m_only=True, d_offset=-1,
+        lines=((0, 1, 0), (1, 0, 2), (0, 3, 0), (1, -2, 0)),
         r_code=3, r_dual_offset=-1,
         flags_code=_f(False, True), flags_dual=_f(False, True),
     ),
 }
 
 CONSTRUCTION_IDS = tuple(CONSTRUCTIONS)
-
-
-def _weights(cid: str, q: int) -> dict[int, int]:
-    """The four nonzero enumerator coefficients at their weights."""
-    if cid == "c":
-        return {
-            q + 1: (q - 1) * (q + 2),
-            q + 2: q * (q - 1) * (q + 1) // 2,
-            q + 3: (q - 1) * (q - 2),
-            q + 4: (q - 1) * (q * q - 3 * q + 2) // 2,
-        }
-    if cid == "c1":
-        return {
-            q + 1: (q - 1) * (3 * q + 2) // 2,
-            q + 2: (q - 1) * (q * q - 2 * q + 6) // 2,
-            q + 3: 5 * (q - 1) * (q - 2) // 2,
-            q + 4: (q - 1) * (q - 2) ** 2 // 2,
-        }
-    if cid == "d":
-        return {
-            q: q * (q - 1),
-            q + 1: (q - 1) * (q * q - q + 6) // 2,
-            q + 2: (q - 1) * (2 * q - 3),
-            q + 3: (q - 1) * (q * q - 3 * q + 2) // 2,
-        }
-    if cid == "d1":
-        return {
-            q: (q - 1) * (q + 2) // 2,
-            q + 1: q * (q - 1) * (q + 2) // 2,
-            q + 2: q * (q - 1) // 2,
-            q + 3: q * (q - 1) * (q - 2) // 2,
-        }
-    if cid == "d2":
-        return {
-            q: (q - 1) * (3 * q - 2) // 2,
-            q + 1: (q - 1) * (q * q - 4 * q + 12) // 2,
-            q + 2: (q - 1) * (7 * q - 12) // 2,
-            q + 3: (q - 1) * (q - 2) ** 2 // 2,
-        }
-    if cid == "e":
-        return {
-            q - 2: q * (q - 1) // 2,
-            q - 1: q * (q - 1) * (q - 2) // 2,
-            q: (q - 1) * (5 * q + 2) // 2,
-            q + 1: q * (q - 1) * (q - 2) // 2,
-        }
-    if cid == "e1":
-        return {
-            q - 2: (q - 1) * (q - 2),
-            q - 1: (q - 1) * (q * q - 5 * q + 12) // 2,
-            q: (q - 1) * (4 * q - 5),
-            q + 1: (q - 1) * (q * q - 3 * q + 4) // 2,
-        }
-    if cid == "e2":
-        return {
-            q - 2: (q - 1) * (q - 2) // 2,
-            q - 1: (q - 1) * (q * q - 2 * q + 6) // 2,
-            q: (q - 1) * (5 * q - 4) // 2,
-            q + 1: (q - 1) * (q * q - 2 * q + 2) // 2,
-        }
-    if cid == "e1bar":
-        return {
-            q - 1: (q - 1) ** 2,
-            q: (q - 1) * (q * q - 3 * q + 8) // 2,
-            q + 1: 3 * (q - 1) ** 2,
-            q + 2: (q - 1) * (q * q - 3 * q + 2) // 2,
-        }
-    if cid == "f1":
-        return {
-            q - 1: (q - 1) * (3 * q - 4) // 2,
-            q: (q - 1) * (q * q - 6 * q + 14) // 2,
-            q + 1: 3 * (q - 1) * (3 * q - 4) // 2,
-            q + 2: (q - 1) * (q - 2) ** 2 // 2,
-        }
-    if cid == "f2":
-        return {
-            q - 1: (q - 1) * (q - 2),
-            q: (q - 1) * (q * q - 3 * q + 14) // 2,
-            q + 1: 3 * (q - 1) * (q - 2),
-            q + 2: (q - 1) * (q * q - 3 * q + 4) // 2,
-        }
-    if cid == "f3":
-        return {
-            q - 1: q * (q - 1) // 2,
-            q: (q - 1) * (q * q + 2) // 2,
-            q + 1: 3 * q * (q - 1) // 2,
-            q + 2: q * (q - 1) * (q - 2) // 2,
-        }
-    raise KeyError(cid)
 
 
 @dataclass(frozen=True)
@@ -270,9 +200,11 @@ def expected_profile(cid: str, q: int) -> ExpectedProfile:
     cid = normalize_id(cid)
     family = CONSTRUCTIONS[cid]
     n = (q - 1) + len(family.tail) + (1 if family.extends else 0)
-    return ExpectedProfile(
-        id=cid, q=q, n=n, k=3, d=q + family.d_offset, d_dual=3, weights=_weights(cid, q)
-    )
+    d = q + family.d_offset
+    weights = {
+        d + i: (q - 1) * (a * q * q + b * q + c) // 2 for i, (a, b, c) in enumerate(family.lines)
+    }
+    return ExpectedProfile(id=cid, q=q, n=n, k=3, d=d, d_dual=3, weights=weights)
 
 
 def expected_locality(cid: str, q: int) -> tuple[int, int]:

@@ -21,13 +21,18 @@ certifies meeting the true bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil
 
 from .classify import classify
 from .codes import (
     LinearCode,
+    MatrixGF,
     min_weight_codewords,
     min_weight_dual_codewords,
+    per_code,
+    rank,
+    rref,
 )
 
 __all__ = [
@@ -56,6 +61,7 @@ class LocalityReport:
     intersection_of_supports: frozenset[int]
 
 
+@per_code
 def _dual_support_sets(code: LinearCode) -> tuple[list[tuple[int, int, int]], frozenset[int], frozenset[int]]:
     words = min_weight_dual_codewords(code)
     supports = [sup for sup, _ in words]
@@ -229,30 +235,15 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
         return out
 
     # Fallback coordinates: express column i over an independent column triple.
-    from .codes import MatrixGF, rank, rref
-
     cols = [code.generator.column(j) for j in range(code.n)]
     for i in range(code.n):
         if i in out:
             continue
-        triple = None
-        for a in range(code.n):
-            if a == i:
-                continue
-            for b in range(a + 1, code.n):
-                if b == i:
-                    continue
-                for c in range(b + 1, code.n):
-                    if c == i:
-                        continue
-                    sub = MatrixGF(ctx, [[cols[t][row] for t in (a, b, c)] for row in range(3)])
-                    if rank(sub) == 3:
-                        triple = (a, b, c)
-                        break
-                if triple:
-                    break
-            if triple:
-                break
+        others = [j for j in range(code.n) if j != i]
+        triple = next((
+            t for t in combinations(others, 3)
+            if rank(MatrixGF(ctx, [[cols[j][row] for j in t] for row in range(3)])) == 3
+        ), None)
         if triple is None:
             raise ValueError(f"no repair set found for coordinate {i}")
         aug = MatrixGF(

@@ -1,5 +1,6 @@
 """Command surface: argument handling, report schema, exit codes, formats."""
 
+import dataclasses
 import json
 
 import pytest
@@ -86,20 +87,23 @@ def test_verify_modulus_override(capsys):
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):
-    real = cons._weights
-
-    def corrupted(cid, q):
-        w = dict(real(cid, q))
-        if cid == "d":
-            first = min(w)
-            w[first] += 7  # break one closed form
-        return w
-
-    monkeypatch.setattr(cons, "_weights", corrupted)
+    real = cons.CONSTRUCTIONS["d"]
+    (a, b, c), *rest = real.lines
+    corrupted = dataclasses.replace(real, lines=((a, b, c + 14), *rest))  # break one closed form
+    monkeypatch.setitem(cons.CONSTRUCTIONS, "d", corrupted)
     code, out, err = run(capsys, ["verify", "--id", "d", "--m", "3"])
     assert code == 1
     assert "FAIL d@3" in err
     assert "distribution" in err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_verify_unwritable_out_exits_2(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, ["verify", "--id", "c", "--m", "3", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nmds: ") and str(path) in err
 
 
 def test_verify_unknown_id(capsys):

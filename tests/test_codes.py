@@ -283,6 +283,25 @@ def test_min_weight_dual_codewords_annihilate(codes8):
                 assert acc == 0, (cid, sup)
 
 
+def test_min_weight_dual_codewords_annihilate_rescaled_columns(codes8):
+    # The registry's columns are already canonical; scaling each column by a
+    # nonzero element keeps the supports and must rescale the coefficients.
+    rng = np.random.default_rng(7)
+    for cid, code in codes8.items():
+        ctx = code.ctx
+        scales = rng.integers(1, ctx.q, size=code.n)
+        scaled = LinearCode(MatrixGF(ctx, ctx.mul_vec(code.generator.data, scales[None, :])))
+        entries = min_weight_dual_codewords(scaled)
+        assert [sup for sup, _ in entries] == [sup for sup, _ in min_weight_dual_codewords(code)]
+        for sup, coeffs in entries:
+            assert all(coeffs) and coeffs[0] == 1, cid
+            for row in scaled.generator.data:
+                acc = 0
+                for j, lam in zip(sup, coeffs):
+                    acc ^= ctx.mul(lam, int(row[j]))
+                assert acc == 0, (cid, sup)
+
+
 def test_min_weight_dual_codewords_preconditions(ctx8):
     eye = LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64)))
     with pytest.raises(ValueError, match="dual distance"):

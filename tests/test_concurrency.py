@@ -1,0 +1,77 @@
+"""Concurrent workers: reports and per-code derivations do not depend on threads."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+from nmds import (
+    CONSTRUCTION_IDS,
+    GF2m,
+    build,
+    check_min_weight_pairing,
+    classify,
+    classify_lrc,
+    locality_of_code,
+    locality_of_dual,
+    min_weight_codewords,
+    min_weight_dual_codewords,
+    repair_map,
+    weight_distribution,
+)
+from nmds.cli import run_verification
+
+WORKERS = 4  # more than the cores of a small runner, so threads interleave
+TIMEOUT_S = 120
+
+
+def _with_fast_switching(fn):
+    """Run fn with a short thread switch interval, so threads interleave often."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_run_verification_threaded_matches_serial():
+    serial = [run_verification(cid, 5) for cid in CONSTRUCTION_IDS]
+
+    def threaded():
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            futures = [pool.submit(run_verification, cid, 5) for cid in CONSTRUCTION_IDS]
+            return [f.result(timeout=TIMEOUT_S) for f in futures]
+
+    assert _with_fast_switching(threaded) == serial
+
+
+# Derivations kept on the code, so every caller gets the same object.
+CACHED = (weight_distribution, min_weight_codewords, min_weight_dual_codewords, classify)
+# Derivations that build a fresh report from the cached ones.
+REBUILT = (check_min_weight_pairing, locality_of_code, locality_of_dual, classify_lrc, repair_map)
+
+
+def test_shared_code_derivations_agree_across_threads():
+    for cid in ("c", "e2", "f3"):
+        code = build(cid, GF2m(5))
+
+        def derive():
+            return [fn(code) for fn in CACHED + REBUILT]
+
+        def threaded():
+            with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+                futures = [pool.submit(derive) for _ in range(WORKERS)]
+                return [f.result(timeout=TIMEOUT_S) for f in futures]
+
+        results = _with_fast_switching(threaded)
+        first = results[0]
+        for other in results[1:]:
+            assert other == first, cid
+            for a, b in zip(other[: len(CACHED)], first[: len(CACHED)]):
+                assert a is b, cid
+        fresh = build(cid, GF2m(5))
+        assert [fn(fresh) for fn in CACHED + REBUILT] == first, cid
+
+
+def test_classify_runs_once_per_code():
+    code = build("c", GF2m(3))
+    assert classify(code) is classify(code)

@@ -6,6 +6,7 @@ import pytest
 from nmds.codes import minimum_distance, weight_distribution
 from nmds.constructions import (
     CONSTRUCTION_IDS,
+    CONSTRUCTIONS,
     build,
     expected_profile,
     extend,
@@ -123,6 +124,8 @@ def test_enumerator_sum_identity(m):
         assert 1 + sum(p.weights.values()) == q**3, (cid, m)
         assert all(c >= 0 for c in p.weights.values())
         assert sorted(p.weights) == [p.d, p.d + 1, p.d + 2, p.d + 3]
+        # the four line counts add up to the q^2 + q + 1 lines of PG(2, q)
+        assert tuple(map(sum, zip(*CONSTRUCTIONS[cid].lines))) == (2, 2, 2), cid
 
 
 def test_m_constraints():

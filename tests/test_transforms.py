@@ -235,3 +235,11 @@ def test_primal_recurrence_rejects_dimension_beyond_length():
     for fn in (nmds_primal_distribution_from_Ank, primal_recurrence_oracle):
         with pytest.raises(ValueError):
             fn(3, 5, 8, 1)
+
+
+@pytest.mark.parametrize("k", [13, -1])
+def test_dual_recurrence_rejects_dimension_outside_length(k):
+    # k = 13 used to return (1, 0, ..., 0) without the seed, and k = -1 to
+    # report a negative count at weight 0
+    with pytest.raises(ValueError, match=rf"^dimension k = {k} outside 0\.\.n = 12$"):
+        nmds_dual_distribution_from_Ak(12, k, 8, 70)
