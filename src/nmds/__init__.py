@@ -27,7 +27,6 @@ from .codes import (
     matrix_to_text,
     min_weight_codewords,
     min_weight_dual_codewords,
-    min_weight_supports,
     minimum_distance,
     rank,
     rref,

@@ -6,13 +6,14 @@ follows from one seed count by a recurrence, computed here in exact
 big-integer arithmetic (the counts overflow 64-bit well inside the supported
 range) with one Horner step per weight.  The pairing check confirms that
 minimum-weight codewords of the code and its dual come in disjoint-support
-pairs, unique up to scalars.
+pairs, unique up to scalars: in dimension 3 the zero set of each
+minimum-weight codeword must be the support of exactly one weight-3 dual
+codeword.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from dataclasses import dataclass
 from math import comb
 
 from .codes import (
@@ -159,7 +160,7 @@ def nmds_primal_distribution_from_Ank(n: int, k: int, q: int, a_nk: int) -> Weig
     return WeightDistribution(n, tuple(counts))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingReport:
     """Outcome of the disjoint-support pairing between minimum-weight codewords."""
 
@@ -168,8 +169,7 @@ class PairingReport:
     primal_count: int
     dual_count: int
     counts_equal: bool
-    pairings: list[tuple[frozenset[int], tuple[int, ...]]] = dc_field(default_factory=list)
-    all_paired_uniquely: bool = True
+    all_paired_uniquely: bool
 
     @property
     def ok(self) -> bool:
@@ -180,38 +180,24 @@ def check_min_weight_pairing(code: LinearCode) -> PairingReport:
     """For an NMDS code with dual distance 3, confirm the pairing structure:
     the two sides have equally many minimum-weight codewords, and each
     canonical minimum-weight codeword has a unique (up to scalar) disjoint-
-    support partner of weight 3 in the dual."""
+    support partner of weight 3 in the dual.
+
+    A weight-3 dual support is disjoint from a word of weight d = n - 3
+    exactly when it is the word's zero set, and each dual support carries
+    one dual codeword up to scalar.  So the pairing is a bijection exactly
+    when the sorted zero sets are the dual supports.
+    """
     verdict = classify(code)
     if verdict.tag != "NMDS":
         raise ValueError(f"pairing check requires an NMDS code, got {verdict.tag}")
     q = code.ctx.q
     primal = min_weight_codewords(code)
     duals = min_weight_dual_codewords(code)
-    report = PairingReport(
+    return PairingReport(
         d=verdict.d,
         d_dual=verdict.d_dual or 0,
         primal_count=(q - 1) * len(primal),
         dual_count=(q - 1) * len(duals),
         counts_equal=(len(primal) == len(duals)),
+        all_paired_uniquely=sorted(z for z, _ in primal) == [sup for sup, _ in duals],
     )
-    # A dual support disjoint from a primal support lies in its complement,
-    # which has n - d = 3 coordinates here: look up the complement's subsets
-    # instead of testing every (primal, dual) pair.
-    by_support: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for sup, _ in duals:
-        by_support.setdefault(frozenset(sup), []).append(sup)
-    sizes = {len(sup) for sup in by_support}
-    coords = frozenset(range(code.n))
-    for support, _vec in primal:
-        rest = coords - support
-        partners = [
-            sup
-            for w in sizes
-            for sub in combinations(rest, w)
-            for sup in by_support.get(frozenset(sub), ())
-        ]
-        if len(partners) != 1:
-            report.all_paired_uniquely = False
-            continue
-        report.pairings.append((support, partners[0]))
-    return report

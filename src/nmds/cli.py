@@ -33,7 +33,7 @@ from .classify import (
     nmds_dual_distribution_from_Ak,
     nmds_primal_distribution_from_Ank,
 )
-from .codes import macwilliams, matrix_to_text, weight_distribution
+from .codes import _check_enumeration_guard, macwilliams, matrix_to_text, weight_distribution
 from .field import GF2m, MAX_M
 from .lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
 
@@ -261,6 +261,8 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"nmds: {exc.args[0]}", file=sys.stderr)
         return 2
+    for m in args.m:  # fail before the first pair rather than after the feasible ones
+        _check_enumeration_guard(GF2m(m, args.modulus).q, 3)
     reports = []
     all_failures: list[tuple[str, list[str]]] = []
     for m in args.m:

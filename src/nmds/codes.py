@@ -5,15 +5,18 @@ from one table of the lines of the projective plane PG(2, q) that pass
 through two or more generator columns.  A nonzero column is a point, a
 message is a line l up to scalars, and the codeword of l has weight n minus
 the number of columns on l.  So the line table gives the exact weight
-distribution, the minimum-weight codewords (the lines carrying the most
-columns) and the weight-3 dual codewords (collinear column triples).  It
-costs O(n^2) for n columns: about 4 ms per code at q = 128 and 1 s at
-q = 2048 on a 2-core Xeon.  Other dimensions are counted by exhaustive codeword enumeration,
-vectorized over message blocks, which the tests also use as the oracle for
-the line table.  Both refuse q^k beyond 2^34.  Low-weight dual codewords come
-from column dependencies, which is exact for weights up to 3.  The
-MacWilliams transform gives the full dual distribution in exact big-integer
-arithmetic, from the generating function of the Krawtchouk polynomials,
+distribution, the minimum-weight codewords and the weight-3 dual codewords
+(collinear column triples).  A minimum-weight codeword is carried as its
+line and its zero set, the columns on that line and any zero columns:
+pairing and locality read only where a word vanishes, so no word is written
+out in full.  The table costs O(n^2) for n columns: about 4 ms per code at
+q = 128 and 1 s at q = 2048 on a 2-core Xeon.  Distributions of other
+dimensions are counted by exhaustive codeword enumeration, vectorized over
+message blocks, which the tests also use as the oracle for the line table.
+Both refuse q^k beyond 2^34.  Low-weight dual codewords come from column
+dependencies, which is exact for weights up to 3.  The MacWilliams
+transform gives the full dual distribution in exact big-integer arithmetic,
+from the generating function of the Krawtchouk polynomials,
 sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
 one product of two binomial rows, which for an NMDS distribution is O(n k)
 multiply-adds in all.
@@ -46,7 +49,6 @@ __all__ = [
     "dual_distance_exact",
     "min_weight_dual_codewords",
     "min_weight_codewords",
-    "min_weight_supports",
     "macwilliams",
     "matrix_to_text",
     "matrix_from_text",
@@ -241,14 +243,6 @@ def _canonical_columns(code: LinearCode) -> np.ndarray:
     return _normalize_rows(code.ctx, cols) if code.k else cols
 
 
-def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """(support, word) pairs, each word scaled so its first nonzero symbol is 1."""
-    return [
-        (frozenset(np.flatnonzero(w).tolist()), tuple(w.tolist()))
-        for w in _normalize_rows(ctx, words)
-    ]
-
-
 # -- the PG(2, q) line table (k = 3) ------------------------------------------
 
 def _cross(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -334,23 +328,41 @@ def _line_distribution(code: LinearCode) -> WeightDistribution:
     return WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
 
 
-def _line_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Minimum-weight words of a k = 3 code: the lines with the most columns.
+@per_code
+def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
+    """Minimum-weight codewords of a k = 3 code as (zeros, line) pairs, one
+    per scalar class.
 
-    Those lines are all in the table.  Rank 3 puts three non-collinear points
-    in the plane, so every point lies on a table line, and that line carries
-    more columns than a line meeting the columns in that point alone.
+    ``line`` is the message, scaled so that its first nonzero entry is 1,
+    and ``zeros`` the ascending coordinates where its codeword vanishes: the
+    columns on that line of PG(2, q) and the zero columns.  Every
+    minimum-weight codeword is a nonzero multiple of exactly one entry's
+    codeword.  Entries come in the order of their projective messages.
+
+    These are the lines with the most columns, and they are all in the
+    table.  Rank 3 puts three non-collinear points in the plane, so every
+    point lies on a table line, and that line carries more columns than a
+    line meeting the columns in that point alone.
     """
-    ctx, G = code.ctx, code.generator.data
+    if code.k != 3:
+        raise ValueError("minimum-weight codewords are read off lines, which needs a dimension-3 code")
     table = _line_table(code)
-    lines = table.vectors[table.sizes == table.sizes.max()]
+    size = int(table.sizes.max())
+    best = np.flatnonzero(table.sizes == size)
+    lines = table.vectors[best]
     # Projective-message order: by the position of the leading 1, then as numbers.
-    lines = lines[np.argsort((lines != 0).argmax(axis=1), kind="stable")]
-    words = (
-        ctx.mul_vec(lines[:, :1], G[0]) ^ ctx.mul_vec(lines[:, 1:2], G[1])
-        ^ ctx.mul_vec(lines[:, 2:], G[2])
-    )
-    return _canonical_words(ctx, words)
+    order = np.argsort((lines != 0).argmax(axis=1), kind="stable")
+    best, lines = best[order], lines[order]
+    zero_cols = np.flatnonzero(~code.generator.data.any(axis=0))
+    zeros = np.sort(np.hstack([
+        table.columns[table.starts[best][:, None] + np.arange(size)],
+        np.tile(zero_cols, (len(best), 1)),
+    ]), axis=1)
+    # O(1) per word instead of encoding it: the line vanishes on its columns.
+    values = code.ctx.mul_vec(lines.T[:, :, None], code.generator.data[:, zeros])
+    if np.bitwise_xor.reduce(values, axis=0).any():
+        raise AssertionError("a table line misses one of its columns; line table inconsistent")
+    return list(zip(map(tuple, zeros.tolist()), map(tuple, lines.tolist())))
 
 
 def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
@@ -368,7 +380,7 @@ def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
     return sorted(triples)
 
 
-# -- distributions and minimum-weight words ------------------------------------
+# -- distributions ---------------------------------------------------------------
 
 def _scaled_rows(code: LinearCode) -> list[np.ndarray]:
     """Per-row scaling tables: entry [a, j] = a * G[i, j], shape (q, n) uint16."""
@@ -435,70 +447,6 @@ def minimum_distance(code: LinearCode) -> int:
     if code.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
     return weight_distribution(code).min_distance
-
-
-def _projective_messages(q: int, k: int) -> np.ndarray:
-    """One message per scalar class: first nonzero entry equals 1.
-
-    Returns an array of shape ( (q^k - 1)/(q - 1), k )."""
-    blocks = []
-    for lead in range(k):
-        tail = k - lead - 1
-        count = q**tail
-        block = np.zeros((count, k), dtype=np.int64)
-        block[:, lead] = 1
-        rem = np.arange(count)
-        for j in range(tail - 1, -1, -1):
-            block[:, lead + 1 + j] = rem % q
-            rem //= q
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
-
-@per_code
-def min_weight_codewords(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Canonical minimum-weight codewords, one per scalar class.
-
-    Canonical means the first nonzero symbol is scaled to 1.  Every
-    minimum-weight codeword is a nonzero multiple of exactly one entry.
-    Entries come in the order of their projective messages.
-    """
-    if code.k == 0:
-        raise ValueError("zero code has no minimum-weight codewords")
-    find = _line_min_weight_words if code.k == 3 else _enumerated_min_weight_words
-    return find(code)
-
-
-def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Minimum-weight words by enumerating one message per scalar class."""
-    q, k, n = code.ctx.q, code.k, code.n
-    _check_enumeration_guard(q, k)
-    msgs = _projective_messages(q, k)
-    scaled = _scaled_rows(code)
-    block_size = max(1, (1 << 24) // max(1, n))
-    d = n + 1
-    kept: list[np.ndarray] = []
-    for start in range(0, len(msgs), block_size):
-        block = msgs[start : start + block_size]
-        words = np.zeros((len(block), n), dtype=np.uint16)
-        for i in range(k):
-            words ^= scaled[i][block[:, i]]
-        weights = np.count_nonzero(words, axis=1)
-        block_min = int(weights.min())
-        if block_min < d:
-            d = block_min
-            kept = []
-        if block_min <= d:
-            kept.extend(words[weights == d])
-    return _canonical_words(code.ctx, np.array(kept))
-
-
-def min_weight_supports(code: LinearCode) -> list[frozenset[int]]:
-    """Deduplicated supports of all minimum-weight codewords."""
-    seen: dict[frozenset[int], None] = {}
-    for support, _ in min_weight_codewords(code):
-        seen.setdefault(support, None)
-    return list(seen)
 
 
 # -- dual side -----------------------------------------------------------------

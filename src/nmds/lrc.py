@@ -8,8 +8,9 @@ dual supports jointly cover every coordinate; the dual code's locality is
 d-1 or d, decided by whether those supports share a common coordinate.  Both
 decisions are computed from the collinear column triples, and the dual-side
 one is cross-validated against the direct covering test on the code's own
-minimum-weight supports; the two provably agree, and this module treats
-their agreement as a runtime invariant.
+minimum-weight codewords: they cover every coordinate exactly when their
+zero sets share none.  The two provably agree, and this module treats their
+agreement as a runtime invariant.
 
 Bounds: the Singleton-like bound caps d at n - k - ceil(k/r) + 2, and the
 Cadambe-Mazumdar bound caps k at min_t [r t + k_opt(n - t(r+1), d)].  Here
@@ -100,8 +101,9 @@ def locality_of_dual(code: LinearCode) -> LocalityReport:
     have empty intersection, otherwise d(code).
 
     Cross-validated against the direct test on the dual: its locality is
-    d-1 exactly when the code's minimum-weight supports cover [n].  A
-    disagreement would falsify the intersection criterion and raises.
+    d-1 exactly when the code's minimum-weight supports cover [n], that is
+    when their zero sets share no coordinate.  A disagreement would falsify
+    the intersection criterion and raises.
     """
     verdict = _require_nmds_dd3(code)
     d = verdict.d
@@ -109,10 +111,8 @@ def locality_of_dual(code: LinearCode) -> LocalityReport:
     empty = not inter
     r = d - 1 if empty else d
 
-    primal_union: set[int] = set()
-    for sup, _ in min_weight_codewords(code):
-        primal_union |= sup
-    direct_r = d - 1 if primal_union == set(range(code.n)) else d
+    shared = frozenset(range(code.n)).intersection(*(z for z, _ in min_weight_codewords(code)))
+    direct_r = d - 1 if not shared else d
     if direct_r != r:
         raise AssertionError(
             "intersection criterion and direct covering test disagree "

@@ -160,12 +160,26 @@ def test_recurrence_counts_are_exact_big_ints():
 # ---------------------------------------------------------------------------
 
 def test_pairing_c_q8(codes8):
-    report = check_min_weight_pairing(codes8["c"])
+    code = codes8["c"]
+    report = check_min_weight_pairing(code)
     assert report.ok
     assert report.primal_count == report.dual_count == 70
-    assert len(report.pairings) == 70 // 7
-    for primal_sup, dual_sup in report.pairings:
-        assert not primal_sup & set(dual_sup)
+    words = min_weight_codewords(code)
+    assert len(words) == 70 // 7
+    dual_supports = [sup for sup, _ in min_weight_dual_codewords(code)]
+    for zeros, line in words:
+        support = set(np.flatnonzero(code.codeword(line)).tolist())
+        assert [sup for sup in dual_supports if not support & set(sup)] == [zeros]
+
+
+def test_pairing_rejects_corrupted_zero_triple(ctx8):
+    code = build("c", ctx8)
+    words = min_weight_codewords(code)
+    corrupted = [(words[1][0], words[0][1])] + words[1:]  # the first word claims the second's zeros
+    code._derived[min_weight_codewords.__wrapped__] = corrupted
+    report = check_min_weight_pairing(code)
+    assert report.counts_equal
+    assert report.ok is False
 
 
 def test_pairing_d_q8(codes8):
@@ -180,10 +194,12 @@ def test_pairing_e_q4(ctx4):
 
 
 def scan_pairings(code):
-    """Oracle: test every (primal, dual) pair of minimum-weight supports."""
+    """Oracle: test every (primal, dual) pair of minimum-weight supports, with
+    each primal word encoded in full from its line."""
     duals = min_weight_dual_codewords(code)
     pairings, unique = [], True
-    for support, _vec in min_weight_codewords(code):
+    for _zeros, line in min_weight_codewords(code):
+        support = frozenset(np.flatnonzero(code.codeword(line)).tolist())
         partners = [sup for sup, _ in duals if not support & set(sup)]
         if len(partners) != 1:
             unique = False
@@ -196,7 +212,10 @@ def test_pairing_matches_scan_oracle(codes8, codes32):
     for bundle in (codes8, codes32):
         for cid, code in bundle.items():
             report = check_min_weight_pairing(code)
-            assert (report.pairings, report.all_paired_uniquely) == scan_pairings(code), cid
+            pairings, unique = scan_pairings(code)
+            assert report.all_paired_uniquely == unique, cid
+            coords = frozenset(range(code.n))
+            assert pairings == [(coords - set(z), z) for z, _ in min_weight_codewords(code)], cid
 
 
 def test_pairing_rejects_non_nmds(ctx4):

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+import nmds.cli
 import nmds.constructions as cons
 from nmds.cli import main, run_verification
 from nmds.codes import matrix_from_text
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 REPORT_KEYS = {
     "key", "id", "m", "q", "n", "k", "d", "d_dual", "class", "distribution",
@@ -122,6 +126,26 @@ def test_verify_beyond_guard_names_the_cap(capsys):
     code, _, err = run(capsys, ["verify", "--id", "c", "--m", "12"])
     assert code == 2
     assert "m <= 11" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "9,12"],
+    ["--m", "9,10", "--modulus", "0x211"],  # a degree-9 modulus fits m = 9 only
+])
+def test_verify_rejects_every_m_before_the_first_pair(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(nmds.cli, "run_verification", lambda *args: calls.append(args))
+    code, out, err = run(capsys, ["verify", "--all", *argv])
+    assert code == 2
+    assert calls == [] and out == ""
+    assert err.startswith("nmds: ")
+
+
+@pytest.mark.parametrize("name, m", [("verify-small", "3,4"), ("verify-m7", "7")])
+def test_verify_prints_the_benchmark_reference(capsys, name, m):
+    code, out, _ = run(capsys, ["verify", "--all", "--m", m])
+    assert code == 0
+    assert out == (REFERENCE_DIR / f"{name}.json").read_text()
 
 
 def test_verify_bad_format_rejected():

@@ -5,6 +5,7 @@ brute-force oracles computed inside the tests (span enumeration for ranks,
 direct preimage counts, full dual enumeration at q=4).
 """
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nmds.codes import (
+    _check_enumeration_guard,
     _collinear_triples,
     _enumerated_distribution,
-    _enumerated_min_weight_words,
+    _line_table,
+    _normalize_rows,
+    _scaled_rows,
     LinearCode,
     MatrixGF,
     WeightDistribution,
@@ -25,7 +29,6 @@ from nmds.codes import (
     matrix_to_text,
     min_weight_codewords,
     min_weight_dual_codewords,
-    min_weight_supports,
     minimum_distance,
     rank,
     rref,
@@ -312,28 +315,35 @@ def test_min_weight_dual_codewords_preconditions(ctx8):
 
 
 # ---------------------------------------------------------------------------
-# minimum-weight codewords and supports
+# minimum-weight codewords
 # ---------------------------------------------------------------------------
 
 def test_min_weight_codewords_c_q8(codes8):
     code = codes8["c"]
     words = min_weight_codewords(code)
-    assert len(words) * 7 == 70  # one canonical word per scalar class
-    for sup, vec in words:
-        assert sum(1 for v in vec if v) == 9
-        assert sup == frozenset(i for i, v in enumerate(vec) if v)
-        assert next(v for v in vec if v) == 1
-        # membership oracle: the codeword is in the row space
-        aug = MatrixGF(code.ctx, list(code.generator.data) + [list(vec)])
-        assert rank(aug) == 3
+    assert len(words) * 7 == 70  # one line per scalar class
+    for zeros, line in words:
+        assert next(v for v in line if v) == 1
+        word = code.codeword(line)
+        assert np.count_nonzero(word) == 9
+        assert zeros == tuple(np.flatnonzero(word == 0).tolist())
 
 
-def test_min_weight_supports_examples(ctx8, codes8):
-    ones = LinearCode(MatrixGF(ctx8, [[1] * 5]))
-    assert min_weight_supports(ones) == [frozenset(range(5))]
-    sups = min_weight_supports(codes8["c"])
-    wd = weight_distribution(codes8["c"])
-    assert len(sups) * (8 - 1) >= wd.counts[wd.min_distance]
+def test_min_weight_codewords_rejects_other_dimensions(ctx8):
+    for rows in ([[1] * 5], [[1, 0, 1], [0, 1, 1]], np.eye(4, dtype=np.int64)):
+        with pytest.raises(ValueError, match="dimension-3"):
+            min_weight_codewords(LinearCode(MatrixGF(ctx8, rows)))
+
+
+def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
+    code = build("c", ctx8)
+    table = _line_table(code)
+    best = np.flatnonzero(table.sizes == table.sizes.max())
+    vectors = table.vectors.copy()
+    vectors[best[0]] = vectors[best[1]]  # two distinct lines share at most one column
+    code._derived[_line_table.__wrapped__] = replace(table, vectors=vectors)
+    with pytest.raises(AssertionError, match="misses one of its columns"):
+        min_weight_codewords(code)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -364,6 +374,70 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
 # ---------------------------------------------------------------------------
 
 SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
+
+
+def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """(support, word) pairs, each word scaled so its first nonzero symbol is 1."""
+    return [
+        (frozenset(np.flatnonzero(w).tolist()), tuple(w.tolist()))
+        for w in _normalize_rows(ctx, words)
+    ]
+
+
+def _projective_messages(q: int, k: int) -> np.ndarray:
+    """One message per scalar class: first nonzero entry equals 1.
+
+    Returns an array of shape ( (q^k - 1)/(q - 1), k )."""
+    blocks = []
+    for lead in range(k):
+        tail = k - lead - 1
+        count = q**tail
+        block = np.zeros((count, k), dtype=np.int64)
+        block[:, lead] = 1
+        rem = np.arange(count)
+        for j in range(tail - 1, -1, -1):
+            block[:, lead + 1 + j] = rem % q
+            rem //= q
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
+def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Minimum-weight words by enumerating one message per scalar class."""
+    q, k, n = code.ctx.q, code.k, code.n
+    _check_enumeration_guard(q, k)
+    msgs = _projective_messages(q, k)
+    scaled = _scaled_rows(code)
+    block_size = max(1, (1 << 24) // max(1, n))
+    d = n + 1
+    kept: list[np.ndarray] = []
+    for start in range(0, len(msgs), block_size):
+        block = msgs[start : start + block_size]
+        words = np.zeros((len(block), n), dtype=np.uint16)
+        for i in range(k):
+            words ^= scaled[i][block[:, i]]
+        weights = np.count_nonzero(words, axis=1)
+        block_min = int(weights.min())
+        if block_min < d:
+            d = block_min
+            kept = []
+        if block_min <= d:
+            kept.extend(words[weights == d])
+    return _canonical_words(code.ctx, np.array(kept))
+
+
+def encoded_min_weight_words(code):
+    """Each (zeros, line) of ``min_weight_codewords`` encoded in full, checked
+    to have weight d and to vanish exactly on ``zeros``, in the oracle's
+    (support, canonical word) form."""
+    d = weight_distribution(code).min_distance
+    words = []
+    for zeros, line in min_weight_codewords(code):
+        word = code.codeword(line)
+        assert np.count_nonzero(word) == d
+        assert zeros == tuple(np.flatnonzero(word == 0).tolist())
+        words.append(word)
+    return _canonical_words(code.ctx, np.array(words))
 
 
 @st.composite
@@ -418,7 +492,7 @@ def determinant_triples(code):
 @given(dimension3_codes())
 def test_line_table_matches_oracles(code):
     assert weight_distribution(code) == _enumerated_distribution(code)
-    assert min_weight_codewords(code) == _enumerated_min_weight_words(code)
+    assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = rank_dual_distance(code)
     assert dual_distance_exact(code, 3) == dd
     if dd not in (1, 2):
@@ -431,7 +505,7 @@ def test_line_table_matches_oracles(code):
 def test_line_table_matches_enumeration_all_ids(cid, m):
     code = build(cid, GF2m(m))
     assert weight_distribution(code) == _enumerated_distribution(code)
-    assert min_weight_codewords(code) == _enumerated_min_weight_words(code)
+    assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     if dual_distance_exact(code, 2) is None:
         assert _collinear_triples(code) == determinant_triples(code)
 

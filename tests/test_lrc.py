@@ -11,7 +11,7 @@ mechanisms.
 import numpy as np
 import pytest
 
-from nmds.codes import min_weight_dual_codewords
+from nmds.codes import min_weight_codewords, min_weight_dual_codewords
 from nmds.constructions import build, expected_flags, expected_locality
 from nmds.lrc import (
     classify_lrc,
@@ -95,6 +95,14 @@ def test_locality_of_dual_f3_q8(codes8):
     rep = locality_of_dual(codes8["f3"])
     assert rep.r == 7
     assert rep.intersection_of_supports == frozenset({9})  # the last coordinate
+
+
+def test_locality_of_dual_rejects_zero_sets_sharing_a_coordinate(ctx8):
+    code = build("c", ctx8)  # the weight-3 dual supports share no coordinate
+    shifted = [((0, *zeros[1:]), line) for zeros, line in min_weight_codewords(code)]
+    code._derived[min_weight_codewords.__wrapped__] = shifted
+    with pytest.raises(AssertionError, match="disagree"):
+        locality_of_dual(code)
 
 
 def test_locality_rejects_non_nmds(ctx4):
