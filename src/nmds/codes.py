@@ -1,22 +1,28 @@
 """Linear codes over GF(2^m): matrices, weight counting, distributions, duals.
 
 A code is held by its generator matrix.  For dimension 3 every count comes
-from one table of the lines of the projective plane PG(2, q) that pass
-through two or more generator columns.  A nonzero column is a point, a
-message is a line l up to scalars, and the codeword of l has weight n minus
-the number of columns on l.  So the line table gives the exact weight
-distribution, the minimum-weight codewords and the weight-3 dual codewords
-(collinear column triples).  A minimum-weight codeword is carried as its
-line and its zero set, the columns on that line and any zero columns:
-pairing and locality read only where a word vanishes, so no word is written
-out in full.  The table costs O(n^2) for n columns: about 4 ms per code at
-q = 128 and 1 s at q = 2048 on a 2-core Xeon.  Distributions of other
-dimensions are counted by exhaustive codeword enumeration, vectorized over
-message blocks, which the tests also use as the oracle for the line table.
-Both refuse q^k beyond 2^34.  Low-weight dual codewords come from column
-dependencies, which is exact for weights up to 3.  The MacWilliams
-transform gives the full dual distribution in exact big-integer arithmetic,
-from the generating function of the Krawtchouk polynomials,
+from one table of lines of the projective plane PG(2, q).  A nonzero column
+is a point, a message is a line l up to scalars, and the codeword of l has
+weight n minus the number of columns on l.  The columns split into an arc,
+the conic points y^2 = xz that carry one column each, and a residue of all
+other points.  No three conic points are collinear, so the table lists only
+the lines through a residue point and another column; the lines that miss
+the residue follow from counts on the arc.  So the line table gives the
+exact weight distribution, the minimum-weight codewords and the weight-3
+dual codewords (collinear column triples).  A minimum-weight codeword is
+carried as its line and its zero set, the columns on that line and any zero
+columns: pairing and locality read only where a word vanishes, so no word
+is written out in full.  The table crosses each residue column with every
+column, O(r n) pairs for r residue columns: about 0.6 ms per registry code
+at q = 128 and 3 ms at q = 2048 on a 2-core Xeon, where the q - 1 block
+columns lie on the conic.  A code with no conic columns keeps the O(n^2)
+table of all pairs.  Distributions of other dimensions are counted by
+exhaustive codeword enumeration, vectorized over message blocks, which the
+tests also use as the oracle for the line table.  Both refuse q^k beyond
+2^34.  Low-weight dual codewords come from column dependencies, which is
+exact for weights up to 3.  The MacWilliams transform gives the full dual
+distribution in exact big-integer arithmetic, from the generating function
+of the Krawtchouk polynomials,
 sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
 one product of two binomial rows, which for an NMDS distribution is O(n k)
 multiply-adds in all.
@@ -128,6 +134,16 @@ def rank(mat: MatrixGF) -> int:
     return sum(1 for i in range(reduced.rows) if any(reduced.data[i]))
 
 
+def _has_rank_3(mat: MatrixGF) -> bool:
+    """Whether a 3-row matrix has rank 3: some column u, a column v at
+    another point (u x v != 0), and a column w off their line."""
+    cols = mat.data.T
+    u = cols[cols.any(axis=1).argmax()]
+    crosses = _cross(mat.ctx, u[None, :], cols)
+    line = crosses[crosses.any(axis=1).argmax()]
+    return bool(np.bitwise_xor.reduce(mat.ctx.mul_vec(cols, line), axis=1).any())
+
+
 class LinearCode:
     """An [n, k] linear code given by a full-row-rank generator matrix."""
 
@@ -138,7 +154,8 @@ class LinearCode:
         self.k = generator.rows
         if self.k > self.n:
             raise ValueError(f"k={self.k} exceeds n={self.n}")
-        if self.k and rank(generator) != self.k:
+        full_rank = _has_rank_3(generator) if self.k == 3 else rank(generator) == self.k
+        if not full_rank:
             raise ValueError("generator matrix does not have full row rank")
         self._derived: dict = {}  # per_code results, keyed by the deriving function
 
@@ -231,8 +248,10 @@ def _normalize_rows(ctx: GF2m, vecs: np.ndarray) -> np.ndarray:
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values starts in a sorted, nonempty array."""
-    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    """Indices where a run of equal values starts in a sorted array."""
+    start = np.ones(len(values), dtype=bool)
+    start[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(start)
 
 
 @per_code
@@ -248,19 +267,27 @@ def _canonical_columns(code: LinearCode) -> np.ndarray:
 def _cross(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cross products u x v (signs vanish in characteristic 2).
     For two distinct points it is the line through them."""
-    (u0, u1, u2), (v0, v1, v2) = u.T, v.T
+    # Entry i is u_(i+1) v_(i+2) + u_(i+2) v_(i+1), indices mod 3, for all i at once.
     mul = ctx.mul_vec
-    cross = [mul(u1, v2) ^ mul(u2, v1), mul(u2, v0) ^ mul(u0, v2), mul(u0, v1) ^ mul(u1, v0)]
-    return np.stack(cross, axis=1)
+    return mul(u[:, [1, 2, 0]], v[:, [2, 0, 1]]) ^ mul(u[:, [2, 0, 1]], v[:, [1, 2, 0]])
 
 
 @dataclass(frozen=True)
 class _LineTable:
-    """The lines of PG(2, q) through two or more distinct column points.
+    """The lines of PG(2, q) through a residue point and another column point.
 
     A nonzero column of a k = 3 generator is a point and a projective message
     l is a line; the codeword of l has weight n - z(l), where z(l) counts the
     columns on l.  Zero columns lie on every line and are counted apart.
+
+    The arc is the set of points of the conic y^2 = xz that carry exactly one
+    column; every other column point is a residue point.  No three points of
+    a conic are collinear, so every line through three or more nonzero
+    columns passes through a residue point and is in the table.  The lines
+    that miss the residue are counted, not listed: the secants of the arc
+    outside the table meet the columns in two points, and each point lies on
+    ``point_lone`` lines that meet the columns in that point alone.  With an
+    empty arc the table holds every line through two column points.
     """
 
     zeros: int  # zero columns
@@ -269,62 +296,112 @@ class _LineTable:
     starts: np.ndarray  # (L,) where each line's columns start in `columns`
     columns: np.ndarray  # column indices grouped by line, ascending within a line
     point_mult: np.ndarray  # (P,) columns at each distinct point
-    point_lines: np.ndarray  # (P,) table lines through each distinct point
+    point_lone: np.ndarray  # (P,) lines meeting the nonzero columns in that point alone
+    secants: int  # lines through two arc points outside the table
 
 
-@per_code
-def _line_table(code: LinearCode) -> _LineTable:
-    """The line table of a k = 3 code: the normalized cross product of every
-    pair of columns at distinct points, then the (line, column) incidences
-    by sort and dedupe."""
-    ctx, q, n = code.ctx, code.ctx.q, code.n
-    _check_enumeration_guard(q, 3)
-    canon = _canonical_columns(code)
-    radix = np.array([q * q, q, 1])
-    key = canon @ radix  # the point of each column as a number, 0 for a zero column
-    cols = np.flatnonzero(key)
-    i, j = np.triu_indices(len(cols), 1)
+def _incidences(
+    ctx: GF2m, canon: np.ndarray, key: np.ndarray, residue: np.ndarray, others: np.ndarray
+) -> np.ndarray:
+    """Sorted, distinct (line, column) incidences, as line * n + column, of the
+    lines through a residue column and a column at another point."""
+    n = len(key)
+    cols = np.concatenate([residue, others])
+    i, j = np.triu_indices(len(residue), 1, len(cols))
     a, b = cols[i], cols[j]
     distinct = key[a] != key[b]
     a, b = a[distinct], b[distinct]
-    # In blocks, so the temporaries of the field products stay small at large q.
+    radix = np.array([ctx.q * ctx.q, ctx.q, 1])
+    # In blocks, so the temporaries of the field products stay small at large
+    # q; an empty residue gives no pairs and no blocks.
     blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, len(a), _PAIR_BLOCK)]
-    line_key = np.concatenate([
+    line_key = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         _normalize_rows(ctx, _cross(ctx, canon[a[s]], canon[b[s]])) @ radix for s in blocks
     ])
     # Sort and mask rather than np.unique, whose first call in a process
     # costs more than the whole table at small q.
     incidences = np.sort(np.concatenate([line_key * n + a, line_key * n + b]))
-    incidences = incidences[_run_starts(incidences)]
-    line_of, columns = np.divmod(incidences, n)
-    starts = _run_starts(line_of)
+    return incidences[_run_starts(incidences)]
+
+
+@per_code
+def _line_table(code: LinearCode) -> _LineTable:
+    """The line table of a k = 3 code.
+
+    The arc is read off the canonical columns alone, in O(n).  The table is
+    the normalized cross product of each residue column with every column at
+    another point, O(r n) pairs for r residue columns, then the (line,
+    column) incidences by sort and dedupe.
+
+    For s arc points, C(s, 2) secants minus the table lines with two arc
+    points lie outside the table.  An arc point lies on s - 1 secants, so it
+    lies on q + 1 - (s - 1) - (table lines through it and no other arc
+    point) lines that meet the columns in that point alone; a residue point
+    lies on q + 1 minus its table lines.  A table line with three arc points
+    would refute the arc, and raises ``AssertionError``.
+
+    If no table line holds three columns, the minimum-weight lines include
+    secants outside the table, so the table is rebuilt with an empty arc.
+    That lists all C(s, 2) secants, no more in order than the minimum-weight
+    words it must then give.
+    """
+    ctx, q, n = code.ctx, code.ctx.q, code.n
+    _check_enumeration_guard(q, 3)
+    canon = _canonical_columns(code)
+    key = canon @ np.array([q * q, q, 1])  # each column's point as a number, 0 for a zero column
+    cols = np.flatnonzero(key)
+    order = np.argsort(key[cols])
+    first = _run_starts(key[cols][order])  # one column per distinct point
+    point_mult = np.diff(np.append(first, len(cols)))
+    single = np.zeros(n, dtype=bool)
+    single[cols[order[first[point_mult == 1]]]] = True
+    yy, xz = ctx.mul_vec(canon[:, [1, 0]], canon[:, [1, 2]]).T
+    for arc in (single & (yy == xz), np.zeros(n, dtype=bool)):
+        incidences = _incidences(ctx, canon, key, cols[~arc[cols]], cols[arc[cols]])
+        line_of, columns = np.divmod(incidences, n)
+        starts = _run_starts(line_of)
+        sizes = np.diff(np.append(starts, len(columns)))
+        if (sizes >= 3).any() or not arc.any():
+            break
+    arcs_on_line = np.add.reduceat(arc[columns], starts)
+    if (arcs_on_line >= 3).any():
+        raise AssertionError(
+            "a table line holds three arc points; the conic columns are not an arc"
+        )
+    s = int(arc.sum())
+    # Lines through each point that meet another column: its table lines, and
+    # for an arc point its s - 1 secants in place of those in the table.
+    on_secant = np.repeat(arcs_on_line == 2, sizes)
+    met = np.bincount(columns, minlength=n)
+    met += np.where(arc, s - 1 - np.bincount(columns[on_secant], minlength=n), 0)
     keys = line_of[starts]
-    point_keys = key[cols]
-    order = np.argsort(point_keys)
-    first = _run_starts(point_keys[order])  # one column per distinct point
     return _LineTable(
         zeros=n - len(cols),
         vectors=np.stack([keys // (q * q), keys // q % q, keys % q], axis=1),
-        sizes=np.diff(np.append(starts, len(columns))),
+        sizes=sizes,
         starts=starts,
         columns=columns,
-        point_mult=np.diff(np.append(first, len(cols))),
-        point_lines=np.bincount(columns, minlength=n)[cols[order[first]]],
+        point_mult=point_mult,
+        point_lone=q + 1 - met[cols[order[first]]],
+        secants=s * (s - 1) // 2 - int((arcs_on_line == 2).sum()),
     )
 
 
 def _line_distribution(code: LinearCode) -> WeightDistribution:
     """Distribution of a k = 3 code: each of the q^2 + q + 1 lines gives q - 1
-    codewords of weight n - z.  Lines outside the table meet the columns in
-    one point, q + 1 minus its table lines of them per point, or in none."""
+    codewords of weight n - z.  Besides the table lines, the secants outside
+    the table meet the columns in two points, the lone lines of each point in
+    that point, and the rest in none."""
     q, n = code.ctx.q, code.n
     table = _line_table(code)
-    lone = q + 1 - table.point_lines
     lines_by_z = np.bincount(table.zeros + table.sizes, minlength=n + 1)
     lines_by_z += np.bincount(
-        table.zeros + table.point_mult, weights=lone, minlength=n + 1
+        table.zeros + table.point_mult, weights=table.point_lone, minlength=n + 1
     ).astype(np.int64)
-    lines_by_z[table.zeros] += q * q + q + 1 - len(table.sizes) - int(lone.sum())
+    lines_by_z[table.zeros + 2] += table.secants
+    lines_by_z[table.zeros] += (
+        q * q + q + 1 - len(table.sizes) - table.secants - int(table.point_lone.sum())
+    )
     return WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
 
 
@@ -340,9 +417,12 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[
     codeword.  Entries come in the order of their projective messages.
 
     These are the lines with the most columns, and they are all in the
-    table.  Rank 3 puts three non-collinear points in the plane, so every
-    point lies on a table line, and that line carries more columns than a
-    line meeting the columns in that point alone.
+    table.  A line outside it is an arc secant with two columns, or meets
+    the columns in one point; the table holds a line with three columns, or
+    else it was rebuilt with every line through two column points.  Rank 3
+    puts three non-collinear points in the plane, so a residue point lies on
+    a table line, and that line carries more columns than a line meeting the
+    columns in that point alone.
     """
     if code.k != 3:
         raise ValueError("minimum-weight codewords are read off lines, which needs a dimension-3 code")
@@ -370,7 +450,8 @@ def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
     for a code with pairwise-independent columns (dual distance above 2).
 
     These are exactly the column triples of rank 2, and each line holds
-    C(t, 3) of them for its t columns.
+    C(t, 3) of them for its t columns.  No three arc points are collinear,
+    so every such line is in the table.
     """
     table = _line_table(code)
     full = np.flatnonzero(table.sizes >= 3)
@@ -519,7 +600,8 @@ def min_weight_dual_codewords(
     For collinear columns u, v, w the identity
     [v,w,x] u + [w,u,x] v + [u,v,x] w = [u,v,w] x = 0 at x = e_i gives the
     dependency ((v x w)_i, (w x u)_i, (u x v)_i), a column of the adjugate;
-    any i with (v x w)_i != 0 makes it nonzero.
+    any i with (v x w)_i != 0 makes it nonzero.  Each dependency is checked
+    to annihilate its three columns, O(1) per word.
     """
     ctx = code.ctx
     if code.k != 3:
@@ -536,6 +618,11 @@ def min_weight_dual_codewords(
     if not coeffs.all():
         raise AssertionError(
             "partial-support dependency found; columns were not pairwise independent"
+        )
+    terms = ctx.mul_vec(coeffs[:, :, None], np.stack([u, v, w], axis=1))
+    if np.bitwise_xor.reduce(terms, axis=1).any():
+        raise AssertionError(
+            "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
         )
     return [(tuple(t), tuple(c)) for t, c in zip(triples.tolist(), coeffs.tolist())]
 

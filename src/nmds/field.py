@@ -239,9 +239,9 @@ class GF2m:
 
     def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Elementwise (broadcast) field product of two value arrays."""
-        lu = self._log[u]
-        lv = self._log[v]
-        out = self._exp[(lu + lv) % (self.q - 1)]
+        # exp holds two periods, so a sum of two logs indexes it without a
+        # modulo; a zero entry's sentinel log still indexes it and is masked.
+        out = self._exp[self._log[u] + self._log[v]]
         return np.where((u == 0) | (v == 0), 0, out)
 
     def inv_vec(self, vec: np.ndarray) -> np.ndarray:

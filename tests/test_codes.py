@@ -5,19 +5,23 @@ brute-force oracles computed inside the tests (span enumeration for ranks,
 direct preimage counts, full dual enumeration at q=4).
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nmds.codes import (
+    _PAIR_BLOCK,
+    _canonical_columns,
     _check_enumeration_guard,
     _collinear_triples,
+    _cross,
     _enumerated_distribution,
     _line_table,
     _normalize_rows,
+    _run_starts,
     _scaled_rows,
     LinearCode,
     MatrixGF,
@@ -34,8 +38,11 @@ from nmds.codes import (
     rref,
     weight_distribution,
 )
-from nmds.constructions import CONSTRUCTION_IDS, build
+from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
 from nmds.field import GF2m
+
+
+SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
 
 
 def brute_force_rank(ctx, rows):
@@ -105,6 +112,31 @@ def test_linear_code_requires_full_row_rank(ctx8):
         LinearCode(MatrixGF(ctx8, [[1, 1, 0], [1, 1, 0]]))
     with pytest.raises(ValueError, match="exceeds"):
         LinearCode(MatrixGF(ctx8, [[1], [1]] * 2))
+
+
+@st.composite
+def low_rank_generators(draw):
+    """3 x n products C B over GF(4), GF(8) or GF(16), with C 3 x r and
+    B r x n for r = 1, 2, 3, so ranks 1, 2 and 3 all occur."""
+    ctx = draw(st.sampled_from(SMALL_FIELDS))
+    r, n = draw(st.integers(1, 3)), draw(st.integers(3, 8))
+    entries = st.integers(0, ctx.q - 1)
+    basis = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    mix = [[draw(entries) for _ in range(r)] for _ in range(3)]
+    rows = [[0] * n for _ in range(3)]
+    for i, j, t in product(range(3), range(n), range(r)):
+        rows[i][j] ^= ctx.mul(mix[i][t], basis[t][j])
+    return MatrixGF(ctx, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_generators())
+def test_full_rank_check_matches_rank(gen):
+    if rank(gen) == 3:
+        assert LinearCode(gen).k == 3
+    else:
+        with pytest.raises(ValueError, match="full row rank"):
+            LinearCode(gen)
 
 
 def test_codeword_encoding_matches_manual(ctx8):
@@ -373,9 +405,6 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
 # the PG(2, q) line table against enumeration and rank oracles
 # ---------------------------------------------------------------------------
 
-SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
-
-
 def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     """(support, word) pairs, each word scaled so its first nonzero symbol is 1."""
     return [
@@ -508,6 +537,178 @@ def test_line_table_matches_enumeration_all_ids(cid, m):
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     if dual_distance_exact(code, 2) is None:
         assert _collinear_triples(code) == determinant_triples(code)
+
+
+@dataclass(frozen=True)
+class AllPairsLineTable:
+    """The lines of PG(2, q) through two or more distinct column points."""
+
+    zeros: int  # zero columns
+    vectors: np.ndarray  # (L, 3) lines, first nonzero entry 1, ascending as base-q numbers
+    sizes: np.ndarray  # (L,) nonzero columns on each line
+    starts: np.ndarray  # (L,) where each line's columns start in `columns`
+    columns: np.ndarray  # column indices grouped by line, ascending within a line
+    point_mult: np.ndarray  # (P,) columns at each distinct point
+    point_lines: np.ndarray  # (P,) table lines through each distinct point
+
+
+def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
+    """Oracle: the normalized cross product of every pair of columns at
+    distinct points, then the (line, column) incidences by sort and dedupe."""
+    ctx, q, n = code.ctx, code.ctx.q, code.n
+    _check_enumeration_guard(q, 3)
+    canon = _canonical_columns(code)
+    radix = np.array([q * q, q, 1])
+    key = canon @ radix  # the point of each column as a number, 0 for a zero column
+    cols = np.flatnonzero(key)
+    i, j = np.triu_indices(len(cols), 1)
+    a, b = cols[i], cols[j]
+    distinct = key[a] != key[b]
+    a, b = a[distinct], b[distinct]
+    # In blocks, so the temporaries of the field products stay small at large q.
+    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, len(a), _PAIR_BLOCK)]
+    line_key = np.concatenate([
+        _normalize_rows(ctx, _cross(ctx, canon[a[s]], canon[b[s]])) @ radix for s in blocks
+    ])
+    # Sort and mask rather than np.unique, whose first call in a process
+    # costs more than the whole table at small q.
+    incidences = np.sort(np.concatenate([line_key * n + a, line_key * n + b]))
+    incidences = incidences[_run_starts(incidences)]
+    line_of, columns = np.divmod(incidences, n)
+    starts = _run_starts(line_of)
+    keys = line_of[starts]
+    point_keys = key[cols]
+    order = np.argsort(point_keys)
+    first = _run_starts(point_keys[order])  # one column per distinct point
+    return AllPairsLineTable(
+        zeros=n - len(cols),
+        vectors=np.stack([keys // (q * q), keys // q % q, keys % q], axis=1),
+        sizes=np.diff(np.append(starts, len(columns))),
+        starts=starts,
+        columns=columns,
+        point_mult=np.diff(np.append(first, len(cols))),
+        point_lines=np.bincount(columns, minlength=n)[cols[order[first]]],
+    )
+
+
+def all_pairs_facts(code):
+    """Distribution, sorted minimum-weight (zeros, line) pairs and collinear
+    triples of a k = 3 code, read off the all-pairs table: lines outside it
+    meet the columns in one point, q + 1 minus its table lines of them per
+    point, or in none."""
+    q, n = code.ctx.q, code.n
+    table = all_pairs_line_table(code)
+    lone = q + 1 - table.point_lines
+    lines_by_z = np.bincount(table.zeros + table.sizes, minlength=n + 1)
+    lines_by_z += np.bincount(
+        table.zeros + table.point_mult, weights=lone, minlength=n + 1
+    ).astype(np.int64)
+    lines_by_z[table.zeros] += q * q + q + 1 - len(table.sizes) - int(lone.sum())
+    dist = WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
+    zero_cols = np.flatnonzero(~code.generator.data.any(axis=0)).tolist()
+    on_line = [table.columns[s : s + t].tolist() for s, t in zip(table.starts, table.sizes)]
+    best = table.sizes.max()
+    words = sorted(
+        (tuple(sorted(cols + zero_cols)), tuple(line))
+        for cols, line, size in zip(on_line, table.vectors.tolist(), table.sizes)
+        if size == best
+    )
+    triples = sorted(t for cols in on_line for t in combinations(cols, 3))
+    return dist, words, triples
+
+
+def dual_distance_oracle(code, triples):
+    """The smallest w <= 3 with w dependent columns, from column ranks and
+    the triples of a vanishing determinant."""
+    if not code.generator.data.any(axis=0).all():
+        return 1
+    if any(column_rank(code, pair) < 2 for pair in combinations(range(code.n), 2)):
+        return 2
+    return 3 if triples else None
+
+
+def conic_generator(ctx, cols):
+    return MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
+
+
+def conic_points(ctx):
+    """The q + 1 points of the conic y^2 = xz: (1, a, a^2), with (1, 0, 0)
+    at a = 0, and (0, 0, 1)."""
+    return [(1, a, ctx.mul(a, a)) for a in ctx.elements()] + [(0, 0, 1)]
+
+
+@st.composite
+def conic_codes(draw):
+    """Full-rank 3 x n generators over GF(4), GF(8) or GF(16) drawn mostly
+    from conic points, with repeated conic points, zero columns, rescaled
+    columns and 0-4 residue columns (the nucleus (0, 1, 0) or random)."""
+    ctx = draw(st.sampled_from(SMALL_FIELDS))
+    conic = conic_points(ctx)
+    cols = draw(st.lists(st.sampled_from(conic), min_size=2, max_size=14, unique=True))
+    cols += draw(st.lists(st.sampled_from(cols), max_size=2))  # repeated conic points
+    cols += [(0, 0, 0)] * draw(st.integers(0, 2))
+    point = st.tuples(*[st.integers(0, ctx.q - 1)] * 3)
+    cols += draw(st.lists(st.one_of(st.just((0, 1, 0)), point), max_size=4))
+    scale = st.sampled_from([1, 1, 1] + list(range(2, ctx.q)))
+    scales = draw(st.lists(scale, min_size=len(cols), max_size=len(cols)))
+    cols = [tuple(ctx.mul(a, v) for v in c) for a, c in zip(scales, cols)]
+    gen = conic_generator(ctx, draw(st.permutations(cols)))
+    assume(rank(gen) == 3)
+    return LinearCode(gen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conic_codes())
+# The residue is empty: every column is a distinct conic point.
+@example(LinearCode(conic_generator(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[3:])))
+# The only residue point is the nucleus (0, 1, 0), on every tangent, so each
+# of its lines holds one conic column and no line holds three columns.
+@example(LinearCode(conic_generator(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)])))
+def test_arc_line_table_matches_all_pairs_oracle(code):
+    dist, words, triples = all_pairs_facts(code)
+    assert weight_distribution(code) == dist == _enumerated_distribution(code)
+    assert sorted(min_weight_codewords(code)) == words
+    assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
+    dd = dual_distance_oracle(code, determinant_triples(code))
+    assert dual_distance_exact(code, 3) == dd
+    if dd not in (1, 2):
+        assert _collinear_triples(code) == triples == determinant_triples(code)
+
+
+def test_line_table_rejects_three_collinear_arc_points(ctx8):
+    # Two columns at one point canonicalized differently look like two conic
+    # points carrying one column each; the line through them and a residue
+    # point then holds a third conic column.
+    code = build("c", ctx8)
+    canon = _canonical_columns(code).copy()
+    assert canon[0].tolist() == [1, 1, 1] and canon[ctx8.q].tolist() == [0, 0, 1]
+    canon[ctx8.q] = [2, 2, 2]
+    code._derived[_canonical_columns.__wrapped__] = canon
+    with pytest.raises(AssertionError, match="three arc points"):
+        weight_distribution(code)
+
+
+def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8):
+    code = build("c", ctx8)
+    table = _line_table(code)
+    line = np.flatnonzero(table.sizes == 3)[0]
+    assert table.vectors[line].tolist() == [0, 1, 0]  # y = 0, which column 1 = (1, a, a^2) misses
+    columns = table.columns.copy()
+    columns[table.starts[line]] = 1
+    code._derived[_line_table.__wrapped__] = replace(table, columns=columns)
+    with pytest.raises(AssertionError, match="misses its columns"):
+        min_weight_dual_codewords(code)
+
+
+def test_line_table_meets_closed_forms_at_m11():
+    ctx = GF2m(11)
+    for cid in CONSTRUCTION_IDS:
+        code = build(cid, ctx)
+        profile = expected_profile(cid, ctx.q)
+        assert weight_distribution(code).counts == profile.distribution_counts(), cid
+        lines = profile.weights[profile.d] // (ctx.q - 1)
+        assert len(min_weight_codewords(code)) == lines, cid
+        assert len(min_weight_dual_codewords(code)) == lines, cid
 
 
 # ---------------------------------------------------------------------------
