@@ -20,7 +20,6 @@ from .codes import (
     LinearCode,
     MatrixGF,
     WeightDistribution,
-    dual,
     dual_distance_exact,
     macwilliams,
     matrix_from_text,
@@ -28,8 +27,6 @@ from .codes import (
     min_weight_codewords,
     min_weight_dual_codewords,
     minimum_distance,
-    rank,
-    rref,
     weight_distribution,
 )
 from .constructions import (

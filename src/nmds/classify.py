@@ -20,7 +20,6 @@ from .codes import (
     LinearCode,
     WeightDistribution,
     _binomial_row,
-    dual,
     dual_distance_exact,
     min_weight_codewords,
     min_weight_dual_codewords,
@@ -51,22 +50,14 @@ class CodeClass:
     dual_defect: int | None
 
 
-def _dual_min_distance(code: LinearCode) -> int | None:
-    """d of the dual: column checks for w <= 3, else enumeration if feasible."""
-    dd = dual_distance_exact(code, 3)
-    if dd is not None:
-        return dd
-    if code.k == 3 and code.n > 4:
-        return 4  # Singleton caps the dual distance of an [n, n-3] code at 4
-    q, n, k = code.ctx.q, code.n, code.k
-    if q ** (n - k) <= 1 << 22:
-        return minimum_distance(dual(code))
-    return None
-
-
 @per_code
 def classify(code: LinearCode) -> CodeClass:
-    """Tag per the Singleton defects of the code and its dual."""
+    """Tag per the Singleton defects of the code and its dual.
+
+    A code that is not MDS has n >= 4, so any 4 of its columns are
+    dependent and its dual distance is at most 4: the column checks give it
+    exactly up to 3, and past that it is 4.
+    """
     n, k = code.n, code.k
     d = minimum_distance(code)
     defect = n - k + 1 - d
@@ -74,9 +65,7 @@ def classify(code: LinearCode) -> CodeClass:
         # MDS; the dual of an MDS code is MDS, no dual computation needed.
         dd = k + 1 if k < n else None
         return CodeClass("MDS", n, k, d, dd, 0, 0 if dd is not None else None)
-    dd = _dual_min_distance(code)
-    if dd is None:
-        raise ValueError("dual minimum distance not computable under the size guards")
+    dd = dual_distance_exact(code) or 4
     dual_defect = k + 1 - dd  # n' - k' + 1 - d' with n' = n, k' = n - k
     if defect == 1 and dual_defect == 1:
         tag = "NMDS"

@@ -262,7 +262,7 @@ def _cmd_verify(args) -> int:
         print(f"nmds: {exc.args[0]}", file=sys.stderr)
         return 2
     for m in args.m:  # fail before the first pair rather than after the feasible ones
-        _check_enumeration_guard(GF2m(m, args.modulus).q, 3)
+        _check_enumeration_guard(GF2m(m, args.modulus).q)
     reports = []
     all_failures: list[tuple[str, list[str]]] = []
     for m in args.m:

@@ -1,7 +1,7 @@
-"""Linear codes over GF(2^m): matrices, weight counting, distributions, duals.
+"""Dimension-3 linear codes over GF(2^m): matrices, distributions, duals.
 
-A code is held by its generator matrix.  For dimension 3 every count comes
-from one table of lines of the projective plane PG(2, q).  A nonzero column
+A code is held by its 3 x n generator matrix, and every count comes from
+one table of lines of the projective plane PG(2, q).  A nonzero column
 is a point, a message is a line l up to scalars, and the codeword of l has
 weight n minus the number of columns on l.  The columns split into an arc,
 the conic points y^2 = xz that carry one column each, and a residue of all
@@ -16,11 +16,11 @@ is written out in full.  The table crosses each residue column with every
 column, O(r n) pairs for r residue columns: about 0.6 ms per registry code
 at q = 128 and 3 ms at q = 2048 on a 2-core Xeon, where the q - 1 block
 columns lie on the conic.  A code with no conic columns keeps the O(n^2)
-table of all pairs.  Distributions of other dimensions are counted by
-exhaustive codeword enumeration, vectorized over message blocks, which the
-tests also use as the oracle for the line table.  Both refuse q^k beyond
-2^34.  Low-weight dual codewords come from column dependencies, which is
-exact for weights up to 3.  The MacWilliams transform gives the full dual
+table of all pairs.  The table refuses q^3 beyond 2^34.  The same cross
+product u x v, the line through two points, gives the determinant
+[u, v, w] = (u x v).w that tests three columns for independence.
+Low-weight dual codewords come from column dependencies, which is exact for
+weights up to 3.  The MacWilliams transform gives the full dual
 distribution in exact big-integer arithmetic, from the generating function
 of the Krawtchouk polynomials,
 sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
@@ -47,9 +47,6 @@ __all__ = [
     "MatrixGF",
     "LinearCode",
     "WeightDistribution",
-    "rank",
-    "rref",
-    "dual",
     "weight_distribution",
     "minimum_distance",
     "dual_distance_exact",
@@ -60,7 +57,9 @@ __all__ = [
     "matrix_from_text",
 ]
 
-ENUMERATION_GUARD = 1 << 34  # refuse q**k beyond this (accidental dual-side jobs)
+# The line table refuses q**3 beyond this, that is m >= 12, where the dual
+# transforms have no stated cap yet.
+ENUMERATION_GUARD = 1 << 34
 _PAIR_BLOCK = 1 << 18  # column pairs per block of the line table
 
 
@@ -105,57 +104,22 @@ class MatrixGF:
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))"
 
 
-def rref(mat: MatrixGF) -> MatrixGF:
-    """Reduced row echelon form over GF(q) (unique)."""
-    ctx = mat.ctx
-    rows = [list(map(int, r)) for r in mat.data]
-    nrows, ncols = mat.rows, mat.cols
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v ^ ctx.mul(f, w) for v, w in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return MatrixGF(ctx, rows if rows else np.zeros((0, ncols), dtype=np.int64))
-
-
-def rank(mat: MatrixGF) -> int:
-    """Rank over GF(q)."""
-    reduced = rref(mat)
-    return sum(1 for i in range(reduced.rows) if any(reduced.data[i]))
-
-
-def _has_rank_3(mat: MatrixGF) -> bool:
-    """Whether a 3-row matrix has rank 3: some column u, a column v at
-    another point (u x v != 0), and a column w off their line."""
-    cols = mat.data.T
-    u = cols[cols.any(axis=1).argmax()]
-    crosses = _cross(mat.ctx, u[None, :], cols)
-    line = crosses[crosses.any(axis=1).argmax()]
-    return bool(np.bitwise_xor.reduce(mat.ctx.mul_vec(cols, line), axis=1).any())
-
-
 class LinearCode:
-    """An [n, k] linear code given by a full-row-rank generator matrix."""
+    """An [n, 3] linear code given by a rank-3 generator matrix.
+
+    Every construction here has dimension 3 and every count reads the
+    columns as points of PG(2, q), so a generator with any other number of
+    rows is refused.
+    """
 
     def __init__(self, generator: MatrixGF) -> None:
         self.generator = generator
         self.ctx = generator.ctx
         self.n = generator.cols
         self.k = generator.rows
-        if self.k > self.n:
-            raise ValueError(f"k={self.k} exceeds n={self.n}")
-        full_rank = _has_rank_3(generator) if self.k == 3 else rank(generator) == self.k
-        if not full_rank:
+        if self.k != 3:
+            raise ValueError(f"k={self.k}: only dimension-3 codes are supported")
+        if _first_basis(self.ctx, generator.data.T) is None:
             raise ValueError("generator matrix does not have full row rank")
         self._derived: dict = {}  # per_code results, keyed by the deriving function
 
@@ -233,11 +197,11 @@ def per_code(fn):
 
 # -- guard and canonical forms ---------------------------------------------------
 
-def _check_enumeration_guard(q: int, k: int) -> None:
-    if q**k > ENUMERATION_GUARD:
+def _check_enumeration_guard(q: int) -> None:
+    if q**3 > ENUMERATION_GUARD:
         raise ValueError(
-            f"q^k = {q}^{k} exceeds the enumeration guard q^k <= 2^34, "
-            f"which allows m <= {34 // k} for a dimension-{k} code"
+            f"q^k = {q}^3 exceeds the enumeration guard q^k <= 2^34, "
+            "which allows m <= 11 for a dimension-3 code"
         )
 
 
@@ -256,13 +220,12 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 @per_code
 def _canonical_columns(code: LinearCode) -> np.ndarray:
-    """The generator columns as the rows of an (n, k) array, each scaled so
+    """The generator columns as the rows of an (n, 3) array, each scaled so
     that its first nonzero entry is 1; zero columns stay zero."""
-    cols = code.generator.data.T
-    return _normalize_rows(code.ctx, cols) if code.k else cols
+    return _normalize_rows(code.ctx, code.generator.data.T)
 
 
-# -- the PG(2, q) line table (k = 3) ------------------------------------------
+# -- the PG(2, q) kernel: lines, determinants and the line table ---------------
 
 def _cross(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cross products u x v (signs vanish in characteristic 2).
@@ -272,11 +235,40 @@ def _cross(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mul(u[:, [1, 2, 0]], v[:, [2, 0, 1]]) ^ mul(u[:, [2, 0, 1]], v[:, [1, 2, 0]])
 
 
+def _det(ctx: GF2m, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise determinants [u, v, w] = (u x v).w, zero exactly when the
+    three columns are dependent."""
+    return np.bitwise_xor.reduce(ctx.mul_vec(_cross(ctx, u, v), w), axis=1)
+
+
+def _first_basis(ctx: GF2m, cols: np.ndarray) -> tuple[int, int, int] | None:
+    """The lexicographically first i < j < l whose columns (rows of ``cols``)
+    are independent, or None if they span less than the plane.
+
+    Greedy choice finds it: i is the first nonzero column u, j the first
+    column v off the point u (u x v != 0), and l the first column off the
+    line u x v.  The columns before j span at most the point u and those
+    before l at most the line, so any independent a < b < c has a >= i,
+    b >= j and c >= l.
+    """
+    nonzero = np.flatnonzero(cols.any(axis=1))
+    if not len(nonzero):
+        return None
+    u = cols[nonzero[:1]]
+    off_point = np.flatnonzero(_cross(ctx, u, cols).any(axis=1))
+    if not len(off_point):
+        return None
+    off_line = np.flatnonzero(_det(ctx, u, cols[off_point[:1]], cols))
+    if not len(off_line):
+        return None
+    return int(nonzero[0]), int(off_point[0]), int(off_line[0])
+
+
 @dataclass(frozen=True)
 class _LineTable:
     """The lines of PG(2, q) through a residue point and another column point.
 
-    A nonzero column of a k = 3 generator is a point and a projective message
+    A nonzero column of the generator is a point and a projective message
     l is a line; the codeword of l has weight n - z(l), where z(l) counts the
     columns on l.  Zero columns lie on every line and are counted apart.
 
@@ -326,7 +318,7 @@ def _incidences(
 
 @per_code
 def _line_table(code: LinearCode) -> _LineTable:
-    """The line table of a k = 3 code.
+    """The line table of a code.
 
     The arc is read off the canonical columns alone, in O(n).  The table is
     the normalized cross product of each residue column with every column at
@@ -346,7 +338,7 @@ def _line_table(code: LinearCode) -> _LineTable:
     words it must then give.
     """
     ctx, q, n = code.ctx, code.ctx.q, code.n
-    _check_enumeration_guard(q, 3)
+    _check_enumeration_guard(q)
     canon = _canonical_columns(code)
     key = canon @ np.array([q * q, q, 1])  # each column's point as a number, 0 for a zero column
     cols = np.flatnonzero(key)
@@ -387,8 +379,11 @@ def _line_table(code: LinearCode) -> _LineTable:
     )
 
 
-def _line_distribution(code: LinearCode) -> WeightDistribution:
-    """Distribution of a k = 3 code: each of the q^2 + q + 1 lines gives q - 1
+# -- distribution and minimum-weight codewords ---------------------------------
+
+@per_code
+def weight_distribution(code: LinearCode) -> WeightDistribution:
+    """Exact distribution: each of the q^2 + q + 1 lines gives q - 1
     codewords of weight n - z.  Besides the table lines, the secants outside
     the table meet the columns in two points, the lone lines of each point in
     that point, and the rest in none."""
@@ -405,10 +400,14 @@ def _line_distribution(code: LinearCode) -> WeightDistribution:
     return WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
 
 
+def minimum_distance(code: LinearCode) -> int:
+    """Smallest positive weight with a codeword."""
+    return weight_distribution(code).min_distance
+
+
 @per_code
 def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
-    """Minimum-weight codewords of a k = 3 code as (zeros, line) pairs, one
-    per scalar class.
+    """Minimum-weight codewords as (zeros, line) pairs, one per scalar class.
 
     ``line`` is the message, scaled so that its first nonzero entry is 1,
     and ``zeros`` the ascending coordinates where its codeword vanishes: the
@@ -422,10 +421,10 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[
     else it was rebuilt with every line through two column points.  Rank 3
     puts three non-collinear points in the plane, so a residue point lies on
     a table line, and that line carries more columns than a line meeting the
-    columns in that point alone.
+    columns in that point alone.  Two checks hold this to account: each line
+    must vanish on its columns, and q - 1 times the number of lines must be
+    A_d of the distribution, which counts every line.
     """
-    if code.k != 3:
-        raise ValueError("minimum-weight codewords are read off lines, which needs a dimension-3 code")
     table = _line_table(code)
     size = int(table.sizes.max())
     best = np.flatnonzero(table.sizes == size)
@@ -442,8 +441,17 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[
     values = code.ctx.mul_vec(lines.T[:, :, None], code.generator.data[:, zeros])
     if np.bitwise_xor.reduce(values, axis=0).any():
         raise AssertionError("a table line misses one of its columns; line table inconsistent")
+    dist = weight_distribution(code)
+    a_d = dist.counts[dist.min_distance]
+    if (code.ctx.q - 1) * len(best) != a_d:
+        raise AssertionError(
+            f"{len(best)} lines of the most columns do not give A_d = {a_d}; "
+            "line table inconsistent"
+        )
     return list(zip(map(tuple, zeros.tolist()), map(tuple, lines.tolist())))
 
+
+# -- dual side -----------------------------------------------------------------
 
 def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
     """All i < j < l whose columns lie on one line, in lexicographic order,
@@ -461,129 +469,23 @@ def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
     return sorted(triples)
 
 
-# -- distributions ---------------------------------------------------------------
-
-def _scaled_rows(code: LinearCode) -> list[np.ndarray]:
-    """Per-row scaling tables: entry [a, j] = a * G[i, j], shape (q, n) uint16."""
-    ctx = code.ctx
-    return [ctx.scale_table(code.generator.data[i]) for i in range(code.k)]
-
-
-@per_code
-def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact distribution: the line table for k = 3, enumeration otherwise."""
-    count = _line_distribution if code.k == 3 else _enumerated_distribution
-    return count(code)
-
-
-def _enumerated_distribution(code: LinearCode) -> WeightDistribution:
-    """Distribution by enumerating all q^k codewords."""
-    q, n, k = code.ctx.q, code.n, code.k
-    _check_enumeration_guard(q, k)
-    if k == 0:
-        return WeightDistribution(n, (1,) + (0,) * n)
-
-    scaled = _scaled_rows(code)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    last = scaled[-1]
-    if k == 1:
-        w = np.count_nonzero(last, axis=1)
-        counts += np.bincount(w, minlength=n + 1)
-        return WeightDistribution(n, tuple(int(x) for x in counts))
-
-    penultimate = scaled[-2]
-    # Keep each XOR block under ~2^24 uint16 entries.
-    chunk = max(1, (1 << 24) // max(1, q * n))
-    prefix_rows = [scaled[i] for i in range(k - 2)]
-
-    def prefix_vectors():
-        if not prefix_rows:
-            yield np.zeros(n, dtype=np.uint16)
-            return
-        idx = [0] * len(prefix_rows)
-        while True:
-            vec = prefix_rows[0][idx[0]].copy()
-            for t, i in zip(prefix_rows[1:], idx[1:]):
-                vec ^= t[i]
-            yield vec
-            for pos in range(len(idx) - 1, -1, -1):
-                idx[pos] += 1
-                if idx[pos] < q:
-                    break
-                idx[pos] = 0
-            else:
-                return
-
-    for base in prefix_vectors():
-        block = base[None, :] ^ penultimate  # (q, n)
-        for start in range(0, q, chunk):
-            full = block[start : start + chunk, None, :] ^ last[None, :, :]
-            w = np.count_nonzero(full, axis=2)
-            counts += np.bincount(w.ravel(), minlength=n + 1)
-    return WeightDistribution(n, tuple(int(x) for x in counts))
-
-
-def minimum_distance(code: LinearCode) -> int:
-    """Smallest positive weight with a codeword; rejects the zero code."""
-    if code.k == 0:
-        raise ValueError("minimum distance of the zero code is undefined")
-    return weight_distribution(code).min_distance
-
-
-# -- dual side -----------------------------------------------------------------
-
-def dual(code: LinearCode) -> LinearCode:
-    """The dual code, via a null-space basis of the generator."""
-    ctx, n, k = code.ctx, code.n, code.k
-    if k == 0:
-        return LinearCode(MatrixGF(ctx, np.eye(n, dtype=np.int64)))
-    reduced = rref(code.generator)
-    # Pivots are the leading columns of the nonzero rows of the RREF.
-    pivots = []
-    for i in range(reduced.rows):
-        lead = next((c for c in range(n) if reduced.data[i][c]), None)
-        if lead is not None:
-            pivots.append(lead)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = int(reduced.data[i][f])  # -x = x in characteristic 2
-        basis.append(vec)
-    if not basis:
-        return LinearCode(MatrixGF(ctx, np.zeros((0, n), dtype=np.int64)))
-    return LinearCode(MatrixGF(ctx, basis))
-
-
-def dual_distance_exact(code: LinearCode, cap: int = 3) -> int | None:
-    """Exact dual minimum distance if it is <= cap (cap at most 3), else None.
+def dual_distance_exact(code: LinearCode) -> int | None:
+    """Exact dual minimum distance if it is at most 3, else None.
 
     Weight w in the dual corresponds to w generator columns carrying a linear
     dependency with all w coefficients nonzero: a zero column (w=1), a
-    proportional pair (w=2), or a singular triple of pairwise independent
-    columns (w=3).
+    proportional pair (w=2), or a collinear triple of pairwise independent
+    columns (w=3).  Past 3 the distance is 4 when n >= 4, the Singleton
+    bound of the [n, n - 3] dual; a code with n = 3 has the zero dual.
     """
-    if not 1 <= cap <= 3:
-        raise ValueError("cap must be 1, 2 or 3; larger weights are out of scope")
     canon = _canonical_columns(code)
     if not canon.any(axis=1).all():
         return 1
-    if cap >= 2:
-        ordered = canon[np.lexsort(canon.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            return 2
-    if cap >= 3:
-        if code.k == 3:
-            if (_line_table(code).sizes >= 3).any():
-                return 3
-        else:
-            cols = [code.generator.column(j) for j in range(code.n)]
-            for tri in combinations(range(code.n), 3):
-                sub = MatrixGF(code.ctx, [[cols[j][i] for j in tri] for i in range(code.k)])
-                if rank(sub) <= 2:
-                    return 3
+    ordered = canon[np.lexsort(canon.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        return 2
+    if (_line_table(code).sizes >= 3).any():
+        return 3
     return None
 
 
@@ -593,7 +495,7 @@ def min_weight_dual_codewords(
 ) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
     """Canonical weight-3 dual codewords as (support, coefficients) pairs.
 
-    Requires k = 3 and dual distance exactly 3.  Each support carries exactly
+    Requires dual distance exactly 3.  Each support carries exactly
     one dependency up to scalar; the representative scales the first nonzero
     coefficient to 1, and each entry stands for the q-1 multiples of itself.
 
@@ -604,9 +506,7 @@ def min_weight_dual_codewords(
     to annihilate its three columns, O(1) per word.
     """
     ctx = code.ctx
-    if code.k != 3:
-        raise ValueError("collinear column triples need a dimension-3 code")
-    dd = dual_distance_exact(code, 3)
+    dd = dual_distance_exact(code)
     if dd != 3:
         raise ValueError(f"dual distance is {dd if dd else '> 3'}, expected exactly 3")
     triples = np.array(_collinear_triples(code), dtype=np.int64).reshape(-1, 3)

@@ -283,7 +283,7 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode | None = None) -> 
 
     dist = weight_distribution(code)
     d = dist.min_distance
-    dd = dual_distance_exact(code, 3)
+    dd = dual_distance_exact(code)
     w3 = (q - 1) * len(min_weight_dual_codewords(code)) if dd == 3 else None
 
     report = VerificationReport(

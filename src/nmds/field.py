@@ -4,7 +4,8 @@ Field elements are plain Python ints in [0, q) whose binary digits are the
 coefficients of a polynomial over GF(2); the interpretation is fixed by a
 :class:`GF2m` context carrying the modulus.  Addition is XOR.  Multiplication
 and inversion go through exp/log tables built on a primitive element, so both
-are table lookups after construction.
+are table lookups after construction; each field's tables are built once per
+process and shared read-only by all its contexts.
 
 Total functions GF(q) -> GF(q) are stored as value tables of length q
 (:class:`FieldFunction`).  The predicates on them (permutation, 2-to-1, oval,
@@ -15,6 +16,7 @@ instant.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +92,55 @@ def find_factor(p: int) -> int | None:
     return None
 
 
+def _mul_raw(a: int, b: int, modulus: int) -> int:
+    """Carry-less multiply mod the modulus, no tables (used to build them)."""
+    p = 0
+    top = 1 << (modulus.bit_length() - 1)
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return p
+
+
+@cache
+def _tables(m: int, modulus: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """A primitive element and the exp/log tables on its powers, for an
+    irreducible modulus of degree m.
+
+    Built once per field and shared read-only by every ``GF2m(m, modulus)``,
+    so a pipeline that makes a context per code runs the pure-Python
+    generator search and table loop once.
+    """
+    q = 1 << m
+
+    def order(a: int) -> int:
+        v, n = a, 1
+        while v != 1:
+            v = _mul_raw(v, a, modulus)
+            n += 1
+        return n
+
+    g = next((g for g in range(2, q) if order(g) == q - 1), None)
+    if g is None:
+        raise AssertionError("no primitive element found; modulus cannot be irreducible")
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[0] = -1  # sentinel, never consulted for the zero element
+    v = 1
+    for i in range(q - 1):
+        exp[i] = exp[i + q - 1] = v
+        log[v] = i
+        v = _mul_raw(v, g, modulus)
+    if v != 1:
+        raise AssertionError("generator order mismatch while building tables")
+    exp.flags.writeable = log.flags.writeable = False
+    return g, exp, log
+
+
 class GF2m:
     """The finite field GF(2^m) with a verified irreducible modulus.
 
@@ -134,53 +185,7 @@ class GF2m:
         self.m = m
         self.modulus = modulus
         self.q = 1 << m
-
-        self._generator = self._find_generator()
-        self._build_tables(self._generator)
-
-    # -- construction helpers -------------------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Carry-less multiply mod the modulus, no tables (used to build them)."""
-        p = 0
-        top = self.q
-        while b:
-            if b & 1:
-                p ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.modulus
-        return p
-
-    def _order(self, a: int) -> int:
-        v, n = a, 1
-        while v != 1:
-            v = self._mul_raw(v, a)
-            n += 1
-        return n
-
-    def _find_generator(self) -> int:
-        for g in range(2, self.q):
-            if self._order(g) == self.q - 1:
-                return g
-        raise AssertionError("no primitive element found; modulus cannot be irreducible")
-
-    def _build_tables(self, g: int) -> None:
-        qm1 = self.q - 1
-        exp = np.zeros(2 * qm1, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
-        log[0] = -1  # sentinel, never consulted for the zero element
-        v = 1
-        for i in range(qm1):
-            exp[i] = v
-            exp[i + qm1] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
-        if v != 1:
-            raise AssertionError("generator order mismatch while building tables")
-        self._exp = exp
-        self._log = log
+        self._generator, self._exp, self._log = _tables(m, modulus)
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -249,12 +254,6 @@ class GF2m:
         if np.any(vec == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
         return self._exp[(self.q - 1) - self._log[vec]]
-
-    def scale_table(self, vec: np.ndarray) -> np.ndarray:
-        """All q scalings of vec, as a (q, len(vec)) uint16 array; row a = a*vec."""
-        scalars = np.arange(self.q, dtype=np.int64)
-        out = self.mul_vec(scalars[:, None], vec[None, :])
-        return out.astype(np.uint16)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, modulus={poly_to_str(self.modulus)})"

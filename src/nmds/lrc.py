@@ -22,18 +22,18 @@ certifies meeting the true bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil
+
+import numpy as np
 
 from .classify import classify
 from .codes import (
     LinearCode,
-    MatrixGF,
+    _det,
+    _first_basis,
     min_weight_codewords,
     min_weight_dual_codewords,
     per_code,
-    rank,
-    rref,
 )
 
 __all__ = [
@@ -140,7 +140,7 @@ def k_opt_singleton(n: int, d: int) -> int:
     return n - d + 1 if n >= d else 0
 
 
-def cm_bound_dimension(n: int, d: int, q: int, r: int) -> tuple[int, int]:
+def cm_bound_dimension(n: int, d: int, r: int) -> tuple[int, int]:
     """Dimension cap min_t [r t + k_opt(n - t(r+1), d)] and the minimizing t.
 
     t ranges over 1 .. floor((n-1)/(r+1)); past that the residual length is
@@ -175,9 +175,9 @@ class OptimalityReport:
     k_optimal: bool
 
 
-def _optimality(side: str, n: int, k: int, d: int, r: int, q: int) -> OptimalityReport:
+def _optimality(side: str, n: int, k: int, d: int, r: int) -> OptimalityReport:
     sl = singleton_like_bound(n, k, r)
-    cm, t = cm_bound_dimension(n, d, q, r)
+    cm, t = cm_bound_dimension(n, d, r)
     if d > sl:
         raise AssertionError(f"d={d} exceeds the Singleton-like bound {sl}; invariant violated")
     if k > cm:
@@ -202,9 +202,9 @@ def classify_lrc(
         r_code = locality_of_code(code).r
     if r_dual is None:
         r_dual = locality_of_dual(code).r
-    q, n, k, d = code.ctx.q, code.n, code.k, verdict.d
-    primal = _optimality("code", n, k, d, r_code, q)
-    dual_side = _optimality("dual", n, n - k, 3, r_dual, q)
+    n, k, d = code.n, code.k, verdict.d
+    primal = _optimality("code", n, k, d, r_code)
+    dual_side = _optimality("dual", n, n - k, 3, r_dual)
     return primal, dual_side
 
 
@@ -214,8 +214,13 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
     Returns {i: (repair_set, coefficients)} with the relation
     c_i = sum_j coefficients[j] * c_{repair_set[j]} holding for every
     codeword c.  Coordinates covered by a weight-3 dual codeword get a
-    2-element set; the rest get a 3-element set built from a column basis,
-    which exists with all-nonzero coefficients precisely because no smaller
+    2-element set.  The rest get the lexicographically first independent
+    triple u, v, w of the other columns, and column x = c_i is solved over
+    it by Cramer's rule with [a, b, c] = (a x b).c:
+
+        [u, v, w] (l_u, l_v, l_w) = ([x, v, w], [u, x, w], [u, v, x]).
+
+    All three coefficients are nonzero precisely because no smaller
     dependency covers the coordinate.
     """
     ctx = code.ctx
@@ -234,24 +239,19 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
     if len(out) == code.n:
         return out
 
-    # Fallback coordinates: express column i over an independent column triple.
-    cols = [code.generator.column(j) for j in range(code.n)]
+    # Fallback coordinates; dets holds [u, v, w], then the three numerators.
+    cols = code.generator.data.T
     for i in range(code.n):
         if i in out:
             continue
-        others = [j for j in range(code.n) if j != i]
-        triple = next((
-            t for t in combinations(others, 3)
-            if rank(MatrixGF(ctx, [[cols[j][row] for j in t] for row in range(3)])) == 3
-        ), None)
-        if triple is None:
+        others = np.delete(np.arange(code.n), i)
+        basis = _first_basis(ctx, cols[others])
+        if basis is None:
             raise ValueError(f"no repair set found for coordinate {i}")
-        aug = MatrixGF(
-            ctx,
-            [[cols[t][row] for t in triple] + [cols[i][row]] for row in range(3)],
-        )
-        solved = rref(aug)
-        lam = tuple(int(solved.data[row][3]) for row in range(3))
+        triple = tuple(others[list(basis)].tolist())
+        u, v, w, x = cols[[*triple, i]]
+        dets = _det(ctx, np.stack([u, x, u, u]), np.stack([v, v, x, v]), np.stack([w, w, w, x]))
+        lam = tuple(ctx.scale_vec(ctx.inv(int(dets[0])), dets[1:]).tolist())
         if not all(lam):
             raise AssertionError(
                 f"coordinate {i} lies on a smaller dependency; triple search inconsistent"

@@ -1,0 +1,199 @@
+"""Generic linear algebra over GF(2^m), kept as independent test oracles.
+
+The package reads every dimension-3 code off cross products in PG(2, q).
+These oracles work on any generator matrix and share none of that kernel:
+a pure-Python RREF with its rank and null-space dual, exhaustive enumeration
+of all q^k codewords for the weight distribution, and the RREF-based repair
+map the package used before Cramer's rule.  The random dimension-3 codes
+that several test modules draw are here too, since their rank filter is
+the RREF.
+"""
+
+from itertools import combinations
+
+import numpy as np
+from hypothesis import assume, strategies as st
+
+from nmds.codes import LinearCode, MatrixGF, WeightDistribution, min_weight_dual_codewords
+from nmds.field import GF2m
+
+SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
+
+
+def rref(mat: MatrixGF) -> MatrixGF:
+    """Reduced row echelon form over GF(q) (unique)."""
+    ctx = mat.ctx
+    rows = [list(map(int, r)) for r in mat.data]
+    nrows, ncols = mat.rows, mat.cols
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ctx.inv(rows[r][c])
+        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v ^ ctx.mul(f, w) for v, w in zip(rows[i], rows[r])]
+        r += 1
+        if r == nrows:
+            break
+    return MatrixGF(ctx, rows if rows else np.zeros((0, ncols), dtype=np.int64))
+
+
+def rank(mat: MatrixGF) -> int:
+    """Rank over GF(q)."""
+    reduced = rref(mat)
+    return sum(1 for i in range(reduced.rows) if any(reduced.data[i]))
+
+
+def dual(gen: MatrixGF) -> MatrixGF:
+    """Generator of the dual code, via a null-space basis of ``gen``."""
+    ctx, n, k = gen.ctx, gen.cols, gen.rows
+    if k == 0:
+        return MatrixGF(ctx, np.eye(n, dtype=np.int64))
+    reduced = rref(gen)
+    # Pivots are the leading columns of the nonzero rows of the RREF.
+    pivots = []
+    for i in range(reduced.rows):
+        lead = next((c for c in range(n) if reduced.data[i][c]), None)
+        if lead is not None:
+            pivots.append(lead)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * n
+        vec[f] = 1
+        for i, p in enumerate(pivots):
+            vec[p] = int(reduced.data[i][f])  # -x = x in characteristic 2
+        basis.append(vec)
+    if not basis:
+        return MatrixGF(ctx, np.zeros((0, n), dtype=np.int64))
+    return MatrixGF(ctx, basis)
+
+
+def scale_table(ctx: GF2m, vec: np.ndarray) -> np.ndarray:
+    """All q scalings of vec, as a (q, len(vec)) uint16 array; row a = a*vec."""
+    scalars = np.arange(ctx.q, dtype=np.int64)
+    out = ctx.mul_vec(scalars[:, None], vec[None, :])
+    return out.astype(np.uint16)
+
+
+def scaled_rows(gen: MatrixGF) -> list[np.ndarray]:
+    """Per-row scaling tables: entry [a, j] = a * G[i, j], shape (q, n) uint16."""
+    return [scale_table(gen.ctx, gen.data[i]) for i in range(gen.rows)]
+
+
+def enumerated_distribution(gen: MatrixGF) -> WeightDistribution:
+    """Distribution by enumerating all q^k codewords of the row space of ``gen``."""
+    q, n, k = gen.ctx.q, gen.cols, gen.rows
+    if k == 0:
+        return WeightDistribution(n, (1,) + (0,) * n)
+
+    scaled = scaled_rows(gen)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    last = scaled[-1]
+    if k == 1:
+        w = np.count_nonzero(last, axis=1)
+        counts += np.bincount(w, minlength=n + 1)
+        return WeightDistribution(n, tuple(int(x) for x in counts))
+
+    penultimate = scaled[-2]
+    # Keep each XOR block under ~2^24 uint16 entries.
+    chunk = max(1, (1 << 24) // max(1, q * n))
+    prefix_rows = [scaled[i] for i in range(k - 2)]
+
+    def prefix_vectors():
+        if not prefix_rows:
+            yield np.zeros(n, dtype=np.uint16)
+            return
+        idx = [0] * len(prefix_rows)
+        while True:
+            vec = prefix_rows[0][idx[0]].copy()
+            for t, i in zip(prefix_rows[1:], idx[1:]):
+                vec ^= t[i]
+            yield vec
+            for pos in range(len(idx) - 1, -1, -1):
+                idx[pos] += 1
+                if idx[pos] < q:
+                    break
+                idx[pos] = 0
+            else:
+                return
+
+    for base in prefix_vectors():
+        block = base[None, :] ^ penultimate  # (q, n)
+        for start in range(0, q, chunk):
+            full = block[start : start + chunk, None, :] ^ last[None, :, :]
+            w = np.count_nonzero(full, axis=2)
+            counts += np.bincount(w.ravel(), minlength=n + 1)
+    return WeightDistribution(n, tuple(int(x) for x in counts))
+
+
+def repair_map(code) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The repair map with the uncovered coordinates solved by RREF: the
+    first rank-3 triple of ``combinations(others, 3)``, then the last column
+    of the reduced augmented matrix [u v w | x]."""
+    ctx = code.ctx
+    words = min_weight_dual_codewords(code)
+    out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for sup, coeffs in words:
+        for pos, i in enumerate(sup):
+            if i in out:
+                continue
+            hi_inv = ctx.inv(coeffs[pos])
+            others = [(j, coeffs[p]) for p, j in enumerate(sup) if p != pos]
+            out[i] = (
+                tuple(j for j, _ in others),
+                tuple(ctx.mul(hi_inv, h) for _, h in others),
+            )
+    if len(out) == code.n:
+        return out
+
+    # Fallback coordinates: express column i over an independent column triple.
+    cols = [code.generator.column(j) for j in range(code.n)]
+    for i in range(code.n):
+        if i in out:
+            continue
+        others = [j for j in range(code.n) if j != i]
+        triple = next((
+            t for t in combinations(others, 3)
+            if rank(MatrixGF(ctx, [[cols[j][row] for j in t] for row in range(3)])) == 3
+        ), None)
+        if triple is None:
+            raise ValueError(f"no repair set found for coordinate {i}")
+        aug = MatrixGF(
+            ctx,
+            [[cols[t][row] for t in triple] + [cols[i][row]] for row in range(3)],
+        )
+        solved = rref(aug)
+        lam = tuple(int(solved.data[row][3]) for row in range(3))
+        if not all(lam):
+            raise AssertionError(
+                f"coordinate {i} lies on a smaller dependency; triple search inconsistent"
+            )
+        out[i] = (triple, lam)
+    return out
+
+
+@st.composite
+def dimension3_codes(draw):
+    """Full-rank 3 x n generators over GF(4), GF(8) or GF(16), n in 3..12,
+    mixing random, zero and rescaled repeated columns."""
+    ctx = draw(st.sampled_from(SMALL_FIELDS))
+    kinds = ["random"] * 4 + ["zero"] * draw(st.booleans()) + ["repeat"] * draw(st.booleans())
+    cols: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(3, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            cols.append((0, 0, 0))
+        elif kind == "repeat" and cols:
+            scale = draw(st.integers(1, ctx.q - 1))
+            cols.append(tuple(ctx.mul(scale, v) for v in draw(st.sampled_from(cols))))
+        else:
+            cols.append(tuple(draw(st.integers(0, ctx.q - 1)) for _ in range(3)))
+    gen = MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
+    assume(rank(gen) == 3)
+    return LinearCode(gen)

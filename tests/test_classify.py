@@ -12,15 +12,14 @@ from nmds.classify import (
 from nmds.codes import (
     LinearCode,
     MatrixGF,
-    dual,
     macwilliams,
     min_weight_codewords,
     min_weight_dual_codewords,
-    minimum_distance,
     weight_distribution,
 )
 from nmds.constructions import build
 from nmds.field import GF2m
+from oracles import dual, enumerated_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +34,11 @@ def test_classify_c_q8(codes8):
 
 
 def test_classify_full_code_is_mds(ctx8):
-    full = LinearCode(MatrixGF(ctx8, np.eye(4, dtype=np.int64)))
+    full = LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64)))
     assert classify(full).tag == "MDS"
+    # the [4, 3, 2] parity-check code: MDS with an MDS dual of distance 4
+    parity = LinearCode(MatrixGF(ctx8, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+    assert classify(parity).tag == "MDS"
 
 
 def test_classify_e_q4_nmds(ctx4):
@@ -57,19 +59,19 @@ def test_classify_other_at_even_m(ctx4):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_classify_matches_enumeration_oracle(seed):
-    # small random codes at q=4: recompute both defects by brute enumeration
+    # small random 3-row codes at q=4: recompute both defects by brute enumeration
     ctx = GF2m(2)
     rng = np.random.default_rng(seed)
     while True:
-        rows = rng.integers(0, 4, size=(2, 5))
+        rows = rng.integers(0, 4, size=(3, int(rng.integers(4, 8))))
         try:
             code = LinearCode(MatrixGF(ctx, rows))
             break
         except ValueError:
             continue
     verdict = classify(code)
-    d = minimum_distance(code)
-    dd = minimum_distance(dual(code))
+    d = enumerated_distribution(code.generator).min_distance
+    dd = enumerated_distribution(dual(code.generator)).min_distance
     defect = code.n - code.k + 1 - d
     dual_defect = code.k + 1 - dd
     expected = (

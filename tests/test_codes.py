@@ -1,8 +1,9 @@
 """Matrix algebra, enumeration, dual machinery and the MacWilliams transform.
 
 Expected values are frozen from hand derivations or from independent,
-brute-force oracles computed inside the tests (span enumeration for ranks,
-direct preimage counts, full dual enumeration at q=4).
+brute-force oracles: span enumeration for ranks and direct preimage counts
+here, and the RREF, null-space dual and exhaustive codeword enumeration of
+``oracles.py``, which also run on generators of other dimensions.
 """
 
 from dataclasses import dataclass, replace
@@ -18,15 +19,12 @@ from nmds.codes import (
     _check_enumeration_guard,
     _collinear_triples,
     _cross,
-    _enumerated_distribution,
     _line_table,
     _normalize_rows,
     _run_starts,
-    _scaled_rows,
     LinearCode,
     MatrixGF,
     WeightDistribution,
-    dual,
     dual_distance_exact,
     macwilliams,
     matrix_from_text,
@@ -34,15 +32,19 @@ from nmds.codes import (
     min_weight_codewords,
     min_weight_dual_codewords,
     minimum_distance,
-    rank,
-    rref,
     weight_distribution,
 )
 from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
 from nmds.field import GF2m
-
-
-SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
+from oracles import (
+    SMALL_FIELDS,
+    dimension3_codes,
+    dual,
+    enumerated_distribution,
+    rank,
+    rref,
+    scaled_rows,
+)
 
 
 def brute_force_rank(ctx, rows):
@@ -63,7 +65,7 @@ def brute_force_rank(ctx, rows):
 
 
 # ---------------------------------------------------------------------------
-# rank / rref
+# the rank / rref oracles
 # ---------------------------------------------------------------------------
 
 def test_rank_identity_and_zero(ctx8):
@@ -109,9 +111,16 @@ def test_matrix_validates_entries(ctx8):
 
 def test_linear_code_requires_full_row_rank(ctx8):
     with pytest.raises(ValueError, match="full row rank"):
-        LinearCode(MatrixGF(ctx8, [[1, 1, 0], [1, 1, 0]]))
-    with pytest.raises(ValueError, match="exceeds"):
-        LinearCode(MatrixGF(ctx8, [[1], [1]] * 2))
+        LinearCode(MatrixGF(ctx8, [[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="full row rank"):
+        LinearCode(MatrixGF(ctx8, [[1, 0], [0, 1], [1, 1]]))  # n < k
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_linear_code_rejects_other_dimensions(ctx8, k):
+    rows = {1: [[1] * 5], 2: [[1, 0, 1], [0, 1, 1]], 4: np.eye(4, dtype=np.int64)}[k]
+    with pytest.raises(ValueError, match=f"k={k}: only dimension-3"):
+        LinearCode(MatrixGF(ctx8, rows))
 
 
 @st.composite
@@ -167,20 +176,21 @@ def test_weight_distribution_d_q8(codes8):
 
 
 def test_weight_distribution_zero_code(ctx8):
-    zero = dual(LinearCode(MatrixGF(ctx8, np.eye(4, dtype=np.int64))))
-    wd = weight_distribution(zero)
+    # the enumeration oracle on the zero code, the dual of the full space
+    zero = dual(MatrixGF(ctx8, np.eye(4, dtype=np.int64)))
+    wd = enumerated_distribution(zero)
     assert wd.counts == (1, 0, 0, 0, 0)
 
 
 def test_weight_distribution_small_brute_force(ctx4):
-    # independent oracle: enumerate the 16 codewords of a [4, 2] code by hand
-    code = LinearCode(MatrixGF(ctx4, [[1, 0, 2, 3], [0, 1, 1, 1]]))
+    # the enumeration oracle against the 16 codewords of a [4, 2] code by hand
+    gen = MatrixGF(ctx4, [[1, 0, 2, 3], [0, 1, 1, 1]])
     counts = [0] * 5
     for a in range(4):
         for b in range(4):
             word = [a, b, ctx4.mul(a, 2) ^ b, ctx4.mul(a, 3) ^ b]
             counts[sum(1 for v in word if v)] += 1
-    assert weight_distribution(code).counts == tuple(counts)
+    assert enumerated_distribution(gen).counts == tuple(counts)
 
 
 def test_weight_distribution_sum_invariant(codes8):
@@ -191,14 +201,14 @@ def test_weight_distribution_sum_invariant(codes8):
 def test_minimum_distance_examples(ctx8, ctx4):
     assert minimum_distance(build("c", ctx8)) == 9
     assert minimum_distance(build("e", ctx4)) == 2
-    ones = LinearCode(MatrixGF(ctx8, [[1] * 7]))
-    assert minimum_distance(ones) == 7
+    ones = MatrixGF(ctx8, [[1] * 7])  # the [7, 1] repetition code, on the oracle
+    assert enumerated_distribution(ones).min_distance == 7
 
 
 def test_minimum_distance_zero_code_rejected(ctx8):
-    zero = dual(LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64))))
+    zero = enumerated_distribution(dual(MatrixGF(ctx8, np.eye(3, dtype=np.int64))))
     with pytest.raises(ValueError, match="zero code"):
-        minimum_distance(zero)
+        zero.min_distance
 
 
 def test_enumeration_guard():
@@ -234,9 +244,9 @@ def test_column_permutation_invariance(rnd):
 
 def test_dual_dimension_and_orthogonality(codes8):
     code = codes8["c"]
-    dd = dual(code)
-    assert (dd.n, dd.k) == (12, 9)
-    for hrow in dd.generator.data:
+    dd = dual(code.generator)
+    assert (dd.cols, dd.rows) == (12, 9)
+    for hrow in dd.data:
         for grow in code.generator.data:
             acc = 0
             for a, b in zip(hrow, grow):
@@ -245,16 +255,16 @@ def test_dual_dimension_and_orthogonality(codes8):
 
 
 def test_dual_of_full_space_is_zero_code(ctx8):
-    full = LinearCode(MatrixGF(ctx8, np.eye(5, dtype=np.int64)))
+    full = MatrixGF(ctx8, np.eye(5, dtype=np.int64))
     z = dual(full)
-    assert (z.n, z.k) == (5, 0)
-    assert dual(z).k == 5
+    assert (z.cols, z.rows) == (5, 0)
+    assert dual(z).rows == 5
 
 
 def test_dual_dual_is_original(ctx4):
     code = build("e", ctx4)
-    back = dual(dual(code))
-    assert rref(back.generator) == rref(code.generator)
+    back = dual(dual(code.generator))
+    assert rref(back) == rref(code.generator)
 
 
 # ---------------------------------------------------------------------------
@@ -262,37 +272,20 @@ def test_dual_dual_is_original(ctx4):
 # ---------------------------------------------------------------------------
 
 def test_dual_distance_exact_constructions(codes8):
-    assert dual_distance_exact(codes8["c"], 3) == 3
-    assert dual_distance_exact(codes8["e1bar"], 3) == 3
+    assert dual_distance_exact(codes8["c"]) == 3
+    assert dual_distance_exact(codes8["e1bar"]) == 3
 
 
 def test_dual_distance_exact_mds_like(ctx8):
     eye = LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64)))
-    assert dual_distance_exact(eye, 3) is None  # reported as "> 3"
+    assert dual_distance_exact(eye) is None  # reported as "> 3"
 
 
 def test_dual_distance_exact_low_weights(ctx8):
-    with_zero = LinearCode(MatrixGF(ctx8, [[1, 0, 0], [0, 1, 0]]))
-    assert dual_distance_exact(with_zero, 3) == 1
-    proportional = LinearCode(MatrixGF(ctx8, [[1, 2, 0], [0, 0, 1]]))
-    assert dual_distance_exact(proportional, 3) == 2
-
-
-def test_dual_distance_exact_cap_validation(codes8):
-    with pytest.raises(ValueError):
-        dual_distance_exact(codes8["c"], 0)
-    with pytest.raises(ValueError):
-        dual_distance_exact(codes8["c"], 4)
-    assert dual_distance_exact(codes8["c"], 1) is None
-    assert dual_distance_exact(codes8["c"], 2) is None
-
-
-def test_dual_distance_exact_general_k(ctx4):
-    # k=2 path goes through the combination fallback
-    code = LinearCode(MatrixGF(ctx4, [[1, 0, 1, 1], [0, 1, 1, 2]]))
-    got = dual_distance_exact(code, 3)
-    # oracle: enumerate the dual distance directly
-    assert got == minimum_distance(dual(code))
+    with_zero = LinearCode(MatrixGF(ctx8, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
+    assert dual_distance_exact(with_zero) == 1
+    proportional = LinearCode(MatrixGF(ctx8, [[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    assert dual_distance_exact(proportional) == 2
 
 
 def test_min_weight_dual_codewords_counts(codes8):
@@ -341,9 +334,6 @@ def test_min_weight_dual_codewords_preconditions(ctx8):
     eye = LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64)))
     with pytest.raises(ValueError, match="dual distance"):
         min_weight_dual_codewords(eye)
-    k2 = LinearCode(MatrixGF(ctx8, [[1, 0, 1], [0, 1, 1]]))
-    with pytest.raises(ValueError, match="dimension-3"):
-        min_weight_dual_codewords(k2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +351,6 @@ def test_min_weight_codewords_c_q8(codes8):
         assert zeros == tuple(np.flatnonzero(word == 0).tolist())
 
 
-def test_min_weight_codewords_rejects_other_dimensions(ctx8):
-    for rows in ([[1] * 5], [[1, 0, 1], [0, 1, 1]], np.eye(4, dtype=np.int64)):
-        with pytest.raises(ValueError, match="dimension-3"):
-            min_weight_codewords(LinearCode(MatrixGF(ctx8, rows)))
-
-
 def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
     code = build("c", ctx8)
     table = _line_table(code)
@@ -375,6 +359,15 @@ def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
     vectors[best[0]] = vectors[best[1]]  # two distinct lines share at most one column
     code._derived[_line_table.__wrapped__] = replace(table, vectors=vectors)
     with pytest.raises(AssertionError, match="misses one of its columns"):
+        min_weight_codewords(code)
+
+
+def test_min_weight_codewords_rejects_a_count_off_the_distribution(ctx8):
+    code = build("c", ctx8)
+    counts = list(weight_distribution(code).counts)
+    counts[9] += 7  # one line more of the most columns than the table holds
+    code._derived[weight_distribution.__wrapped__] = WeightDistribution(code.n, tuple(counts))
+    with pytest.raises(AssertionError, match="do not give A_d = 77"):
         min_weight_codewords(code)
 
 
@@ -392,12 +385,12 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
         except ValueError:
             continue
         checked += 1
-        dual_code = dual(code)
-        true_dd = minimum_distance(dual_code)
-        got = dual_distance_exact(code, 3)
+        dual_dist = enumerated_distribution(dual(code.generator))
+        true_dd = dual_dist.min_distance
+        got = dual_distance_exact(code)
         assert got == (true_dd if true_dd <= 3 else None)
         if got == 3:
-            w3_true = weight_distribution(dual_code).counts[3]
+            w3_true = dual_dist.counts[3]
             assert 3 * len(min_weight_dual_codewords(code)) == w3_true
 
 
@@ -434,9 +427,8 @@ def _projective_messages(q: int, k: int) -> np.ndarray:
 def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     """Minimum-weight words by enumerating one message per scalar class."""
     q, k, n = code.ctx.q, code.k, code.n
-    _check_enumeration_guard(q, k)
     msgs = _projective_messages(q, k)
-    scaled = _scaled_rows(code)
+    scaled = scaled_rows(code.generator)
     block_size = max(1, (1 << 24) // max(1, n))
     d = n + 1
     kept: list[np.ndarray] = []
@@ -469,27 +461,6 @@ def encoded_min_weight_words(code):
     return _canonical_words(code.ctx, np.array(words))
 
 
-@st.composite
-def dimension3_codes(draw):
-    """Full-rank 3 x n generators over GF(4), GF(8) or GF(16), n in 3..12,
-    mixing random, zero and rescaled repeated columns."""
-    ctx = draw(st.sampled_from(SMALL_FIELDS))
-    kinds = ["random"] * 4 + ["zero"] * draw(st.booleans()) + ["repeat"] * draw(st.booleans())
-    cols: list[tuple[int, ...]] = []
-    for _ in range(draw(st.integers(3, 12))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "zero":
-            cols.append((0, 0, 0))
-        elif kind == "repeat" and cols:
-            scale = draw(st.integers(1, ctx.q - 1))
-            cols.append(tuple(ctx.mul(scale, v) for v in draw(st.sampled_from(cols))))
-        else:
-            cols.append(tuple(draw(st.integers(0, ctx.q - 1)) for _ in range(3)))
-    gen = MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
-    assume(rank(gen) == 3)
-    return LinearCode(gen)
-
-
 def column_rank(code, idx):
     cols = code.generator.data[:, list(idx)]
     return rank(MatrixGF(code.ctx, cols))
@@ -520,10 +491,10 @@ def determinant_triples(code):
 @settings(max_examples=100, deadline=None)
 @given(dimension3_codes())
 def test_line_table_matches_oracles(code):
-    assert weight_distribution(code) == _enumerated_distribution(code)
+    assert weight_distribution(code) == enumerated_distribution(code.generator)
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = rank_dual_distance(code)
-    assert dual_distance_exact(code, 3) == dd
+    assert dual_distance_exact(code) == dd
     if dd not in (1, 2):
         rank2 = [t for t in combinations(range(code.n), 3) if column_rank(code, t) <= 2]
         assert _collinear_triples(code) == rank2
@@ -533,9 +504,9 @@ def test_line_table_matches_oracles(code):
 @pytest.mark.parametrize("cid", CONSTRUCTION_IDS)
 def test_line_table_matches_enumeration_all_ids(cid, m):
     code = build(cid, GF2m(m))
-    assert weight_distribution(code) == _enumerated_distribution(code)
+    assert weight_distribution(code) == enumerated_distribution(code.generator)
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
-    if dual_distance_exact(code, 2) is None:
+    if dual_distance_exact(code) in (3, None):
         assert _collinear_triples(code) == determinant_triples(code)
 
 
@@ -556,7 +527,7 @@ def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
     """Oracle: the normalized cross product of every pair of columns at
     distinct points, then the (line, column) incidences by sort and dedupe."""
     ctx, q, n = code.ctx, code.ctx.q, code.n
-    _check_enumeration_guard(q, 3)
+    _check_enumeration_guard(q)
     canon = _canonical_columns(code)
     radix = np.array([q * q, q, 1])
     key = canon @ radix  # the point of each column as a number, 0 for a zero column
@@ -666,11 +637,11 @@ def conic_codes(draw):
 @example(LinearCode(conic_generator(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)])))
 def test_arc_line_table_matches_all_pairs_oracle(code):
     dist, words, triples = all_pairs_facts(code)
-    assert weight_distribution(code) == dist == _enumerated_distribution(code)
+    assert weight_distribution(code) == dist == enumerated_distribution(code.generator)
     assert sorted(min_weight_codewords(code)) == words
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = dual_distance_oracle(code, determinant_triples(code))
-    assert dual_distance_exact(code, 3) == dd
+    assert dual_distance_exact(code) == dd
     if dd not in (1, 2):
         assert _collinear_triples(code) == triples == determinant_triples(code)
 
@@ -726,8 +697,7 @@ def test_macwilliams_c_q8(codes8):
 
 
 def test_macwilliams_full_code(ctx4):
-    full = LinearCode(MatrixGF(ctx4, np.eye(4, dtype=np.int64)))
-    wd = weight_distribution(full)
+    wd = enumerated_distribution(MatrixGF(ctx4, np.eye(4, dtype=np.int64)))
     out = macwilliams(wd, 4, 4)
     assert out.counts == (1, 0, 0, 0, 0)
 
@@ -744,7 +714,7 @@ def test_macwilliams_matches_dual_enumeration(ctx4):
     # at q=4 the dual of a [5, 3] code is small enough to enumerate directly
     code = build("e", ctx4)
     via_identity = macwilliams(weight_distribution(code), 3, 4)
-    via_enumeration = weight_distribution(dual(code))
+    via_enumeration = enumerated_distribution(dual(code.generator))
     assert via_identity.counts == via_enumeration.counts
 
 

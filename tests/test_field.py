@@ -10,6 +10,7 @@ from nmds.field import (
     DEFAULT_MODULI,
     FieldFunction,
     GF2m,
+    _mul_raw,
     find_factor,
     has_root_f_plus_x_plus_1,
     is_oval_polynomial,
@@ -18,6 +19,7 @@ from nmds.field import (
     oval_slope_criterion,
     poly_to_str,
 )
+from oracles import scale_table
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,19 @@ def test_m_out_of_range_rejected(m):
 @pytest.mark.parametrize("m", sorted(DEFAULT_MODULI))
 def test_all_default_moduli_are_irreducible(m):
     assert find_factor(DEFAULT_MODULI[m]) is None
+
+
+def test_contexts_of_one_field_share_read_only_tables():
+    a, b = GF2m(7), GF2m(7)
+    assert a._exp is b._exp and a._log is b._log and a.generator == b.generator
+    with pytest.raises(ValueError, match="read-only"):
+        a._exp[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        b._log[1] = 0
+    assert GF2m(7, 0b10001001)._exp is not a._exp  # x^7+x^3+1, another field
+    for _ in range(2):  # the modulus is checked on every call, cached tables or not
+        with pytest.raises(ValueError, match="factor"):
+            GF2m(4, 0b10101)
 
 
 def test_every_default_context_constructs():
@@ -126,7 +141,7 @@ def test_table_mul_matches_raw_polynomial_mul(m):
     ctx = GF2m(m)
     for a in ctx.elements():
         for b in ctx.elements():
-            assert ctx.mul(a, b) == ctx._mul_raw(a, b)
+            assert ctx.mul(a, b) == _mul_raw(a, b, ctx.modulus)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -184,7 +199,7 @@ def test_vectorized_ops_match_scalar():
     for a in ctx.elements():
         got = ctx.scale_vec(a, vec)
         assert [int(v) for v in got] == [ctx.mul(a, int(b)) for b in vec]
-    table = ctx.scale_table(vec)
+    table = scale_table(ctx, vec)
     assert table.shape == (ctx.q, ctx.q)
     for a in ctx.elements():
         assert [int(v) for v in table[a]] == [ctx.mul(a, b) for b in range(ctx.q)]

@@ -10,9 +10,12 @@ mechanisms.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from nmds.codes import min_weight_codewords, min_weight_dual_codewords
-from nmds.constructions import build, expected_flags, expected_locality
+import oracles
+from nmds.codes import dual_distance_exact, min_weight_codewords, min_weight_dual_codewords
+from nmds.constructions import CONSTRUCTION_IDS, build, expected_flags, expected_locality
+from nmds.field import GF2m
 from nmds.lrc import (
     classify_lrc,
     cm_bound_dimension,
@@ -163,18 +166,18 @@ def test_k_opt_singleton():
 
 
 def test_cm_bound_values():
-    assert cm_bound_dimension(12, 9, 8, 2) == (3, 1)
+    assert cm_bound_dimension(12, 9, 2) == (3, 1)
     # dual of the [9, 6] code at q=8, at both candidate localities
-    assert cm_bound_dimension(9, 3, 8, 5) == (6, 1)
-    assert cm_bound_dimension(9, 3, 8, 6) == (6, 1)
+    assert cm_bound_dimension(9, 3, 5) == (6, 1)
+    assert cm_bound_dimension(9, 3, 6) == (6, 1)
     # degenerate: residual length vanishes even at t=1
-    assert cm_bound_dimension(4, 3, 8, 4) == (4, 1)
+    assert cm_bound_dimension(4, 3, 4) == (4, 1)
 
 
 def test_cm_bound_scans_t():
     # small r forces several feasible t; the minimum must win
-    n, d, q, r = 20, 3, 8, 1
-    val, t = cm_bound_dimension(n, d, q, r)
+    n, d, r = 20, 3, 1
+    val, t = cm_bound_dimension(n, d, r)
     brute = min(
         (r * tt + k_opt_singleton(n - tt * (r + 1), d), tt)
         for tt in range(1, (n - 1) // (r + 1) + 1)
@@ -251,6 +254,35 @@ def test_repair_recovers_random_codewords(codes8):
         word = code.codeword([int(v) for v in rng.integers(0, 8, size=3)])
         for i in range(code.n):
             assert repair_value(word, witnesses[i], code.ctx) == int(word[i]), (cid, i)
+
+
+def repair_map_or_error(repair, code):
+    try:
+        return repair(code)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_repair_map_matches_rref_oracle_all_ids(m):
+    # Cramer's rule on the lexicographically first independent triple must
+    # give the RREF solution over the first rank-3 triple, entry for entry
+    fallbacks = 0
+    for cid in CONSTRUCTION_IDS:
+        code = build(cid, GF2m(m))
+        witnesses = repair_map(code)
+        assert witnesses == oracles.repair_map(code), cid
+        fallbacks += sum(len(idx) == 3 for idx, _ in witnesses.values())
+    assert fallbacks == 7  # e1, f1 and f3 have one uncovered coordinate, e2 and f2 two
+
+
+# About one draw in four has dual distance 3; of those, about two in five
+# take the fallback and one in six has a coordinate with no repair set.
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracles.dimension3_codes())
+def test_repair_map_matches_rref_oracle_on_random_codes(code):
+    assume(dual_distance_exact(code) == 3)
+    assert repair_map_or_error(repair_map, code) == repair_map_or_error(oracles.repair_map, code)
 
 
 def test_repair_zero_codeword(codes8):
