@@ -5,24 +5,13 @@ plus fixed tail columns, with exact weight distributions, NMDS
 classification, minimum-weight pairing, locality and bound checks.
 """
 
-from .field import (
-    DEFAULT_MODULI,
-    FieldFunction,
-    GF2m,
-    has_root_f_plus_x_plus_1,
-    is_oval_polynomial,
-    is_permutation,
-    is_two_to_one,
-    oval_slope_criterion,
-    poly_to_str,
-)
+from .field import DEFAULT_MODULI, GF2m, poly_to_str
 from .codes import (
     LinearCode,
     MatrixGF,
     WeightDistribution,
     dual_distance_exact,
     macwilliams,
-    matrix_from_text,
     matrix_to_text,
     min_weight_codewords,
     min_weight_dual_codewords,

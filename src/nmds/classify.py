@@ -19,7 +19,6 @@ from math import comb
 from .codes import (
     LinearCode,
     WeightDistribution,
-    _binomial_row,
     dual_distance_exact,
     min_weight_codewords,
     min_weight_dual_codewords,
@@ -76,25 +75,39 @@ def classify(code: LinearCode) -> CodeClass:
     return CodeClass(tag, n, k, d, dd, defect, dual_defect)
 
 
-def _alternating_sums(base: int, count: int, q: int) -> list[int]:
-    """S_1..S_count with S_s = sum_{j<s} (-1)^j C(base+s, j) (q^{s-j} - 1).
+def _nmds_distribution(n: int, w: int, q: int, seed: int) -> WeightDistribution:
+    """Distribution of one side of an NMDS code of length n from its count
+    A_w at the side's minimum distance w.  For s = 1..n-w
 
-    Split S_s = F_s - G_s.  The -1 part is the alternating binomial sum
-    G_s = sum_{j<s} (-1)^j C(base+s, j) = t_s with t_s = (-1)^(s-1) C(base+s-1, s-1).
-    Pascal's rule on C(base+s+1, j) gives F_{s+1} = (q-1) F_s + q t_{s+1}
-    from F_0 = 0, so F_s = sum_{u<=s} (q-1)^(s-u) q t_u is evaluated by
-    Horner's rule in q-1, one step per s, with the binomial carried
-    multiplicatively: O(count) big-integer updates for all the sums.
+        A_(w+s) = C(n, w+s) * S_s + (-1)^s C(n-w, s) * A_w,
+        S_s = sum_{j<s} (-1)^j C(w+s, j) (q^(s-j) - 1).
+
+    Split S_s = F_s - t_s: the alternating binomial sum
+    sum_{j<s} (-1)^j C(w+s, j) is t_s = (-1)^(s-1) C(w+s-1, s-1), and
+    Pascal's rule on C(w+s+1, j) gives F_(s+1) = (q-1) F_s + q t_(s+1) from
+    F_0 = 0.  So each weight costs one Horner step in q-1, and every
+    binomial is carried multiplicatively from the previous weight: only
+    those the loop reads are computed.
     """
-    sums = []
+    if seed < 0:
+        raise ValueError("seed count must be non-negative")
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    counts[w] = seed
     f = 0
-    binom = 1  # C(base+s-1, s-1)
-    for s in range(1, count + 1):
+    binom, top, low = 1, comb(n, w), 1  # C(w+s-1, s-1), C(n, w+s-1), C(n-w, s-1)
+    for s in range(1, n - w + 1):
         t = binom if s & 1 else -binom
         f = (q - 1) * f + q * t
-        sums.append(f - t)
-        binom = binom * (base + s) // s
-    return sums
+        top = top * (n - w - s + 1) // (w + s)
+        low = low * (n - w - s + 1) // s
+        tail = low * seed
+        val = top * (f - t) + (-tail if s & 1 else tail)
+        if val < 0:
+            raise ValueError(f"recurrence produced negative count at weight {w + s}")
+        counts[w + s] = val
+        binom = binom * (w + s) // s
+    return WeightDistribution(n, tuple(counts))
 
 
 def nmds_dual_distribution_from_Ak(n: int, k: int, q: int, a_k_dual: int) -> WeightDistribution:
@@ -106,47 +119,23 @@ def nmds_dual_distribution_from_Ak(n: int, k: int, q: int, a_k_dual: int) -> Wei
         A(dual)_{k+s} = C(n, k+s) * sum_{j<s} (-1)^j C(k+s, j) (q^{s-j} - 1)
                         + (-1)^s C(n-k, s) * A_k(dual).
     """
-    if a_k_dual < 0:
-        raise ValueError("seed count must be non-negative")
     if not 0 <= k <= n:
         raise ValueError(f"dimension k = {k} outside 0..n = {n}")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    counts[k] = a_k_dual
-    choose_n, choose_nk = _binomial_row(n, 1), _binomial_row(n - k, 1)
-    for s, acc in enumerate(_alternating_sums(k, n - k, q), 1):
-        val = choose_n[k + s] * acc
-        tail = choose_nk[s] * a_k_dual
-        val += -tail if s & 1 else tail
-        if val < 0:
-            raise ValueError(f"recurrence produced negative count at weight {k + s}")
-        counts[k + s] = val
-    return WeightDistribution(n, tuple(counts))
+    return _nmds_distribution(n, k, q, a_k_dual)
 
 
 def nmds_primal_distribution_from_Ank(n: int, k: int, q: int, a_nk: int) -> WeightDistribution:
     """Full distribution of an [n, k, n-k] NMDS code from the seed A_{n-k}.
 
-    For s = 1..k:
+    This is the dual recurrence with k and n-k swapped, since
+    C(n, k-s) = C(n, n-k+s) and C(k, s) = C(n-(n-k), s).  For s = 1..k:
 
         A_{n-k+s} = C(n, k-s) * sum_{j<s} (-1)^j C(n-k+s, j) (q^{s-j} - 1)
                     + (-1)^s C(k, s) * A_{n-k}.
     """
-    if a_nk < 0:
-        raise ValueError("seed count must be non-negative")
     if not 0 <= k <= n:
         raise ValueError(f"dimension k = {k} outside 0..n = {n}")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    counts[n - k] = a_nk
-    for s, acc in enumerate(_alternating_sums(n - k, k, q), 1):
-        val = comb(n, k - s) * acc
-        tail = comb(k, s) * a_nk
-        val += -tail if s & 1 else tail
-        if val < 0:
-            raise ValueError(f"recurrence produced negative count at weight {n - k + s}")
-        counts[n - k + s] = val
-    return WeightDistribution(n, tuple(counts))
+    return _nmds_distribution(n, n - k, q, a_nk)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ __all__ = [
     "min_weight_codewords",
     "macwilliams",
     "matrix_to_text",
-    "matrix_from_text",
 ]
 
 # The line table refuses q**3 beyond this, that is m >= 12, where the dual
@@ -82,15 +81,6 @@ class MatrixGF:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.data[:, j])
-
-    def copy(self) -> "MatrixGF":
-        return MatrixGF(self.ctx, self.data.copy())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -159,9 +149,6 @@ class WeightDistribution:
             if self.counts[i]:
                 return i
         raise ValueError("zero code has no minimum distance")
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def nonzero_items(self) -> list[tuple[int, int]]:
         return [(i, c) for i, c in enumerate(self.counts) if c]
@@ -582,17 +569,3 @@ def matrix_to_text(mat: MatrixGF) -> str:
     body = "\n".join(" ".join(format(int(v), "x") for v in row) for row in mat.data)
     return head + "\n" + body + ("\n" if body else "")
 
-
-def matrix_from_text(text: str) -> MatrixGF:
-    """Parse the matrix_to_text format, reconstructing the field context."""
-    tokens = text.split()
-    if len(tokens) < 4:
-        raise ValueError("matrix text too short")
-    rows, cols, m = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    modulus = int(tokens[3], 16)
-    vals = [int(t, 16) for t in tokens[4:]]
-    if len(vals) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(vals)}")
-    ctx = GF2m(m, modulus)
-    data = np.array(vals, dtype=np.int64).reshape(rows, cols)
-    return MatrixGF(ctx, data)

@@ -256,10 +256,6 @@ class VerificationReport:
     checks: dict[str, bool] = dc_field(default_factory=dict)
     warnings: list[str] = dc_field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
     def failing_fields(self) -> list[str]:
         return [name for name, ok in self.checks.items() if not ok]
 

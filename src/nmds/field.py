@@ -1,4 +1,4 @@
-"""GF(2^m) arithmetic and function-table predicates.
+"""GF(2^m) arithmetic.
 
 Field elements are plain Python ints in [0, q) whose binary digits are the
 coefficients of a polynomial over GF(2); the interpretation is fixed by a
@@ -6,32 +6,15 @@ coefficients of a polynomial over GF(2); the interpretation is fixed by a
 and inversion go through exp/log tables built on a primitive element, so both
 are table lookups after construction; each field's tables are built once per
 process and shared read-only by all its contexts.
-
-Total functions GF(q) -> GF(q) are stored as value tables of length q
-(:class:`FieldFunction`).  The predicates on them (permutation, 2-to-1, oval,
-root existence) are exhaustive O(q) or O(q^2) scans; q <= 2^16 keeps this
-instant.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
-from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_MODULI",
-    "GF2m",
-    "FieldFunction",
-    "poly_to_str",
-    "is_permutation",
-    "is_two_to_one",
-    "is_oval_polynomial",
-    "oval_slope_criterion",
-    "has_root_f_plus_x_plus_1",
-]
+__all__ = ["DEFAULT_MODULI", "GF2m", "poly_to_str"]
 
 # Default irreducible modulus per extension degree, as coefficient-bit ints.
 # Low-weight classics; x (value 2) is primitive for every one of them, and the
@@ -107,9 +90,9 @@ def _mul_raw(a: int, b: int, modulus: int) -> int:
 
 
 @cache
-def _tables(m: int, modulus: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """A primitive element and the exp/log tables on its powers, for an
-    irreducible modulus of degree m.
+def _tables(m: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exp/log tables on the powers of a primitive element (``exp[1]``),
+    for an irreducible modulus of degree m.
 
     Built once per field and shared read-only by every ``GF2m(m, modulus)``,
     so a pipeline that makes a context per code runs the pure-Python
@@ -138,7 +121,7 @@ def _tables(m: int, modulus: int) -> tuple[int, np.ndarray, np.ndarray]:
     if v != 1:
         raise AssertionError("generator order mismatch while building tables")
     exp.flags.writeable = log.flags.writeable = False
-    return g, exp, log
+    return exp, log
 
 
 class GF2m:
@@ -185,19 +168,9 @@ class GF2m:
         self.m = m
         self.modulus = modulus
         self.q = 1 << m
-        self._generator, self._exp, self._log = _tables(m, modulus)
+        self._exp, self._log = _tables(m, modulus)
 
     # -- scalar arithmetic ----------------------------------------------------
-
-    @property
-    def generator(self) -> int:
-        """A fixed primitive element; its powers fill exp/log."""
-        return self._generator
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -210,28 +183,8 @@ class GF2m:
             raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
         return int(self._exp[(self.q - 1) - self._log[a]])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with integer exponent (negative allowed for nonzero a)."""
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-
-    def elements(self) -> range:
-        return range(self.q)
-
     def nonzero_elements(self) -> range:
         return range(1, self.q)
-
-    def alpha_order(self) -> list[int]:
-        """The canonical element listing: 0, 1, then the rest ascending."""
-        return [0, 1] + [v for v in range(2, self.q)]
 
     # -- vectorized arithmetic (numpy int arrays of element values) -----------
 
@@ -264,81 +217,3 @@ class GF2m:
     def __hash__(self) -> int:
         return hash((self.m, self.modulus))
 
-
-class FieldFunction:
-    """A total map GF(q) -> GF(q) stored as a value table of length q."""
-
-    def __init__(self, ctx: GF2m, table: Sequence[int]) -> None:
-        table = tuple(int(v) for v in table)
-        if len(table) != ctx.q:
-            raise ValueError(f"table length {len(table)} != q={ctx.q}")
-        if any(not 0 <= v < ctx.q for v in table):
-            raise ValueError("table contains values outside the field")
-        self.ctx = ctx
-        self.table = table
-
-    @classmethod
-    def from_callable(cls, ctx: GF2m, fn: Callable[[int], int]) -> "FieldFunction":
-        return cls(ctx, [fn(x) for x in ctx.elements()])
-
-    @classmethod
-    def from_exponent(cls, ctx: GF2m, e: int) -> "FieldFunction":
-        """The monomial x^e."""
-        return cls(ctx, [ctx.pow(x, e) for x in ctx.elements()])
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
-
-    def __repr__(self) -> str:
-        return f"FieldFunction(q={self.ctx.q}, table={self.table[:8]}...)"
-
-
-def is_permutation(f: FieldFunction) -> bool:
-    """True iff the value table is a bijection of GF(q)."""
-    return len(set(f.table)) == f.ctx.q
-
-
-def is_two_to_one(f: FieldFunction) -> bool:
-    """True iff every attained value has exactly two preimages."""
-    return all(n == 2 for n in Counter(f.table).values())
-
-
-def is_oval_polynomial(f: FieldFunction) -> bool:
-    """True iff f(0)=0, f is a permutation, and f(x)+ux is 2-to-1 for all u != 0."""
-    ctx = f.ctx
-    if f.table[0] != 0 or not is_permutation(f):
-        return False
-    for u in ctx.nonzero_elements():
-        fu = Counter(f.table[x] ^ ctx.mul(u, x) for x in ctx.elements())
-        if any(n != 2 for n in fu.values()):
-            return False
-    return True
-
-
-def oval_slope_criterion(f: FieldFunction) -> bool:
-    """Independent oval test via secant slopes: f a permutation with
-    (f(x)+f(y))/(x+y) != (f(x)+f(z))/(x+z) for pairwise distinct x, y, z,
-    checked exhaustively through the per-x slope sets.
-
-    Slopes are invariant under adding a constant to f, so the f(0)=0
-    normalization that the oval notion carries must be checked here too;
-    without it every translate of an oval function would slip through.
-    """
-    ctx = f.ctx
-    if f.table[0] != 0 or not is_permutation(f):
-        return False
-    for x in ctx.elements():
-        seen = set()
-        for y in ctx.elements():
-            if y == x:
-                continue
-            slope = ctx.div(f.table[x] ^ f.table[y], x ^ y)
-            if slope in seen:
-                return False
-            seen.add(slope)
-    return True
-
-
-def has_root_f_plus_x_plus_1(f: FieldFunction) -> bool:
-    """True iff some x in GF(q) satisfies f(x) + x + 1 = 0."""
-    return any(f.table[x] ^ x ^ 1 == 0 for x in f.ctx.elements())

@@ -6,9 +6,12 @@ a pure-Python RREF with its rank and null-space dual, exhaustive enumeration
 of all q^k codewords for the weight distribution, and the RREF-based repair
 map the package used before Cramer's rule.  The random dimension-3 codes
 that several test modules draw are here too, since their rank filter is
-the RREF.
+the RREF.  So are the oval facts behind the registry's odd-m constraint,
+as predicates on the value tables of maps GF(q) -> GF(q), built from
+``mul``, ``inv`` and XOR alone.
 """
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -153,7 +156,7 @@ def repair_map(code) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         return out
 
     # Fallback coordinates: express column i over an independent column triple.
-    cols = [code.generator.column(j) for j in range(code.n)]
+    cols = code.generator.data.T.tolist()
     for i in range(code.n):
         if i in out:
             continue
@@ -176,6 +179,48 @@ def repair_map(code) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
             )
         out[i] = (triple, lam)
     return out
+
+
+def power_table(ctx: GF2m, e: int) -> list[int]:
+    """x^e for every x in GF(q), e >= 1, by repeated multiplication."""
+    table = list(range(ctx.q))
+    for _ in range(e - 1):
+        table = [ctx.mul(v, x) for x, v in enumerate(table)]
+    return table
+
+
+def is_permutation(table: list[int]) -> bool:
+    return len(set(table)) == len(table)
+
+
+def is_two_to_one(table: list[int]) -> bool:
+    """Every attained value has exactly two preimages."""
+    return all(n == 2 for n in Counter(table).values())
+
+
+def is_oval(ctx: GF2m, table: list[int]) -> bool:
+    """f(0) = 0, f a permutation, and f(x) + ux 2-to-1 for every u != 0."""
+    return table[0] == 0 and is_permutation(table) and all(
+        is_two_to_one([v ^ ctx.mul(u, x) for x, v in enumerate(table)]) for u in range(1, ctx.q)
+    )
+
+
+def is_oval_by_slopes(ctx: GF2m, table: list[int]) -> bool:
+    """Independent oval test: f(0) = 0, f a permutation, and the secant
+    slopes (f(x) + f(y)) / (x + y) through each x pairwise distinct.
+
+    Slopes do not see a constant added to f, so f(0) = 0 is checked apart.
+    """
+    q = ctx.q
+    return table[0] == 0 and is_permutation(table) and all(
+        len({ctx.mul(table[x] ^ table[y], ctx.inv(x ^ y)) for y in range(q) if y != x}) == q - 1
+        for x in range(q)
+    )
+
+
+def has_root_f_plus_x_plus_1(table: list[int]) -> bool:
+    """Some x in GF(q) has f(x) + x + 1 = 0."""
+    return any(v == x ^ 1 for x, v in enumerate(table))
 
 
 @st.composite

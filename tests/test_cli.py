@@ -9,7 +9,6 @@ import pytest
 import nmds.cli
 import nmds.constructions as cons
 from nmds.cli import main, run_verification
-from nmds.codes import matrix_from_text
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -184,11 +183,11 @@ def test_verify_out_file_markdown(tmp_path, capsys):
 def test_show_matrix_roundtrip(capsys, ctx8):
     code, out, _ = run(capsys, ["show", "--id", "d", "--m", "3", "--what", "matrix"])
     assert code == 0
-    mat = matrix_from_text(out)
-    assert (mat.rows, mat.cols) == (3, 11)
-    from nmds.constructions import build
-
-    assert mat == build("d", ctx8).generator
+    head, *rows = out.splitlines()
+    assert head.split() == ["3", "11", "3", "0xb"]  # rows, cols, m, modulus
+    assert [[int(v, 16) for v in row.split()] for row in rows] == (
+        cons.build("d", ctx8).generator.data.tolist()
+    )
 
 
 def test_show_enumerator(capsys):
@@ -243,6 +242,21 @@ def test_repair_erase_out_of_range(capsys):
     code, _, err = run(capsys, ["repair", "--id", "c", "--m", "3", "--erase", "99"])
     assert code == 2
     assert "outside" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "zz", "--m", "3"],
+    ["show", "--id", "zz", "--m", "3", "--what", "matrix"],
+    ["repair", "--id", "zz", "--m", "3", "--erase", "0"],
+], ids=lambda argv: argv[0])
+def test_unknown_id_is_one_unquoted_line_and_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "nmds: unknown construction id 'zz'; "
+        "known: c, c1, d, d1, d2, e, e1, e2, e1bar, f1, f2, f3\n"
+    )
 
 
 # ---------------------------------------------------------------------------
