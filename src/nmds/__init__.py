@@ -15,7 +15,6 @@ from .codes import (
     matrix_to_text,
     min_weight_codewords,
     min_weight_dual_codewords,
-    minimum_distance,
     weight_distribution,
 )
 from .constructions import (

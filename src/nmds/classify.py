@@ -22,8 +22,8 @@ from .codes import (
     dual_distance_exact,
     min_weight_codewords,
     min_weight_dual_codewords,
-    minimum_distance,
     per_code,
+    weight_distribution,
 )
 
 __all__ = [
@@ -38,15 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CodeClass:
-    """Classification verdict with the witnessing distances and defects."""
+    """Classification verdict with the code's minimum distance."""
 
     tag: str  # "MDS" | "AMDS-only" | "NMDS" | "other"
-    n: int
-    k: int
     d: int
-    d_dual: int | None
-    defect: int
-    dual_defect: int | None
 
 
 @per_code
@@ -57,22 +52,19 @@ def classify(code: LinearCode) -> CodeClass:
     dependent and its dual distance is at most 4: the column checks give it
     exactly up to 3, and past that it is 4.
     """
-    n, k = code.n, code.k
-    d = minimum_distance(code)
-    defect = n - k + 1 - d
+    d = weight_distribution(code).min_distance
+    defect = code.n - code.k + 1 - d
     if defect == 0:
         # MDS; the dual of an MDS code is MDS, no dual computation needed.
-        dd = k + 1 if k < n else None
-        return CodeClass("MDS", n, k, d, dd, 0, 0 if dd is not None else None)
-    dd = dual_distance_exact(code) or 4
-    dual_defect = k + 1 - dd  # n' - k' + 1 - d' with n' = n, k' = n - k
+        return CodeClass("MDS", d)
+    dual_defect = code.k + 1 - (dual_distance_exact(code) or 4)  # n' - k' + 1 - d', k' = n - k
     if defect == 1 and dual_defect == 1:
         tag = "NMDS"
     elif defect == 1:
         tag = "AMDS-only"
     else:
         tag = "other"
-    return CodeClass(tag, n, k, d, dd, defect, dual_defect)
+    return CodeClass(tag, d)
 
 
 def _nmds_distribution(n: int, w: int, q: int, seed: int) -> WeightDistribution:
@@ -142,10 +134,6 @@ def nmds_primal_distribution_from_Ank(n: int, k: int, q: int, a_nk: int) -> Weig
 class PairingReport:
     """Outcome of the disjoint-support pairing between minimum-weight codewords."""
 
-    d: int
-    d_dual: int
-    primal_count: int
-    dual_count: int
     counts_equal: bool
     all_paired_uniquely: bool
 
@@ -165,17 +153,12 @@ def check_min_weight_pairing(code: LinearCode) -> PairingReport:
     one dual codeword up to scalar.  So the pairing is a bijection exactly
     when the sorted zero sets are the dual supports.
     """
-    verdict = classify(code)
-    if verdict.tag != "NMDS":
-        raise ValueError(f"pairing check requires an NMDS code, got {verdict.tag}")
-    q = code.ctx.q
+    tag = classify(code).tag
+    if tag != "NMDS":
+        raise ValueError(f"pairing check requires an NMDS code, got {tag}")
     primal = min_weight_codewords(code)
     duals = min_weight_dual_codewords(code)
     return PairingReport(
-        d=verdict.d,
-        d_dual=verdict.d_dual or 0,
-        primal_count=(q - 1) * len(primal),
-        dual_count=(q - 1) * len(duals),
         counts_equal=(len(primal) == len(duals)),
         all_paired_uniquely=sorted(z for z, _ in primal) == [sup for sup, _ in duals],
     )

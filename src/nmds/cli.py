@@ -40,6 +40,8 @@ from .lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, r
 __all__ = ["main", "run_verification", "report_to_json"]
 
 _REPAIR_SEED = 0x5EED
+# Optimality flags of an OptimalityReport, in report order.
+_FLAGS = ("d_optimal", "almost_d_optimal", "k_optimal")
 
 
 def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict, list[str]]:
@@ -52,7 +54,7 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
     ctx = GF2m(m, modulus)
     q = ctx.q
     code = cons.build(cid, ctx)
-    vr = cons.verify_construction(cid, ctx, code=code)
+    vr = cons.verify_construction(cid, ctx, code)
     dist = weight_distribution(code)
 
     verdict = classify(code)
@@ -103,26 +105,14 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
             "cm_rhs_code": opt_code.cm_rhs,
             "cm_rhs_dual": opt_dual.cm_rhs,
             "flags": {
-                "code": {
-                    "d_optimal": opt_code.d_optimal,
-                    "almost_d_optimal": opt_code.almost_d_optimal,
-                    "k_optimal": opt_code.k_optimal,
-                },
-                "dual": {
-                    "d_optimal": opt_dual.d_optimal,
-                    "almost_d_optimal": opt_dual.almost_d_optimal,
-                    "k_optimal": opt_dual.k_optimal,
-                },
+                "code": {name: getattr(opt_code, name) for name in _FLAGS},
+                "dual": {name: getattr(opt_dual, name) for name in _FLAGS},
             },
         }
         checks["locality"] = (loc_code.r, loc_dual.r) == cons.expected_locality(cid, q)
         exp_fc, exp_fd = cons.expected_flags(cid)
-        checks["flags_code"] = (
-            opt_code.d_optimal, opt_code.almost_d_optimal, opt_code.k_optimal
-        ) == exp_fc
-        checks["flags_dual"] = (
-            opt_dual.d_optimal, opt_dual.almost_d_optimal, opt_dual.k_optimal
-        ) == exp_fd
+        checks["flags_code"] = tuple(getattr(opt_code, name) for name in _FLAGS) == exp_fc
+        checks["flags_dual"] = tuple(getattr(opt_dual, name) for name in _FLAGS) == exp_fd
 
     # Off its m-constraint a construction's closed forms are not claimed.
     constraint_ok = cons.m_constraint_ok(cid, m)
@@ -293,11 +283,7 @@ def _cmd_show(args) -> int:
         return 0
     opt_code, opt_dual = classify_lrc(code)
     for rep in (opt_code, opt_dual):
-        flags = [name for name, on in (
-            ("d-optimal", rep.d_optimal),
-            ("almost-d-optimal", rep.almost_d_optimal),
-            ("k-optimal", rep.k_optimal),
-        ) if on]
+        flags = [name.replace("_", "-") for name in _FLAGS if getattr(rep, name)]
         print(
             f"{rep.side}: [n={rep.n}, k={rep.k}, d={rep.d}] r={rep.r} "
             f"singleton_like_rhs={rep.sl_rhs} cm_rhs={rep.cm_rhs} (t={rep.cm_t}) "

@@ -48,7 +48,6 @@ __all__ = [
     "LinearCode",
     "WeightDistribution",
     "weight_distribution",
-    "minimum_distance",
     "dual_distance_exact",
     "min_weight_dual_codewords",
     "min_weight_codewords",
@@ -121,7 +120,7 @@ class LinearCode:
         out = np.zeros(self.n, dtype=np.int64)
         for a, row in zip(msg, self.generator.data):
             if a:
-                out ^= self.ctx.scale_vec(int(a), row)
+                out ^= self.ctx.mul_vec(int(a), row)
         return out
 
     def __repr__(self) -> str:
@@ -387,11 +386,6 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
     return WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
 
 
-def minimum_distance(code: LinearCode) -> int:
-    """Smallest positive weight with a codeword."""
-    return weight_distribution(code).min_distance
-
-
 @per_code
 def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
     """Minimum-weight codewords as (zeros, line) pairs, one per scalar class.
@@ -464,14 +458,15 @@ def dual_distance_exact(code: LinearCode) -> int | None:
     proportional pair (w=2), or a collinear triple of pairwise independent
     columns (w=3).  Past 3 the distance is 4 when n >= 4, the Singleton
     bound of the [n, n - 3] dual; a code with n = 3 has the zero dual.
+    All three read the line table: its zero columns, its points that carry
+    two or more columns, and its lines with three or more.
     """
-    canon = _canonical_columns(code)
-    if not canon.any(axis=1).all():
+    table = _line_table(code)
+    if table.zeros:
         return 1
-    ordered = canon[np.lexsort(canon.T)]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    if (table.point_mult > 1).any():
         return 2
-    if (_line_table(code).sizes >= 3).any():
+    if (table.sizes >= 3).any():
         return 3
     return None
 

@@ -163,8 +163,6 @@ CONSTRUCTION_IDS = tuple(CONSTRUCTIONS)
 class ExpectedProfile:
     """Closed-form expectations for one construction at one field size."""
 
-    id: str
-    q: int
     n: int
     k: int
     d: int
@@ -204,7 +202,7 @@ def expected_profile(cid: str, q: int) -> ExpectedProfile:
     weights = {
         d + i: (q - 1) * (a * q * q + b * q + c) // 2 for i, (a, b, c) in enumerate(family.lines)
     }
-    return ExpectedProfile(id=cid, q=q, n=n, k=3, d=d, d_dual=3, weights=weights)
+    return ExpectedProfile(n=n, k=3, d=d, d_dual=3, weights=weights)
 
 
 def expected_locality(cid: str, q: int) -> tuple[int, int]:
@@ -243,16 +241,11 @@ def extend(code: LinearCode) -> LinearCode:
 class VerificationReport:
     """Computed-versus-expected comparison for one (construction, field) pair."""
 
-    id: str
-    m: int
-    q: int
     n: int
     k: int
     d: int
     d_dual: int | None
-    distribution: tuple[int, ...]
     dual_weight3_count: int | None
-    expected: ExpectedProfile
     checks: dict[str, bool] = dc_field(default_factory=dict)
     warnings: list[str] = dc_field(default_factory=list)
 
@@ -260,9 +253,9 @@ class VerificationReport:
         return [name for name, ok in self.checks.items() if not ok]
 
 
-def verify_construction(cid: str, ctx: GF2m, code: LinearCode | None = None) -> VerificationReport:
-    """Build the code and compare parameters, distribution and dual weight-3
-    count against the closed forms.
+def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationReport:
+    """Compare the parameters, distribution and dual weight-3 count of the
+    construction's code over ``ctx`` against the closed forms.
 
     When the field violates the construction's m-constraint the comparison
     checks are skipped (the closed forms are not claimed there); the observed
@@ -272,8 +265,6 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode | None = None) -> 
 
     cid = normalize_id(cid)
     family = CONSTRUCTIONS[cid]
-    if code is None:
-        code = build(cid, ctx)
     q = ctx.q
     profile = expected_profile(cid, q)
 
@@ -282,10 +273,7 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode | None = None) -> 
     dd = dual_distance_exact(code)
     w3 = (q - 1) * len(min_weight_dual_codewords(code)) if dd == 3 else None
 
-    report = VerificationReport(
-        id=cid, m=ctx.m, q=q, n=code.n, k=code.k, d=d, d_dual=dd,
-        distribution=dist.counts, dual_weight3_count=w3, expected=profile,
-    )
+    report = VerificationReport(n=code.n, k=code.k, d=d, d_dual=dd, dual_weight3_count=w3)
     constraint = m_constraint_ok(cid, ctx.m)
     if not constraint:
         need = f"m >= {family.min_m}" + (", m odd" if family.odd_m_only else "")

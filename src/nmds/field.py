@@ -188,13 +188,6 @@ class GF2m:
 
     # -- vectorized arithmetic (numpy int arrays of element values) -----------
 
-    def scale_vec(self, a: int, vec: np.ndarray) -> np.ndarray:
-        """Elementwise a * vec over the field."""
-        if a == 0:
-            return np.zeros_like(vec)
-        out = self._exp[(self._log[vec] + self._log[a]) % (self.q - 1)]
-        return np.where(vec == 0, 0, out)
-
     def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Elementwise (broadcast) field product of two value arrays."""
         # exp holds two periods, so a sum of two logs indexes it without a

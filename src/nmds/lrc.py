@@ -52,31 +52,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalityReport:
-    """Minimum linear locality of one side, with the deciding support sets."""
+    """Minimum linear locality of one side, and the mechanism that decided it."""
 
-    side: str  # "code" | "dual"
     r: int
     mechanism: str  # "union-covers" | "intersection-empty" | "nmds-fallback"
-    n: int
-    union_of_supports: frozenset[int]
-    intersection_of_supports: frozenset[int]
 
 
 @per_code
-def _dual_support_sets(code: LinearCode) -> tuple[list[tuple[int, int, int]], frozenset[int], frozenset[int]]:
-    words = min_weight_dual_codewords(code)
-    supports = [sup for sup, _ in words]
-    union = frozenset().union(*supports) if supports else frozenset()
-    inter = frozenset(supports[0]).intersection(*supports[1:]) if supports else frozenset()
-    return supports, union, frozenset(inter)
+def _dual_support_sets(code: LinearCode) -> tuple[frozenset[int], frozenset[int]]:
+    """Union and intersection of the weight-3 dual supports; the dual
+    distance is 3, so there is at least one."""
+    supports = [sup for sup, _ in min_weight_dual_codewords(code)]
+    return frozenset().union(*supports), frozenset(supports[0]).intersection(*supports[1:])
 
 
 def _require_nmds_dd3(code: LinearCode):
+    # For k = 3 an NMDS code has dual defect 1, that is dual distance 3.
     verdict = classify(code)
     if verdict.tag != "NMDS":
         raise ValueError(f"locality machinery requires an NMDS code, got {verdict.tag}")
-    if verdict.d_dual != 3:
-        raise ValueError(f"expected dual distance 3, got {verdict.d_dual}")
     return verdict
 
 
@@ -84,15 +78,11 @@ def locality_of_code(code: LinearCode) -> LocalityReport:
     """Locality of the code itself: 2 when the weight-3 dual supports cover
     every coordinate, otherwise 3 (NMDS fallback)."""
     _require_nmds_dd3(code)
-    _, union, inter = _dual_support_sets(code)
+    union, _ = _dual_support_sets(code)
     covers = union == frozenset(range(code.n))
     return LocalityReport(
-        side="code",
         r=2 if covers else 3,
         mechanism="union-covers" if covers else "nmds-fallback",
-        n=code.n,
-        union_of_supports=union,
-        intersection_of_supports=inter,
     )
 
 
@@ -105,9 +95,8 @@ def locality_of_dual(code: LinearCode) -> LocalityReport:
     when their zero sets share no coordinate.  A disagreement would falsify
     the intersection criterion and raises.
     """
-    verdict = _require_nmds_dd3(code)
-    d = verdict.d
-    _, union, inter = _dual_support_sets(code)
+    d = _require_nmds_dd3(code).d
+    _, inter = _dual_support_sets(code)
     empty = not inter
     r = d - 1 if empty else d
 
@@ -119,12 +108,8 @@ def locality_of_dual(code: LinearCode) -> LocalityReport:
             f"({r} vs {direct_r}); invariant violated"
         )
     return LocalityReport(
-        side="dual",
         r=r,
         mechanism="intersection-empty" if empty else "nmds-fallback",
-        n=code.n,
-        union_of_supports=union,
-        intersection_of_supports=inter,
     )
 
 
@@ -251,7 +236,7 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
         triple = tuple(others[list(basis)].tolist())
         u, v, w, x = cols[[*triple, i]]
         dets = _det(ctx, np.stack([u, x, u, u]), np.stack([v, v, x, v]), np.stack([w, w, w, x]))
-        lam = tuple(ctx.scale_vec(ctx.inv(int(dets[0])), dets[1:]).tolist())
+        lam = tuple(ctx.mul_vec(ctx.inv(int(dets[0])), dets[1:]).tolist())
         if not all(lam):
             raise AssertionError(
                 f"coordinate {i} lies on a smaller dependency; triple search inconsistent"

@@ -8,7 +8,8 @@ map the package used before Cramer's rule.  The random dimension-3 codes
 that several test modules draw are here too, since their rank filter is
 the RREF.  So are the oval facts behind the registry's odd-m constraint,
 as predicates on the value tables of maps GF(q) -> GF(q), built from
-``mul``, ``inv`` and XOR alone.
+``mul``, ``inv`` and XOR alone, and the union and intersection of the
+weight-3 dual supports that the locality verdicts rest on.
 """
 
 from collections import Counter
@@ -179,6 +180,12 @@ def repair_map(code) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
             )
         out[i] = (triple, lam)
     return out
+
+
+def weight3_support_sets(code) -> tuple[frozenset[int], frozenset[int]]:
+    """Union and intersection of the supports of the weight-3 dual codewords."""
+    supports = [frozenset(sup) for sup, _ in min_weight_dual_codewords(code)]
+    return frozenset().union(*supports), supports[0].intersection(*supports[1:])
 
 
 def power_table(ctx: GF2m, e: int) -> list[int]:

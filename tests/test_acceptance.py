@@ -22,7 +22,9 @@ from nmds.classify import (
 from nmds.codes import (
     LinearCode,
     MatrixGF,
+    dual_distance_exact,
     macwilliams,
+    min_weight_codewords,
     min_weight_dual_codewords,
     weight_distribution,
 )
@@ -30,7 +32,13 @@ from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile, extend
 from nmds.field import GF2m
 from nmds.cli import run_verification
 from nmds.lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
-from oracles import has_root_f_plus_x_plus_1, is_oval, is_oval_by_slopes, power_table
+from oracles import (
+    has_root_f_plus_x_plus_1,
+    is_oval,
+    is_oval_by_slopes,
+    power_table,
+    weight3_support_sets,
+)
 
 ALL = tuple(CONSTRUCTION_IDS)
 
@@ -120,8 +128,9 @@ def test_criterion_1_parameter_table_q8():
         got = (code.n, code.k, verdict.d)
         if got != PARAMS_Q8[cid]:
             problems.append(f"{cid}: parameters {got}")
-        if verdict.d_dual != 3:
-            problems.append(f"{cid}: dual distance {verdict.d_dual}")
+        d_dual = dual_distance_exact(code)
+        if d_dual != 3:
+            problems.append(f"{cid}: dual distance {d_dual}")
         if verdict.tag != "NMDS":
             problems.append(f"{cid}: class {verdict.tag}")
     elapsed = time.perf_counter() - start
@@ -195,9 +204,11 @@ def test_criterion_5_pairing_q8():
     ctx = GF2m(3)
     problems = []
     for cid in ALL:
-        report = check_min_weight_pairing(build(cid, ctx))
+        code = build(cid, ctx)
+        report = check_min_weight_pairing(code)
         if not report.counts_equal:
-            problems.append(f"{cid}: counts {report.primal_count} vs {report.dual_count}")
+            primal, dual = len(min_weight_codewords(code)), len(min_weight_dual_codewords(code))
+            problems.append(f"{cid}: counts {7 * primal} vs {7 * dual}")
         if not report.all_paired_uniquely:
             problems.append(f"{cid}: pairing not unique")
     announce(5, not problems, "" if not problems else "; ".join(problems))
@@ -246,17 +257,16 @@ def test_criterion_6_locality_table():
             got = (loc_c.r, loc_d.r)
             if got != want:
                 problems.append(f"{cid}@{q}: (r_code, r_dual) = {got}, table says {want}")
-            covers = loc_c.union_of_supports == frozenset(range(code.n))
+            union, intersection = weight3_support_sets(code)
+            covers = union == frozenset(range(code.n))
             if covers != REFERENCE_UNION_COVERS[cid]:
                 problems.append(f"{cid}@{q}: union covers = {covers}")
-            empty = not loc_d.intersection_of_supports
+            empty = not intersection
             if empty != REFERENCE_INTERSECTION_EMPTY[cid]:
-                problems.append(
-                    f"{cid}@{q}: intersection {sorted(loc_d.intersection_of_supports)}"
-                )
-            if cid == "f3" and loc_d.intersection_of_supports != frozenset({q + 1}):
+                problems.append(f"{cid}@{q}: intersection {sorted(intersection)}")
+            if cid == "f3" and intersection != frozenset({q + 1}):
                 problems.append(f"f3@{q}: intersection not {{q+1}}")
-            if cid in ("e", "e2") and loc_d.intersection_of_supports != frozenset({q}):
+            if cid in ("e", "e2") and intersection != frozenset({q}):
                 problems.append(f"{cid}@{q}: intersection not {{q}}")
     announce(6, not problems, "" if not problems else "; ".join(problems))
     assert not problems
@@ -309,7 +319,7 @@ def test_criterion_8_property_suite():
             shuffled = LinearCode(MatrixGF(ctx8, base.generator.data[:, cols]))
             if weight_distribution(shuffled).counts != ref:
                 problems.append(f"{cid}: column permutation changed the distribution")
-        scaled_rows = [list(ctx8.scale_vec(3, base.generator.data[0]))] + [
+        scaled_rows = [list(ctx8.mul_vec(3, base.generator.data[0]))] + [
             list(base.generator.data[i]) for i in (1, 2)
         ]
         if weight_distribution(LinearCode(MatrixGF(ctx8, scaled_rows))).counts != ref:

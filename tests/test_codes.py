@@ -30,7 +30,6 @@ from nmds.codes import (
     matrix_to_text,
     min_weight_codewords,
     min_weight_dual_codewords,
-    minimum_distance,
     weight_distribution,
 )
 from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
@@ -197,8 +196,8 @@ def test_weight_distribution_sum_invariant(codes8):
 
 
 def test_minimum_distance_examples(ctx8, ctx4):
-    assert minimum_distance(build("c", ctx8)) == 9
-    assert minimum_distance(build("e", ctx4)) == 2
+    assert weight_distribution(build("c", ctx8)).min_distance == 9
+    assert weight_distribution(build("e", ctx4)).min_distance == 2
     ones = MatrixGF(ctx8, [[1] * 7])  # the [7, 1] repetition code, on the oracle
     assert enumerated_distribution(ones).min_distance == 7
 
@@ -214,11 +213,15 @@ def test_enumeration_guard():
     gen = MatrixGF(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="guard"):
         weight_distribution(LinearCode(gen))
+    # A zero column gives dual distance 1, read from the line table behind the guard.
+    with_zero = MatrixGF(ctx, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(ValueError, match="guard"):
+        dual_distance_exact(LinearCode(with_zero))
 
 
 def test_row_scaling_invariance(ctx8):
     base = build("d", ctx8)
-    scaled_rows = [list(ctx8.scale_vec(5, base.generator.data[0]))] + [
+    scaled_rows = [list(ctx8.mul_vec(5, base.generator.data[0]))] + [
         list(base.generator.data[i]) for i in (1, 2)
     ]
     scaled = LinearCode(MatrixGF(ctx8, scaled_rows))

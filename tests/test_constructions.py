@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nmds.codes import minimum_distance, weight_distribution
+from nmds.codes import weight_distribution
 from nmds.constructions import (
     CONSTRUCTION_IDS,
     CONSTRUCTIONS,
@@ -87,8 +87,8 @@ def test_extend_of_zero_sum_rows_appends_zero_column(ctx8):
 
 def test_extend_raises_distance_by_one_for_e1(ctx8, ctx32):
     for ctx in (ctx8, ctx32):
-        d_base = minimum_distance(build("e1", ctx))
-        d_ext = minimum_distance(build("e1bar", ctx))
+        d_base = weight_distribution(build("e1", ctx)).min_distance
+        d_ext = weight_distribution(build("e1bar", ctx)).min_distance
         assert d_ext == d_base + 1 == ctx.q - 1
 
 
@@ -143,20 +143,20 @@ def test_m_constraints():
 
 def test_verify_construction_all_pass_q8(ctx8):
     for cid in CONSTRUCTION_IDS:
-        report = verify_construction(cid, ctx8)
+        report = verify_construction(cid, ctx8, build(cid, ctx8))
         assert not report.failing_fields(), cid
         assert not report.warnings
 
 
 def test_verify_construction_warning_at_even_m(ctx4):
-    report = verify_construction("c", ctx4)
+    report = verify_construction("c", ctx4, build("c", ctx4))
     assert report.warnings and "m=2" in report.warnings[0]
     assert report.checks == {}  # observed values only, nothing asserted
     assert report.n == 8  # q + 4 still reported
 
 
 def test_verify_construction_e_passes_at_m2(ctx4):
-    report = verify_construction("e", ctx4)
+    report = verify_construction("e", ctx4, build("e", ctx4))
     assert not report.failing_fields() and not report.warnings
 
 
@@ -204,8 +204,8 @@ def test_m235_verification_for_the_open_question():
     # "e" holds for every m >= 2; "e1" only for odd m.
     for m in (2, 3, 5):
         ctx = GF2m(m)
-        assert not verify_construction("e", ctx).failing_fields()
-        e1 = verify_construction("e1", ctx)
+        assert not verify_construction("e", ctx, build("e", ctx)).failing_fields()
+        e1 = verify_construction("e1", ctx, build("e1", ctx))
         if m == 2:
             assert e1.warnings and not e1.checks
         else:

@@ -179,7 +179,7 @@ def test_vectorized_ops_match_scalar():
     ctx = GF2m(3)
     vec = np.arange(ctx.q, dtype=np.int64)
     for a in range(ctx.q):
-        got = ctx.scale_vec(a, vec)
+        got = ctx.mul_vec(a, vec)
         assert [int(v) for v in got] == [ctx.mul(a, int(b)) for b in vec]
     table = scale_table(ctx, vec)
     assert table.shape == (ctx.q, ctx.q)

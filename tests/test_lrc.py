@@ -38,7 +38,7 @@ def definitional_dual_locality(code):
             for c in range(q):
                 if a == b == c == 0:
                     continue
-                vec = ctx.scale_vec(a, rows[0]) ^ ctx.scale_vec(b, rows[1]) ^ ctx.scale_vec(c, rows[2])
+                vec = ctx.mul_vec(a, rows[0]) ^ ctx.mul_vec(b, rows[1]) ^ ctx.mul_vec(c, rows[2])
                 w = int(np.count_nonzero(vec))
                 for i in np.nonzero(vec)[0]:
                     if best[i] is None or w < best[i]:
@@ -54,7 +54,7 @@ def test_locality_of_code_c_q8(codes8):
     rep = locality_of_code(codes8["c"])
     assert rep.r == 2
     assert rep.mechanism == "union-covers"
-    assert rep.union_of_supports == frozenset(range(12))
+    assert oracles.weight3_support_sets(codes8["c"])[0] == frozenset(range(12))
 
 
 def test_locality_of_code_e1_q8(codes8):
@@ -62,27 +62,27 @@ def test_locality_of_code_e1_q8(codes8):
     assert rep.r == 3
     assert rep.mechanism == "nmds-fallback"
     # only the evaluation column at 1 is never hit (frozen from enumeration)
-    assert frozenset(range(9)) - rep.union_of_supports == frozenset({0})
+    assert frozenset(range(9)) - oracles.weight3_support_sets(codes8["e1"])[0] == frozenset({0})
 
 
 def test_locality_of_code_e2_q8(codes8):
     rep = locality_of_code(codes8["e2"])
     assert rep.r == 3
     # evaluations at 1 and at 0 are never hit
-    assert frozenset(range(9)) - rep.union_of_supports == frozenset({0, 7})
+    assert frozenset(range(9)) - oracles.weight3_support_sets(codes8["e2"])[0] == frozenset({0, 7})
 
 
 def test_locality_of_code_f2_q8(codes8):
     rep = locality_of_code(codes8["f2"])
     assert rep.r == 3
-    assert rep.union_of_supports == frozenset(range(10)) - {0, 7}
+    assert oracles.weight3_support_sets(codes8["f2"])[0] == frozenset(range(10)) - {0, 7}
 
 
 def test_locality_of_dual_c_q8(codes8):
     rep = locality_of_dual(codes8["c"])
     assert rep.r == 8
     assert rep.mechanism == "intersection-empty"
-    assert rep.intersection_of_supports == frozenset()
+    assert oracles.weight3_support_sets(codes8["c"])[1] == frozenset()
 
 
 def test_locality_of_dual_d1(ctx4, codes8):
@@ -91,13 +91,13 @@ def test_locality_of_dual_d1(ctx4, codes8):
     assert rep4.mechanism == "nmds-fallback"
     rep8 = locality_of_dual(codes8["d1"])
     assert rep8.r == 8
-    assert rep8.intersection_of_supports  # nonempty
+    assert oracles.weight3_support_sets(codes8["d1"])[1]  # nonempty
 
 
 def test_locality_of_dual_f3_q8(codes8):
     rep = locality_of_dual(codes8["f3"])
     assert rep.r == 7
-    assert rep.intersection_of_supports == frozenset({9})  # the last coordinate
+    assert oracles.weight3_support_sets(codes8["f3"])[1] == frozenset({9})  # the last coordinate
 
 
 def test_locality_of_dual_rejects_zero_sets_sharing_a_coordinate(ctx8):
@@ -139,7 +139,7 @@ def test_code_locality_fallback_coordinates_truly_uncovered(codes8):
     # weight-3 dual codeword support; for r=2 codes there are none
     for cid, code in codes8.items():
         rep = locality_of_code(code)
-        uncovered = frozenset(range(code.n)) - rep.union_of_supports
+        uncovered = frozenset(range(code.n)) - oracles.weight3_support_sets(code)[0]
         assert (rep.r == 2) == (not uncovered), cid
         for sup, _ in min_weight_dual_codewords(code):
             assert not uncovered & set(sup), cid

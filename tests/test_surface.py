@@ -1,4 +1,4 @@
-"""Every public name of the package is used by the package or the benchmark.
+"""Every public name and member of the package is used by the package or the benchmark.
 
 A name in a module's ``__all__`` must be reachable from code that runs:
 the module-level statements of ``src/nmds`` (the CLI entry point among
@@ -6,6 +6,11 @@ them) or any code in ``perfbench/*.py``, which looks the layers up by name.
 A reference inside a top-level definition counts once that definition is
 reachable itself, so functions that only call each other are unused.  The
 tests do not count: a name that only the tests call is dead surface.
+
+Each annotated field, property and public method of a class in ``src/nmds``
+must be read as an attribute (``x.name``) somewhere in ``src/nmds`` or
+``perfbench/*.py``.  The match is by name alone, so a member is dead only
+when no object's attribute of that name is ever read.
 """
 
 import ast
@@ -71,3 +76,35 @@ def _live() -> set[str]:
 def test_every_public_name_is_used(path):
     live = _live()
     assert [name for name in _public(path) if name not in live] == []
+
+
+def _attribute_reads() -> set[str]:
+    """Attribute names loaded anywhere in the package or the benchmark."""
+    return {
+        node.attr
+        for path in PACKAGE + BENCHMARK
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _members(path: Path) -> list[str]:
+    """``Class.member`` for each annotated field, property and public method."""
+    out = []
+    for cls in ast.parse(path.read_text()).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                out.append(f"{cls.name}.{stmt.target.id}")
+            elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                out.append(f"{cls.name}.{stmt.name}")  # a method or a property
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in PACKAGE if _members(path)], ids=lambda path: path.stem
+)
+def test_every_member_is_read(path):
+    reads = _attribute_reads()
+    assert [name for name in _members(path) if name.split(".")[1] not in reads] == []
