@@ -22,9 +22,8 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
-
-import numpy as np
 
 from . import constructions as cons
 from .classify import (
@@ -307,15 +306,15 @@ def _cmd_repair(args) -> int:
               file=sys.stderr)
         return 1
 
-    rng = np.random.default_rng(_REPAIR_SEED)
-    message = [int(v) for v in rng.integers(0, ctx.q, size=code.k)]
+    rng = random.Random(_REPAIR_SEED)
+    message = [rng.randrange(ctx.q) for _ in range(code.k)]
     word = code.codeword(message)
-    true_value = int(word[args.erase])
+    true_value = word[args.erase]
     recovered = repair_value(word, (idx, coeffs), ctx)
 
     terms = " + ".join(f"{h:#x}*c[{j}]" for j, h in zip(idx, coeffs))
     print(f"construction {cid} over GF({ctx.q}), locality r={loc.r}")
-    print(f"message {message} -> codeword {[int(v) for v in word]}")
+    print(f"message {message} -> codeword {word}")
     print(f"erased c[{args.erase}] = {true_value:#x}")
     print(f"repair set {list(idx)}, linear function c[{args.erase}] = {terms}")
     print(f"recovered {recovered:#x}: {'ok' if recovered == true_value else 'MISMATCH'}")

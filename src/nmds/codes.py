@@ -12,13 +12,15 @@ exact weight distribution, the minimum-weight codewords and the weight-3
 dual codewords (collinear column triples).  A minimum-weight codeword is
 carried as its line and its zero set, the columns on that line and any zero
 columns: pairing and locality read only where a word vanishes, so no word
-is written out in full.  The table crosses each residue column with every
-column, O(r n) pairs for r residue columns: about 0.6 ms per registry code
-at q = 128 and 3 ms at q = 2048 on a 2-core Xeon, where the q - 1 block
-columns lie on the conic.  A code with no conic columns keeps the O(n^2)
-table of all pairs.  The table refuses q^3 beyond 2^34.  The same cross
-product u x v, the line through two points, gives the determinant
-[u, v, w] = (u x v).w that tests three columns for independence.
+is written out in full.  The table sorts the other columns into the lines
+through each residue point by slope, O(r n) pairs for r residue points:
+with the distribution, about 0.5 ms per registry code at q = 128 and 10 ms
+at q = 2048 on a 2-core Xeon, where the q - 1 block columns lie on the
+conic.  A code with no conic columns crosses all O(n^2) pairs, about 5 s at
+q = 2048.  The table refuses q^3 beyond 2^34.  The cross product u x v, the
+line through two points, gives the determinant [u, v, w] = (u x v).w that
+tests three columns for independence.  All of it is table lookups on plain
+ints, in the log arithmetic of ``nmds.field``.
 Low-weight dual codewords come from column dependencies, which is exact for
 weights up to 3.  The MacWilliams transform gives the full dual
 distribution in exact big-integer arithmetic, from the generating function
@@ -35,11 +37,11 @@ function, and hands the same object to every later caller.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
-from itertools import combinations
-
-import numpy as np
+from itertools import combinations, compress
 
 from .field import GF2m
 
@@ -58,36 +60,32 @@ __all__ = [
 # The line table refuses q**3 beyond this, that is m >= 12, where the dual
 # transforms have no stated cap yet.
 ENUMERATION_GUARD = 1 << 34
-_PAIR_BLOCK = 1 << 18  # column pairs per block of the line table
+
+Point = tuple[int, int, int]
 
 
 class MatrixGF:
-    """Dense matrix over GF(2^m); entries are element values in a shared context."""
+    """Dense matrix over GF(2^m): a tuple of row tuples of element values in a shared context."""
 
     def __init__(self, ctx: GF2m, entries) -> None:
-        data = np.asarray(entries, dtype=np.int64)
-        if data.ndim != 2:
+        try:
+            data = tuple(tuple(map(int, row)) for row in entries)
+        except TypeError:
+            raise ValueError("entries must be two-dimensional") from None
+        if len(set(map(len, data))) > 1:
             raise ValueError("entries must be two-dimensional")
-        if data.size and (data.min() < 0 or data.max() >= ctx.q):
+        if data and data[0] and not (min(map(min, data)) >= 0 and max(map(max, data)) < ctx.q):
             raise ValueError("entry out of range for the field")
         self.ctx = ctx
         self.data = data
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return len(self.data)
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixGF)
-            and self.ctx == other.ctx
-            and self.data.shape == other.data.shape
-            and bool(np.all(self.data == other.data))
-        )
+        return len(self.data[0]) if self.data else 0
 
     def __repr__(self) -> str:
         return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))"
@@ -98,7 +96,7 @@ class LinearCode:
 
     Every construction here has dimension 3 and every count reads the
     columns as points of PG(2, q), so a generator with any other number of
-    rows is refused.
+    rows is refused.  The columns are kept as 3-tuples.
     """
 
     def __init__(self, generator: MatrixGF) -> None:
@@ -108,20 +106,19 @@ class LinearCode:
         self.k = generator.rows
         if self.k != 3:
             raise ValueError(f"k={self.k}: only dimension-3 codes are supported")
-        if _first_basis(self.ctx, generator.data.T) is None:
+        self.columns: tuple[Point, ...] = tuple(zip(*generator.data))
+        if _first_basis(self.ctx, self.columns) is None:
             raise ValueError("generator matrix does not have full row rank")
         self._derived: dict = {}  # per_code results, keyed by the deriving function
 
-    def codeword(self, message) -> np.ndarray:
+    def codeword(self, message) -> list[int]:
         """Encode one message vector of length k."""
         msg = list(message)
         if len(msg) != self.k:
             raise ValueError(f"message length {len(msg)} != k={self.k}")
-        out = np.zeros(self.n, dtype=np.int64)
-        for a, row in zip(msg, self.generator.data):
-            if a:
-                out ^= self.ctx.mul_vec(int(a), row)
-        return out
+        exp, log = self.ctx._exp, self.ctx._log
+        la, lb, lc = (log[a] for a in msg)
+        return [exp[la + log[x]] ^ exp[lb + log[y]] ^ exp[lc + log[z]] for x, y, z in self.columns]
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.ctx.q}))"
@@ -191,45 +188,45 @@ def _check_enumeration_guard(q: int) -> None:
         )
 
 
-def _normalize_rows(ctx: GF2m, vecs: np.ndarray) -> np.ndarray:
-    """Rows scaled so that the first nonzero entry is 1; zero rows stay zero."""
-    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    return ctx.mul_vec(vecs, ctx.inv_vec(np.where(lead == 0, 1, lead))[:, None])
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values starts in a sorted array."""
-    start = np.ones(len(values), dtype=bool)
-    start[1:] = values[1:] != values[:-1]
-    return np.flatnonzero(start)
+def _normalize(ctx: GF2m, vec: Point) -> Point:
+    """``vec`` scaled so that its first nonzero entry is 1; zero stays zero."""
+    exp, log = ctx._exp, ctx._log
+    lead = vec[0] or vec[1] or vec[2]
+    if lead < 2:  # zero, or already scaled
+        return vec
+    shift = ctx.q - 1 - log[lead]  # a zero entry's sentinel log lands in the zeros of exp
+    return (exp[log[vec[0]] + shift], exp[log[vec[1]] + shift], exp[log[vec[2]] + shift])
 
 
 @per_code
-def _canonical_columns(code: LinearCode) -> np.ndarray:
-    """The generator columns as the rows of an (n, 3) array, each scaled so
-    that its first nonzero entry is 1; zero columns stay zero."""
-    return _normalize_rows(code.ctx, code.generator.data.T)
+def _canonical_columns(code: LinearCode) -> tuple[Point, ...]:
+    """The generator columns, each scaled so that its first nonzero entry is
+    1; zero columns stay zero."""
+    return tuple(_normalize(code.ctx, col) for col in code.columns)
 
 
 # -- the PG(2, q) kernel: lines, determinants and the line table ---------------
 
-def _cross(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross products u x v (signs vanish in characteristic 2).
-    For two distinct points it is the line through them."""
-    # Entry i is u_(i+1) v_(i+2) + u_(i+2) v_(i+1), indices mod 3, for all i at once.
-    mul = ctx.mul_vec
-    return mul(u[:, [1, 2, 0]], v[:, [2, 0, 1]]) ^ mul(u[:, [2, 0, 1]], v[:, [1, 2, 0]])
+def _cross(ctx: GF2m, u: Point, v: Point) -> Point:
+    """The cross product u x v in log arithmetic (signs vanish in
+    characteristic 2).  For two distinct points it is the line through them."""
+    exp, log = ctx._exp, ctx._log
+    u0, u1, u2 = log[u[0]], log[u[1]], log[u[2]]
+    v0, v1, v2 = log[v[0]], log[v[1]], log[v[2]]
+    return (exp[u1 + v2] ^ exp[u2 + v1], exp[u2 + v0] ^ exp[u0 + v2], exp[u0 + v1] ^ exp[u1 + v0])
 
 
-def _det(ctx: GF2m, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise determinants [u, v, w] = (u x v).w, zero exactly when the
-    three columns are dependent."""
-    return np.bitwise_xor.reduce(ctx.mul_vec(_cross(ctx, u, v), w), axis=1)
+def _det(ctx: GF2m, u: Point, v: Point, w: Point) -> int:
+    """The determinant [u, v, w] = (u x v).w, zero exactly when the three
+    columns are dependent."""
+    exp, log = ctx._exp, ctx._log
+    c0, c1, c2 = _cross(ctx, u, v)
+    return exp[log[c0] + log[w[0]]] ^ exp[log[c1] + log[w[1]]] ^ exp[log[c2] + log[w[2]]]
 
 
-def _first_basis(ctx: GF2m, cols: np.ndarray) -> tuple[int, int, int] | None:
-    """The lexicographically first i < j < l whose columns (rows of ``cols``)
-    are independent, or None if they span less than the plane.
+def _first_basis(ctx: GF2m, cols) -> tuple[int, int, int] | None:
+    """The lexicographically first i < j < l whose columns are independent,
+    or None if they span less than the plane.
 
     Greedy choice finds it: i is the first nonzero column u, j the first
     column v off the point u (u x v != 0), and l the first column off the
@@ -237,17 +234,18 @@ def _first_basis(ctx: GF2m, cols: np.ndarray) -> tuple[int, int, int] | None:
     before l at most the line, so any independent a < b < c has a >= i,
     b >= j and c >= l.
     """
-    nonzero = np.flatnonzero(cols.any(axis=1))
-    if not len(nonzero):
+    i = next((i for i, u in enumerate(cols) if any(u)), None)
+    if i is None:
         return None
-    u = cols[nonzero[:1]]
-    off_point = np.flatnonzero(_cross(ctx, u, cols).any(axis=1))
-    if not len(off_point):
+    u = cols[i]
+    j = next((j for j, v in enumerate(cols) if any(_cross(ctx, u, v))), None)
+    if j is None:
         return None
-    off_line = np.flatnonzero(_det(ctx, u, cols[off_point[:1]], cols))
-    if not len(off_line):
+    v = cols[j]
+    l = next((l for l, w in enumerate(cols) if _det(ctx, u, v, w)), None)
+    if l is None:
         return None
-    return int(nonzero[0]), int(off_point[0]), int(off_line[0])
+    return i, j, l
 
 
 @dataclass(frozen=True)
@@ -261,107 +259,105 @@ class _LineTable:
     The arc is the set of points of the conic y^2 = xz that carry exactly one
     column; every other column point is a residue point.  No three points of
     a conic are collinear, so every line through three or more nonzero
-    columns passes through a residue point and is in the table.  The lines
-    that miss the residue are counted, not listed: the secants of the arc
-    outside the table meet the columns in two points, and each point lies on
-    ``point_lone`` lines that meet the columns in that point alone.  With an
-    empty arc the table holds every line through two column points.
+    columns passes through a residue point and is listed here with its
+    vector.  The table lines with two columns are counted, not listed.  The
+    lines that miss the residue are counted too: the secants of the arc
+    outside the table meet the columns in two points, and ``lone`` counts the
+    lines that meet the columns in one point alone, by the number of columns
+    at that point.
     """
 
     zeros: int  # zero columns
-    vectors: np.ndarray  # (L, 3) lines, first nonzero entry 1, ascending as base-q numbers
-    sizes: np.ndarray  # (L,) nonzero columns on each line
-    starts: np.ndarray  # (L,) where each line's columns start in `columns`
-    columns: np.ndarray  # column indices grouped by line, ascending within a line
-    point_mult: np.ndarray  # (P,) columns at each distinct point
-    point_lone: np.ndarray  # (P,) lines meeting the nonzero columns in that point alone
-    secants: int  # lines through two arc points outside the table
-
-
-def _incidences(
-    ctx: GF2m, canon: np.ndarray, key: np.ndarray, residue: np.ndarray, others: np.ndarray
-) -> np.ndarray:
-    """Sorted, distinct (line, column) incidences, as line * n + column, of the
-    lines through a residue column and a column at another point."""
-    n = len(key)
-    cols = np.concatenate([residue, others])
-    i, j = np.triu_indices(len(residue), 1, len(cols))
-    a, b = cols[i], cols[j]
-    distinct = key[a] != key[b]
-    a, b = a[distinct], b[distinct]
-    radix = np.array([ctx.q * ctx.q, ctx.q, 1])
-    # In blocks, so the temporaries of the field products stay small at large
-    # q; an empty residue gives no pairs and no blocks.
-    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, len(a), _PAIR_BLOCK)]
-    line_key = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        _normalize_rows(ctx, _cross(ctx, canon[a[s]], canon[b[s]])) @ radix for s in blocks
-    ])
-    # Sort and mask rather than np.unique, whose first call in a process
-    # costs more than the whole table at small q.
-    incidences = np.sort(np.concatenate([line_key * n + a, line_key * n + b]))
-    return incidences[_run_starts(incidences)]
+    points: tuple[tuple[int, ...], ...]  # the columns at each distinct point, by first column
+    lone: dict[int, int]  # columns at a point -> lines meeting the columns in that point alone
+    lines: tuple[tuple[Point, tuple[int, ...]], ...]  # (line, ascending columns), 3+ columns
+    pairs: int  # table lines with two columns
+    secants: int  # lines through two arc points and no residue point
 
 
 @per_code
 def _line_table(code: LinearCode) -> _LineTable:
     """The line table of a code.
 
-    The arc is read off the canonical columns alone, in O(n).  The table is
-    the normalized cross product of each residue column with every column at
-    another point, O(r n) pairs for r residue columns, then the (line,
-    column) incidences by sort and dedupe.
+    The arc is read off the canonical columns alone, in O(n).  Then each
+    residue point P, with leading coordinate la (P_la = 1), sorts every
+    other column point Q into the lines through P by slope: R = Q + Q_la P
+    is where the line PQ meets the line x_la = 0, and R_i2 / R_i1 over the
+    other two coordinates i1 < i2 (or infinity when R_i1 = 0) tells those
+    points apart.  That is O(r n) pairs for r residue points.  A line is kept
+    once, under the first residue point on it, and gets its vector only if
+    it holds three or more columns.
 
     For s arc points, C(s, 2) secants minus the table lines with two arc
-    points lie outside the table.  An arc point lies on s - 1 secants, so it
-    lies on q + 1 - (s - 1) - (table lines through it and no other arc
-    point) lines that meet the columns in that point alone; a residue point
-    lies on q + 1 minus its table lines.  A table line with three arc points
-    would refute the arc, and raises ``AssertionError``.
-
-    If no table line holds three columns, the minimum-weight lines include
-    secants outside the table, so the table is rebuilt with an empty arc.
-    That lists all C(s, 2) secants, no more in order than the minimum-weight
-    words it must then give.
+    points lie outside the table.  An arc point lies on s - 1 secants, so
+    the arc points lie on s (q + 1 - (s - 1)) minus (table lines with one arc
+    point) lines that meet the columns in one arc point alone; a residue
+    point lies on q + 1 minus its table lines.  Each table line through P
+    counts its arc points at once, and one with three would refute the arc
+    and raises ``AssertionError``.
     """
-    ctx, q, n = code.ctx, code.ctx.q, code.n
+    ctx, q = code.ctx, code.ctx.q
     _check_enumeration_guard(q)
+    exp, log = ctx._exp, ctx._log
     canon = _canonical_columns(code)
-    key = canon @ np.array([q * q, q, 1])  # each column's point as a number, 0 for a zero column
-    cols = np.flatnonzero(key)
-    order = np.argsort(key[cols])
-    first = _run_starts(key[cols][order])  # one column per distinct point
-    point_mult = np.diff(np.append(first, len(cols)))
-    single = np.zeros(n, dtype=bool)
-    single[cols[order[first[point_mult == 1]]]] = True
-    yy, xz = ctx.mul_vec(canon[:, [1, 0]], canon[:, [1, 2]]).T
-    for arc in (single & (yy == xz), np.zeros(n, dtype=bool)):
-        incidences = _incidences(ctx, canon, key, cols[~arc[cols]], cols[arc[cols]])
-        line_of, columns = np.divmod(incidences, n)
-        starts = _run_starts(line_of)
-        sizes = np.diff(np.append(starts, len(columns)))
-        if (sizes >= 3).any() or not arc.any():
-            break
-    arcs_on_line = np.add.reduceat(arc[columns], starts)
-    if (arcs_on_line >= 3).any():
-        raise AssertionError(
-            "a table line holds three arc points; the conic columns are not an arc"
-        )
-    s = int(arc.sum())
-    # Lines through each point that meet another column: its table lines, and
-    # for an arc point its s - 1 secants in place of those in the table.
-    on_secant = np.repeat(arcs_on_line == 2, sizes)
-    met = np.bincount(columns, minlength=n)
-    met += np.where(arc, s - 1 - np.bincount(columns[on_secant], minlength=n), 0)
-    keys = line_of[starts]
+    at: dict[Point, tuple[int, ...]] = {}
+    for j, col in enumerate(canon):
+        if col != (0, 0, 0):
+            at[col] = at.get(col, ()) + (j,)
+    points, members = list(at), list(at.values())
+    on_arc = [
+        len(cols) == 1 and exp[2 * log[y]] == exp[log[x] + log[z]]
+        for (x, y, z), cols in zip(points, members)
+    ]
+    arc = list(compress(range(len(points)), on_arc))
+    residue = [t for t, on in enumerate(on_arc) if not on]
+    s = len(arc)
+    coords = list(zip(*points))
+    logs = [[log[v] for v in coord] for coord in coords]
+    lone = Counter({1: s * (q + 1 - (s - 1))})  # less the table lines with one arc point
+    lines, pairs, secants = [], 0, s * (s - 1) // 2
+    for t in residue:
+        p = points[t]
+        la = p.index(1)
+        i1, i2 = [i for i in range(3) if i != la]
+        l1, l2 = log[p[i1]], log[p[i2]]
+        slopes = [
+            exp[log[y ^ exp[lq + l2]] + q - 1 - log[r1]] if (r1 := x ^ exp[lq + l1]) else q
+            for lq, x, y in zip(logs[la], coords[i1], coords[i2])
+        ]
+        slopes[t] = -1  # P itself, taken out below
+        through: dict[int, tuple[int, ...]] = {}  # the columns on each line through P but P's
+        for slope, cols in zip(slopes, members):
+            through[slope] = through.get(slope, ()) + cols
+        del through[-1]
+        own = members[t]
+        lone[len(own)] += q + 1 - len(through)
+        done = {slopes[u] for u in residue if u < t}  # listed under an earlier residue point
+        arcs_on = Counter(map(slopes.__getitem__, arc))  # arc points on each line through P
+        for slope in done:
+            arcs_on.pop(slope, None)
+        lines_by_arcs = Counter(arcs_on.values())
+        if max(lines_by_arcs, default=0) >= 3:
+            raise AssertionError(
+                "a table line holds three arc points; the conic columns are not an arc"
+            )
+        lone[1] -= lines_by_arcs[1]
+        secants -= lines_by_arcs[2]
+        for slope, cols in through.items():
+            if slope in done:
+                continue
+            if len(own) + len(cols) == 2:
+                pairs += 1
+            else:
+                line = _normalize(ctx, _cross(ctx, p, canon[cols[0]]))
+                lines.append((line, tuple(sorted(own + cols))))
     return _LineTable(
-        zeros=n - len(cols),
-        vectors=np.stack([keys // (q * q), keys // q % q, keys % q], axis=1),
-        sizes=sizes,
-        starts=starts,
-        columns=columns,
-        point_mult=point_mult,
-        point_lone=q + 1 - met[cols[order[first]]],
-        secants=s * (s - 1) // 2 - int((arcs_on_line == 2).sum()),
+        zeros=code.n - sum(map(len, members)),
+        points=tuple(members),
+        lone=lone,
+        lines=tuple(lines),
+        pairs=pairs,
+        secants=secants,
     )
 
 
@@ -375,19 +371,21 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
     that point, and the rest in none."""
     q, n = code.ctx.q, code.n
     table = _line_table(code)
-    lines_by_z = np.bincount(table.zeros + table.sizes, minlength=n + 1)
-    lines_by_z += np.bincount(
-        table.zeros + table.point_mult, weights=table.point_lone, minlength=n + 1
-    ).astype(np.int64)
-    lines_by_z[table.zeros + 2] += table.secants
-    lines_by_z[table.zeros] += (
-        q * q + q + 1 - len(table.sizes) - table.secants - int(table.point_lone.sum())
+    z = table.zeros
+    lines_by_z = [0] * (n + 1)
+    for _, cols in table.lines:
+        lines_by_z[z + len(cols)] += 1
+    for size, lone in table.lone.items():
+        lines_by_z[z + size] += lone
+    lines_by_z[z + 2] += table.pairs + table.secants
+    lines_by_z[z] += (
+        q * q + q + 1 - len(table.lines) - table.pairs - table.secants - sum(table.lone.values())
     )
-    return WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
+    return WeightDistribution(n, (1,) + tuple((q - 1) * c for c in lines_by_z[n - 1 :: -1]))
 
 
 @per_code
-def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
+def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]]:
     """Minimum-weight codewords as (zeros, line) pairs, one per scalar class.
 
     ``line`` is the message, scaled so that its first nonzero entry is 1,
@@ -396,59 +394,57 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], tuple[
     minimum-weight codeword is a nonzero multiple of exactly one entry's
     codeword.  Entries come in the order of their projective messages.
 
-    These are the lines with the most columns, and they are all in the
-    table.  A line outside it is an arc secant with two columns, or meets
-    the columns in one point; the table holds a line with three columns, or
-    else it was rebuilt with every line through two column points.  Rank 3
-    puts three non-collinear points in the plane, so a residue point lies on
-    a table line, and that line carries more columns than a line meeting the
-    columns in that point alone.  Two checks hold this to account: each line
-    must vanish on its columns, and q - 1 times the number of lines must be
-    A_d of the distribution, which counts every line.
+    These are the lines with the most columns.  If some line holds three
+    columns they are all in the table: a line outside it is an arc secant
+    with two columns, or meets the columns in one point, and rank 3 puts a
+    residue point on a table line with more columns than a line meeting the
+    columns in that point alone.  If no line holds three columns, every
+    point carries one column and the lines with the most columns are those
+    through two points.  Two checks hold this to account: each line must
+    vanish on its columns, and q - 1 times the number of lines must be A_d
+    of the distribution, which counts every line.
     """
+    ctx, columns = code.ctx, code.columns
+    exp, log = ctx._exp, ctx._log
     table = _line_table(code)
-    size = int(table.sizes.max())
-    best = np.flatnonzero(table.sizes == size)
-    lines = table.vectors[best]
-    # Projective-message order: by the position of the leading 1, then as numbers.
-    order = np.argsort((lines != 0).argmax(axis=1), kind="stable")
-    best, lines = best[order], lines[order]
-    zero_cols = np.flatnonzero(~code.generator.data.any(axis=0))
-    zeros = np.sort(np.hstack([
-        table.columns[table.starts[best][:, None] + np.arange(size)],
-        np.tile(zero_cols, (len(best), 1)),
-    ]), axis=1)
-    # O(1) per word instead of encoding it: the line vanishes on its columns.
-    values = code.ctx.mul_vec(lines.T[:, :, None], code.generator.data[:, zeros])
-    if np.bitwise_xor.reduce(values, axis=0).any():
-        raise AssertionError("a table line misses one of its columns; line table inconsistent")
+    if table.lines:
+        size = max(len(cols) for _, cols in table.lines)
+        best = [(line, cols) for line, cols in table.lines if len(cols) == size]
+    else:
+        canon = _canonical_columns(code)
+        best = [
+            (_normalize(ctx, _cross(ctx, canon[a[0]], canon[b[0]])), a + b)
+            for a, b in combinations(table.points, 2)
+        ]
+    # Projective-message order: by the position of the leading 1, then as
+    # numbers.  Sorted as numbers, the lines come with those positions reversed.
+    best.sort()
+    lead1, lead0 = bisect_left(best, ((0, 1, 0),)), bisect_left(best, ((1, 0, 0),))
+    best = best[lead0:] + best[lead1:lead0] + best[:lead1]
+    zero_cols = tuple(j for j, col in enumerate(columns) if col == (0, 0, 0))
+    words = []
+    for line, cols in best:
+        zeros = tuple(sorted(cols + zero_cols)) if zero_cols else cols
+        # O(1) per word instead of encoding it: the line vanishes on its columns.
+        l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
+        for j in cols:
+            x, y, w = columns[j]
+            if exp[l0 + log[x]] ^ exp[l1 + log[y]] ^ exp[l2 + log[w]]:
+                raise AssertionError(
+                    "a table line misses one of its columns; line table inconsistent"
+                )
+        words.append((zeros, line))
     dist = weight_distribution(code)
     a_d = dist.counts[dist.min_distance]
-    if (code.ctx.q - 1) * len(best) != a_d:
+    if (ctx.q - 1) * len(words) != a_d:
         raise AssertionError(
-            f"{len(best)} lines of the most columns do not give A_d = {a_d}; "
+            f"{len(words)} lines of the most columns do not give A_d = {a_d}; "
             "line table inconsistent"
         )
-    return list(zip(map(tuple, zeros.tolist()), map(tuple, lines.tolist())))
+    return words
 
 
 # -- dual side -----------------------------------------------------------------
-
-def _collinear_triples(code: LinearCode) -> list[tuple[int, int, int]]:
-    """All i < j < l whose columns lie on one line, in lexicographic order,
-    for a code with pairwise-independent columns (dual distance above 2).
-
-    These are exactly the column triples of rank 2, and each line holds
-    C(t, 3) of them for its t columns.  No three arc points are collinear,
-    so every such line is in the table.
-    """
-    table = _line_table(code)
-    full = np.flatnonzero(table.sizes >= 3)
-    triples: list[tuple[int, int, int]] = []
-    for start, size in zip(table.starts[full].tolist(), table.sizes[full].tolist()):
-        triples.extend(combinations(table.columns[start : start + size].tolist(), 3))
-    return sorted(triples)
-
 
 def dual_distance_exact(code: LinearCode) -> int | None:
     """Exact dual minimum distance if it is at most 3, else None.
@@ -464,9 +460,9 @@ def dual_distance_exact(code: LinearCode) -> int | None:
     table = _line_table(code)
     if table.zeros:
         return 1
-    if (table.point_mult > 1).any():
+    if len(table.points) < code.n - table.zeros:  # some point carries two columns
         return 2
-    if (table.sizes >= 3).any():
+    if table.lines:
         return 3
     return None
 
@@ -480,33 +476,52 @@ def min_weight_dual_codewords(
     Requires dual distance exactly 3.  Each support carries exactly
     one dependency up to scalar; the representative scales the first nonzero
     coefficient to 1, and each entry stands for the q-1 multiples of itself.
+    Entries come in the order of their supports.
 
     For collinear columns u, v, w the identity
     [v,w,x] u + [w,u,x] v + [u,v,x] w = [u,v,w] x = 0 at x = e_i gives the
-    dependency ((v x w)_i, (w x u)_i, (u x v)_i), a column of the adjugate;
-    any i with (v x w)_i != 0 makes it nonzero.  Each dependency is checked
-    to annihilate its three columns, O(1) per word.
+    dependency ((v x w)_i, (w x u)_i, (u x v)_i), a column of the adjugate:
+    the 2 x 2 minors on the two coordinates other than i.  v x w is a
+    multiple of the line through the three, so the leading coordinate i of
+    that line makes it nonzero.  Each dependency is checked to annihilate
+    its three columns, O(1) per word.
     """
-    ctx = code.ctx
     dd = dual_distance_exact(code)
     if dd != 3:
         raise ValueError(f"dual distance is {dd if dd else '> 3'}, expected exactly 3")
-    triples = np.array(_collinear_triples(code), dtype=np.int64).reshape(-1, 3)
-    u, v, w = (code.generator.data.T[triples[:, j]] for j in range(3))
-    vw, wu, uv = _cross(ctx, v, w), _cross(ctx, w, u), _cross(ctx, u, v)
-    i = (vw != 0).argmax(axis=1)  # v x w != 0: the columns are pairwise independent
-    rows = np.arange(len(triples))
-    coeffs = _normalize_rows(ctx, np.stack([vw[rows, i], wu[rows, i], uv[rows, i]], axis=1))
-    if not coeffs.all():
-        raise AssertionError(
-            "partial-support dependency found; columns were not pairwise independent"
-        )
-    terms = ctx.mul_vec(coeffs[:, :, None], np.stack([u, v, w], axis=1))
-    if np.bitwise_xor.reduce(terms, axis=1).any():
-        raise AssertionError(
-            "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
-        )
-    return [(tuple(t), tuple(c)) for t, c in zip(triples.tolist(), coeffs.tolist())]
+    ctx, columns = code.ctx, code.columns
+    exp, log = ctx._exp, ctx._log
+    q1 = ctx.q - 1
+    words = []
+    for line, on_line in _line_table(code).lines:
+        i = line.index(1)
+        a, b = [t for t in range(3) if t != i]
+        for triple in combinations(on_line, 3):
+            u, v, w = columns[triple[0]], columns[triple[1]], columns[triple[2]]
+            ua, ub = log[u[a]], log[u[b]]
+            va, vb = log[v[a]], log[v[b]]
+            wa, wb = log[w[a]], log[w[b]]
+            c0 = exp[va + wb] ^ exp[vb + wa]
+            c1 = exp[wa + ub] ^ exp[wb + ua]
+            c2 = exp[ua + vb] ^ exp[ub + va]
+            if not (c0 and c1 and c2):
+                raise AssertionError(
+                    "partial-support dependency found; columns were not pairwise independent"
+                )
+            # Logs of the coefficients scaled by 1 / c0, reduced so that a
+            # product with a column entry still indexes exp.
+            g1, g2 = (log[c1] - log[c0]) % q1, (log[c2] - log[c0]) % q1
+            if (
+                u[0] ^ exp[g1 + log[v[0]]] ^ exp[g2 + log[w[0]]]
+                or u[1] ^ exp[g1 + log[v[1]]] ^ exp[g2 + log[w[1]]]
+                or u[2] ^ exp[g1 + log[v[2]]] ^ exp[g2 + log[w[2]]]
+            ):
+                raise AssertionError(
+                    "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
+                )
+            words.append((triple, (1, exp[g1], exp[g2])))
+    words.sort()
+    return words
 
 
 # -- MacWilliams ---------------------------------------------------------------
@@ -561,6 +576,6 @@ def macwilliams(dist: WeightDistribution, k: int, q: int) -> WeightDistribution:
 def matrix_to_text(mat: MatrixGF) -> str:
     """Serialize: first line 'rows cols m modulus_hex', then row-major hex values."""
     head = f"{mat.rows} {mat.cols} {mat.ctx.m} {hex(mat.ctx.modulus)}"
-    body = "\n".join(" ".join(format(int(v), "x") for v in row) for row in mat.data)
+    body = "\n".join(" ".join(format(v, "x") for v in row) for row in mat.data)
     return head + "\n" + body + ("\n" if body else "")
 

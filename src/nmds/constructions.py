@@ -26,8 +26,8 @@ external table carries the same values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
+from functools import reduce
+from operator import xor
 
 from .codes import LinearCode, MatrixGF
 from .field import GF2m
@@ -223,8 +223,7 @@ def build(cid: str, ctx: GF2m) -> LinearCode:
     base_family = CONSTRUCTIONS[base]
     cols = [(1, a, ctx.mul(a, a)) for a in ctx.nonzero_elements()]
     cols.extend(base_family.tail)
-    rows = [[c[i] for c in cols] for i in range(3)]
-    code = LinearCode(MatrixGF(ctx, rows))
+    code = LinearCode(MatrixGF(ctx, zip(*cols)))
     if family.extends:
         code = extend(code)
     return code
@@ -232,9 +231,8 @@ def build(cid: str, ctx: GF2m) -> LinearCode:
 
 def extend(code: LinearCode) -> LinearCode:
     """Append one column so that every generator row sums to zero."""
-    sums = np.bitwise_xor.reduce(code.generator.data, axis=1)
-    data = np.concatenate([code.generator.data, sums[:, None]], axis=1)
-    return LinearCode(MatrixGF(code.ctx, data))
+    rows = code.generator.data
+    return LinearCode(MatrixGF(code.ctx, [row + (reduce(xor, row, 0),) for row in rows]))
 
 
 @dataclass

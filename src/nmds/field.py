@@ -6,13 +6,18 @@ coefficients of a polynomial over GF(2); the interpretation is fixed by a
 and inversion go through exp/log tables built on a primitive element, so both
 are table lookups after construction; each field's tables are built once per
 process and shared read-only by all its contexts.
+
+The tables are tuples with a zero sentinel: ``log[0] = 2(q-1)``, and ``exp``
+holds two periods of the powers followed by 2q zeros.  Any sum of two logs,
+or a log plus q - 1 minus a nonzero log, then indexes ``exp``, and the sum
+lands in the zeros exactly when an operand is zero.  So a product is one
+lookup with no branch, ``exp[log[a] + log[b]]``, for every pair, zero
+included.
 """
 
 from __future__ import annotations
 
 from functools import cache
-
-import numpy as np
 
 __all__ = ["DEFAULT_MODULI", "GF2m", "poly_to_str"]
 
@@ -90,9 +95,9 @@ def _mul_raw(a: int, b: int, modulus: int) -> int:
 
 
 @cache
-def _tables(m: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+def _tables(m: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The exp/log tables on the powers of a primitive element (``exp[1]``),
-    for an irreducible modulus of degree m.
+    for an irreducible modulus of degree m, with the zero sentinel.
 
     Built once per field and shared read-only by every ``GF2m(m, modulus)``,
     so a pipeline that makes a context per code runs the pure-Python
@@ -110,9 +115,8 @@ def _tables(m: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     g = next((g for g in range(2, q) if order(g) == q - 1), None)
     if g is None:
         raise AssertionError("no primitive element found; modulus cannot be irreducible")
-    exp = np.zeros(2 * (q - 1), dtype=np.int64)
-    log = np.zeros(q, dtype=np.int64)
-    log[0] = -1  # sentinel, never consulted for the zero element
+    exp = [0] * (2 * (q - 1) + 2 * q)
+    log = [2 * (q - 1)] * q  # every entry but log[0] is overwritten below
     v = 1
     for i in range(q - 1):
         exp[i] = exp[i + q - 1] = v
@@ -120,8 +124,7 @@ def _tables(m: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
         v = _mul_raw(v, g, modulus)
     if v != 1:
         raise AssertionError("generator order mismatch while building tables")
-    exp.flags.writeable = log.flags.writeable = False
-    return exp, log
+    return tuple(exp), tuple(log)
 
 
 class GF2m:
@@ -173,40 +176,17 @@ class GF2m:
     # -- scalar arithmetic ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises for zero."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
-        return int(self._exp[(self.q - 1) - self._log[a]])
+        return self._exp[(self.q - 1) - self._log[a]]
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 
-    # -- vectorized arithmetic (numpy int arrays of element values) -----------
-
-    def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Elementwise (broadcast) field product of two value arrays."""
-        # exp holds two periods, so a sum of two logs indexes it without a
-        # modulo; a zero entry's sentinel log still indexes it and is masked.
-        out = self._exp[self._log[u] + self._log[v]]
-        return np.where((u == 0) | (v == 0), 0, out)
-
-    def inv_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Elementwise multiplicative inverse; raises if any entry is zero."""
-        if np.any(vec == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^m)")
-        return self._exp[(self.q - 1) - self._log[vec]]
-
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, modulus={poly_to_str(self.modulus)})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GF2m) and (self.m, self.modulus) == (other.m, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.modulus))
 

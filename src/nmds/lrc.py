@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-import numpy as np
-
 from .classify import classify
 from .codes import (
     LinearCode,
@@ -224,19 +222,20 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
     if len(out) == code.n:
         return out
 
-    # Fallback coordinates; dets holds [u, v, w], then the three numerators.
-    cols = code.generator.data.T
+    # Fallback coordinates: Cramer's rule over the first independent triple.
+    cols = code.columns
     for i in range(code.n):
         if i in out:
             continue
-        others = np.delete(np.arange(code.n), i)
-        basis = _first_basis(ctx, cols[others])
+        others = [j for j in range(code.n) if j != i]
+        basis = _first_basis(ctx, [cols[j] for j in others])
         if basis is None:
             raise ValueError(f"no repair set found for coordinate {i}")
-        triple = tuple(others[list(basis)].tolist())
-        u, v, w, x = cols[[*triple, i]]
-        dets = _det(ctx, np.stack([u, x, u, u]), np.stack([v, v, x, v]), np.stack([w, w, w, x]))
-        lam = tuple(ctx.mul_vec(ctx.inv(int(dets[0])), dets[1:]).tolist())
+        triple = tuple(others[b] for b in basis)
+        u, v, w = (cols[j] for j in triple)
+        x = cols[i]
+        scale = ctx.inv(_det(ctx, u, v, w))
+        lam = tuple(ctx.mul(scale, _det(ctx, *m)) for m in ((x, v, w), (u, x, w), (u, v, x)))
         if not all(lam):
             raise AssertionError(
                 f"coordinate {i} lies on a smaller dependency; triple search inconsistent"
@@ -252,5 +251,5 @@ def repair_value(
     idx, coeffs = entry
     acc = 0
     for j, h in zip(idx, coeffs):
-        acc ^= ctx.mul(h, int(codeword[j]))
+        acc ^= ctx.mul(h, codeword[j])
     return acc

@@ -1,10 +1,12 @@
 """Generic linear algebra over GF(2^m), kept as independent test oracles.
 
-The package reads every dimension-3 code off cross products in PG(2, q).
-These oracles work on any generator matrix and share none of that kernel:
-a pure-Python RREF with its rank and null-space dual, exhaustive enumeration
-of all q^k codewords for the weight distribution, and the RREF-based repair
-map the package used before Cramer's rule.  The random dimension-3 codes
+The package reads every dimension-3 code off cross products in PG(2, q),
+in pure Python.  These oracles work on any generator matrix, given with its
+field as a 2-D numpy array (or anything ``np.asarray`` takes, such as a
+``MatrixGF``'s ``data``), and share none of that kernel: a pure-Python RREF
+with its rank and null-space dual, exhaustive enumeration of all q^k
+codewords for the weight distribution on numpy arrays, and the RREF-based
+repair map the package used before Cramer's rule.  The random dimension-3 codes
 that several test modules draw are here too, since their rank filter is
 the RREF.  So are the oval facts behind the registry's odd-m constraint,
 as predicates on the value tables of maps GF(q) -> GF(q), built from
@@ -13,6 +15,7 @@ weight-3 dual supports that the locality verdicts rest on.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -24,11 +27,19 @@ from nmds.field import GF2m
 SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
 
 
-def rref(mat: MatrixGF) -> MatrixGF:
+def _array(mat) -> np.ndarray:
+    """A matrix over GF(q) as a 2-D int64 array: a MatrixGF's ``data``, nested lists or an array."""
+    arr = np.asarray(mat, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ValueError("a matrix must be two-dimensional")
+    return arr
+
+
+def rref(ctx: GF2m, mat) -> np.ndarray:
     """Reduced row echelon form over GF(q) (unique)."""
-    ctx = mat.ctx
-    rows = [list(map(int, r)) for r in mat.data]
-    nrows, ncols = mat.rows, mat.cols
+    arr = _array(mat)
+    nrows, ncols = arr.shape
+    rows = arr.tolist()
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -44,59 +55,77 @@ def rref(mat: MatrixGF) -> MatrixGF:
         r += 1
         if r == nrows:
             break
-    return MatrixGF(ctx, rows if rows else np.zeros((0, ncols), dtype=np.int64))
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols)
 
 
-def rank(mat: MatrixGF) -> int:
+def rank(ctx: GF2m, mat) -> int:
     """Rank over GF(q)."""
-    reduced = rref(mat)
-    return sum(1 for i in range(reduced.rows) if any(reduced.data[i]))
+    return int(rref(ctx, mat).any(axis=1).sum())
 
 
-def dual(gen: MatrixGF) -> MatrixGF:
+def dual(ctx: GF2m, gen) -> np.ndarray:
     """Generator of the dual code, via a null-space basis of ``gen``."""
-    ctx, n, k = gen.ctx, gen.cols, gen.rows
+    k, n = _array(gen).shape
     if k == 0:
-        return MatrixGF(ctx, np.eye(n, dtype=np.int64))
-    reduced = rref(gen)
+        return np.eye(n, dtype=np.int64)
+    reduced = rref(ctx, gen)
     # Pivots are the leading columns of the nonzero rows of the RREF.
-    pivots = []
-    for i in range(reduced.rows):
-        lead = next((c for c in range(n) if reduced.data[i][c]), None)
-        if lead is not None:
-            pivots.append(lead)
+    pivots = [int(np.flatnonzero(row)[0]) for row in reduced if row.any()]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
         vec = [0] * n
         vec[f] = 1
         for i, p in enumerate(pivots):
-            vec[p] = int(reduced.data[i][f])  # -x = x in characteristic 2
+            vec[p] = int(reduced[i][f])  # -x = x in characteristic 2
         basis.append(vec)
-    if not basis:
-        return MatrixGF(ctx, np.zeros((0, n), dtype=np.int64))
-    return MatrixGF(ctx, basis)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), n)
 
 
-def scale_table(ctx: GF2m, vec: np.ndarray) -> np.ndarray:
+@cache
+def _mul_table(m: int, modulus: int) -> np.ndarray:
+    ctx = GF2m(m, modulus)
+    return np.array([[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)], dtype=np.int64)
+
+
+def mul_table(ctx: GF2m) -> np.ndarray:
+    """The q x q multiplication table of the field, from ``GF2m.mul``:
+    ``mul_table(ctx)[u, v]`` multiplies two value arrays elementwise."""
+    return _mul_table(ctx.m, ctx.modulus)
+
+
+def normalize_rows(ctx: GF2m, vecs) -> np.ndarray:
+    """Rows scaled so that the first nonzero entry is 1; zero rows stay zero."""
+    vecs = _array(vecs)
+    inverse = np.array([0] + [ctx.inv(a) for a in range(1, ctx.q)], dtype=np.int64)
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    return mul_table(ctx)[vecs, inverse[lead][:, None]]
+
+
+def cross_rows(ctx: GF2m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross products u x v of (N, 3) arrays (signs vanish in characteristic 2)."""
+    mul = mul_table(ctx)
+    return mul[u[:, [1, 2, 0]], v[:, [2, 0, 1]]] ^ mul[u[:, [2, 0, 1]], v[:, [1, 2, 0]]]
+
+
+def scale_table(ctx: GF2m, vec) -> np.ndarray:
     """All q scalings of vec, as a (q, len(vec)) uint16 array; row a = a*vec."""
-    scalars = np.arange(ctx.q, dtype=np.int64)
-    out = ctx.mul_vec(scalars[:, None], vec[None, :])
-    return out.astype(np.uint16)
+    return mul_table(ctx)[:, np.asarray(vec, dtype=np.int64)].astype(np.uint16)
 
 
-def scaled_rows(gen: MatrixGF) -> list[np.ndarray]:
+def scaled_rows(ctx: GF2m, gen) -> list[np.ndarray]:
     """Per-row scaling tables: entry [a, j] = a * G[i, j], shape (q, n) uint16."""
-    return [scale_table(gen.ctx, gen.data[i]) for i in range(gen.rows)]
+    return [scale_table(ctx, row) for row in _array(gen)]
 
 
-def enumerated_distribution(gen: MatrixGF) -> WeightDistribution:
+def enumerated_distribution(ctx: GF2m, gen) -> WeightDistribution:
     """Distribution by enumerating all q^k codewords of the row space of ``gen``."""
-    q, n, k = gen.ctx.q, gen.cols, gen.rows
+    q = ctx.q
+    k, n = _array(gen).shape
     if k == 0:
         return WeightDistribution(n, (1,) + (0,) * n)
 
-    scaled = scaled_rows(gen)
+    scaled = scaled_rows(ctx, gen)
     counts = np.zeros(n + 1, dtype=np.int64)
     last = scaled[-1]
     if k == 1:
@@ -157,23 +186,16 @@ def repair_map(code) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         return out
 
     # Fallback coordinates: express column i over an independent column triple.
-    cols = code.generator.data.T.tolist()
+    gen = np.array(code.generator.data, dtype=np.int64)
     for i in range(code.n):
         if i in out:
             continue
         others = [j for j in range(code.n) if j != i]
-        triple = next((
-            t for t in combinations(others, 3)
-            if rank(MatrixGF(ctx, [[cols[j][row] for j in t] for row in range(3)])) == 3
-        ), None)
+        triple = next((t for t in combinations(others, 3) if rank(ctx, gen[:, list(t)]) == 3), None)
         if triple is None:
             raise ValueError(f"no repair set found for coordinate {i}")
-        aug = MatrixGF(
-            ctx,
-            [[cols[t][row] for t in triple] + [cols[i][row]] for row in range(3)],
-        )
-        solved = rref(aug)
-        lam = tuple(int(solved.data[row][3]) for row in range(3))
+        solved = rref(ctx, gen[:, [*triple, i]])  # the augmented matrix [u v w | x]
+        lam = tuple(int(solved[row][3]) for row in range(3))
         if not all(lam):
             raise AssertionError(
                 f"coordinate {i} lies on a smaller dependency; triple search inconsistent"
@@ -247,5 +269,5 @@ def dimension3_codes(draw):
         else:
             cols.append(tuple(draw(st.integers(0, ctx.q - 1)) for _ in range(3)))
     gen = MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
-    assume(rank(gen) == 3)
+    assume(rank(ctx, gen.data) == 3)
     return LinearCode(gen)

@@ -223,7 +223,7 @@ def conic_hypothesis_problems(code, q: int) -> list[str]:
     meets the conic in at most two columns and so contains column q.
     """
     ctx = code.ctx
-    cols = [tuple(int(v) for v in code.generator.data[:, j]) for j in range(code.n)]
+    cols = list(code.columns)
 
     def on_conic(col):
         x, y, z = col
@@ -316,10 +316,10 @@ def test_criterion_8_property_suite():
         for seed in range(3):
             perm_rng = np.random.default_rng(seed)
             cols = perm_rng.permutation(base.n)
-            shuffled = LinearCode(MatrixGF(ctx8, base.generator.data[:, cols]))
+            shuffled = LinearCode(MatrixGF(ctx8, np.array(base.generator.data)[:, cols]))
             if weight_distribution(shuffled).counts != ref:
                 problems.append(f"{cid}: column permutation changed the distribution")
-        scaled_rows = [list(ctx8.mul_vec(3, base.generator.data[0]))] + [
+        scaled_rows = [[ctx8.mul(3, v) for v in base.generator.data[0]]] + [
             list(base.generator.data[i]) for i in (1, 2)
         ]
         if weight_distribution(LinearCode(MatrixGF(ctx8, scaled_rows))).counts != ref:
@@ -328,7 +328,7 @@ def test_criterion_8_property_suite():
     # extension: zero row sums always, and distance growth for e1
     for cid in ALL:
         ext = extend(build(cid, ctx8))
-        if np.bitwise_xor.reduce(ext.generator.data, axis=1).any():
+        if np.bitwise_xor.reduce(np.array(ext.generator.data), axis=1).any():
             problems.append(f"{cid}: extension rows do not sum to zero")
     for m in (3, 5):
         ctx = GF2m(m)

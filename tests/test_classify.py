@@ -74,8 +74,8 @@ def test_classify_matches_enumeration_oracle(seed):
         except ValueError:
             continue
     verdict = classify(code)
-    d = enumerated_distribution(code.generator).min_distance
-    dd = enumerated_distribution(dual(code.generator)).min_distance
+    d = enumerated_distribution(ctx, code.generator.data).min_distance
+    dd = enumerated_distribution(ctx, dual(ctx, code.generator.data)).min_distance
     defect = code.n - code.k + 1 - d
     dual_defect = code.k + 1 - dd
     expected = (

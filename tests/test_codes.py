@@ -13,15 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import nmds.codes
 from nmds.codes import (
-    _PAIR_BLOCK,
     _canonical_columns,
     _check_enumeration_guard,
-    _collinear_triples,
-    _cross,
     _line_table,
-    _normalize_rows,
-    _run_starts,
     LinearCode,
     MatrixGF,
     WeightDistribution,
@@ -36,9 +32,12 @@ from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
 from nmds.field import GF2m
 from oracles import (
     SMALL_FIELDS,
+    cross_rows,
     dimension3_codes,
     dual,
     enumerated_distribution,
+    mul_table,
+    normalize_rows,
     rank,
     rref,
     scaled_rows,
@@ -67,33 +66,31 @@ def brute_force_rank(ctx, rows):
 # ---------------------------------------------------------------------------
 
 def test_rank_identity_and_zero(ctx8):
-    eye = MatrixGF(ctx8, np.eye(3, dtype=np.int64))
-    assert rank(eye) == 3
-    assert rank(MatrixGF(ctx8, np.zeros((3, 3), dtype=np.int64))) == 0
+    assert rank(ctx8, np.eye(3, dtype=np.int64)) == 3
+    assert rank(ctx8, np.zeros((3, 3), dtype=np.int64)) == 0
 
 
 def test_rank_dependent_tail_columns(ctx8):
     # rows (0,0,0), (0,1,1), (1,0,1): two independent rows
-    m = MatrixGF(ctx8, [[0, 0, 0], [0, 1, 1], [1, 0, 1]])
-    assert rank(m) == 2
+    assert rank(ctx8, [[0, 0, 0], [0, 1, 1], [1, 0, 1]]) == 2
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_matches_span_oracle(ctx4, seed):
     rng = np.random.default_rng(seed)
     rows = [[int(v) for v in rng.integers(0, 4, size=4)] for _ in range(3)]
-    assert rank(MatrixGF(ctx4, rows)) == brute_force_rank(ctx4, rows)
+    assert rank(ctx4, rows) == brute_force_rank(ctx4, rows)
 
 
 def test_rref_is_idempotent_and_normalized(ctx8):
-    m = MatrixGF(ctx8, [[2, 3, 4, 5], [6, 7, 1, 2], [4, 6, 5, 7]])
-    r1 = rref(m)
-    assert rref(r1) == r1
-    for i in range(r1.rows):
-        lead = next((c for c in range(r1.cols) if r1.data[i][c]), None)
+    r1 = rref(ctx8, [[2, 3, 4, 5], [6, 7, 1, 2], [4, 6, 5, 7]])
+    assert np.array_equal(rref(ctx8, r1), r1)
+    rows, cols = r1.shape
+    for i in range(rows):
+        lead = next((c for c in range(cols) if r1[i][c]), None)
         if lead is not None:
-            assert r1.data[i][lead] == 1
-            assert all(r1.data[t][lead] == 0 for t in range(r1.rows) if t != i)
+            assert r1[i][lead] == 1
+            assert all(r1[t][lead] == 0 for t in range(rows) if t != i)
 
 
 def test_matrix_validates_entries(ctx8):
@@ -139,7 +136,7 @@ def low_rank_generators(draw):
 @settings(max_examples=150, deadline=None)
 @given(low_rank_generators())
 def test_full_rank_check_matches_rank(gen):
-    if rank(gen) == 3:
+    if rank(gen.ctx, gen.data) == 3:
         assert LinearCode(gen).k == 3
     else:
         with pytest.raises(ValueError, match="full row rank"):
@@ -150,11 +147,12 @@ def test_codeword_encoding_matches_manual(ctx8):
     code = build("c", ctx8)
     msg = [3, 5, 7]
     word = code.codeword(msg)
-    for j, col in enumerate(code.generator.data.T.tolist()):
+    assert isinstance(word, list) and len(word) == code.n
+    for j, col in enumerate(zip(*code.generator.data)):
         expect = 0
         for a, g in zip(msg, col):
             expect ^= ctx8.mul(a, g)
-        assert int(word[j]) == expect
+        assert word[j] == expect
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +172,20 @@ def test_weight_distribution_d_q8(codes8):
 
 def test_weight_distribution_zero_code(ctx8):
     # the enumeration oracle on the zero code, the dual of the full space
-    zero = dual(MatrixGF(ctx8, np.eye(4, dtype=np.int64)))
-    wd = enumerated_distribution(zero)
+    zero = dual(ctx8, np.eye(4, dtype=np.int64))
+    wd = enumerated_distribution(ctx8, zero)
     assert wd.counts == (1, 0, 0, 0, 0)
 
 
 def test_weight_distribution_small_brute_force(ctx4):
     # the enumeration oracle against the 16 codewords of a [4, 2] code by hand
-    gen = MatrixGF(ctx4, [[1, 0, 2, 3], [0, 1, 1, 1]])
+    gen = [[1, 0, 2, 3], [0, 1, 1, 1]]
     counts = [0] * 5
     for a in range(4):
         for b in range(4):
             word = [a, b, ctx4.mul(a, 2) ^ b, ctx4.mul(a, 3) ^ b]
             counts[sum(1 for v in word if v)] += 1
-    assert enumerated_distribution(gen).counts == tuple(counts)
+    assert enumerated_distribution(ctx4, gen).counts == tuple(counts)
 
 
 def test_weight_distribution_sum_invariant(codes8):
@@ -198,12 +196,12 @@ def test_weight_distribution_sum_invariant(codes8):
 def test_minimum_distance_examples(ctx8, ctx4):
     assert weight_distribution(build("c", ctx8)).min_distance == 9
     assert weight_distribution(build("e", ctx4)).min_distance == 2
-    ones = MatrixGF(ctx8, [[1] * 7])  # the [7, 1] repetition code, on the oracle
-    assert enumerated_distribution(ones).min_distance == 7
+    ones = [[1] * 7]  # the [7, 1] repetition code, on the oracle
+    assert enumerated_distribution(ctx8, ones).min_distance == 7
 
 
 def test_minimum_distance_zero_code_rejected(ctx8):
-    zero = enumerated_distribution(dual(MatrixGF(ctx8, np.eye(3, dtype=np.int64))))
+    zero = enumerated_distribution(ctx8, dual(ctx8, np.eye(3, dtype=np.int64)))
     with pytest.raises(ValueError, match="zero code"):
         zero.min_distance
 
@@ -221,7 +219,7 @@ def test_enumeration_guard():
 
 def test_row_scaling_invariance(ctx8):
     base = build("d", ctx8)
-    scaled_rows = [list(ctx8.mul_vec(5, base.generator.data[0]))] + [
+    scaled_rows = [[ctx8.mul(5, v) for v in base.generator.data[0]]] + [
         list(base.generator.data[i]) for i in (1, 2)
     ]
     scaled = LinearCode(MatrixGF(ctx8, scaled_rows))
@@ -235,7 +233,7 @@ def test_column_permutation_invariance(rnd):
     base = build("e1bar", ctx)
     cols = list(range(base.n))
     rnd.shuffle(cols)
-    permuted = LinearCode(MatrixGF(ctx, base.generator.data[:, cols]))
+    permuted = LinearCode(MatrixGF(ctx, np.array(base.generator.data)[:, cols]))
     assert weight_distribution(permuted).counts == weight_distribution(base).counts
 
 
@@ -245,9 +243,9 @@ def test_column_permutation_invariance(rnd):
 
 def test_dual_dimension_and_orthogonality(codes8):
     code = codes8["c"]
-    dd = dual(code.generator)
-    assert (dd.cols, dd.rows) == (12, 9)
-    for hrow in dd.data:
+    dd = dual(code.ctx, code.generator.data)
+    assert dd.shape == (9, 12)
+    for hrow in dd:
         for grow in code.generator.data:
             acc = 0
             for a, b in zip(hrow, grow):
@@ -256,16 +254,15 @@ def test_dual_dimension_and_orthogonality(codes8):
 
 
 def test_dual_of_full_space_is_zero_code(ctx8):
-    full = MatrixGF(ctx8, np.eye(5, dtype=np.int64))
-    z = dual(full)
-    assert (z.cols, z.rows) == (5, 0)
-    assert dual(z).rows == 5
+    z = dual(ctx8, np.eye(5, dtype=np.int64))
+    assert z.shape == (0, 5)
+    assert dual(ctx8, z).shape == (5, 5)
 
 
 def test_dual_dual_is_original(ctx4):
     code = build("e", ctx4)
-    back = dual(dual(code.generator))
-    assert rref(back) == rref(code.generator)
+    back = dual(ctx4, dual(ctx4, code.generator.data))
+    assert np.array_equal(rref(ctx4, back), rref(ctx4, code.generator.data))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ def test_min_weight_dual_codewords_annihilate_rescaled_columns(codes8):
     for cid, code in codes8.items():
         ctx = code.ctx
         scales = rng.integers(1, ctx.q, size=code.n)
-        scaled = LinearCode(MatrixGF(ctx, ctx.mul_vec(code.generator.data, scales[None, :])))
+        scaled = LinearCode(MatrixGF(ctx, mul_table(ctx)[np.array(code.generator.data), scales]))
         entries = min_weight_dual_codewords(scaled)
         assert [sup for sup, _ in entries] == [sup for sup, _ in min_weight_dual_codewords(code)]
         for sup, coeffs in entries:
@@ -347,7 +344,7 @@ def test_min_weight_codewords_c_q8(codes8):
     assert len(words) * 7 == 70  # one line per scalar class
     for zeros, line in words:
         assert next(v for v in line if v) == 1
-        word = code.codeword(line)
+        word = np.array(code.codeword(line))
         assert np.count_nonzero(word) == 9
         assert zeros == tuple(np.flatnonzero(word == 0).tolist())
 
@@ -355,10 +352,12 @@ def test_min_weight_codewords_c_q8(codes8):
 def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
     code = build("c", ctx8)
     table = _line_table(code)
-    best = np.flatnonzero(table.sizes == table.sizes.max())
-    vectors = table.vectors.copy()
-    vectors[best[0]] = vectors[best[1]]  # two distinct lines share at most one column
-    code._derived[_line_table.__wrapped__] = replace(table, vectors=vectors)
+    size = max(len(cols) for _, cols in table.lines)
+    best = [i for i, (_, cols) in enumerate(table.lines) if len(cols) == size]
+    lines = list(table.lines)
+    # Two distinct lines share at most one column.
+    lines[best[0]] = (lines[best[1]][0], lines[best[0]][1])
+    code._derived[_line_table.__wrapped__] = replace(table, lines=tuple(lines))
     with pytest.raises(AssertionError, match="misses one of its columns"):
         min_weight_codewords(code)
 
@@ -386,7 +385,7 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
         except ValueError:
             continue
         checked += 1
-        dual_dist = enumerated_distribution(dual(code.generator))
+        dual_dist = enumerated_distribution(ctx4, dual(ctx4, code.generator.data))
         true_dd = dual_dist.min_distance
         got = dual_distance_exact(code)
         assert got == (true_dd if true_dd <= 3 else None)
@@ -403,7 +402,7 @@ def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int],
     """(support, word) pairs, each word scaled so its first nonzero symbol is 1."""
     return [
         (frozenset(np.flatnonzero(w).tolist()), tuple(w.tolist()))
-        for w in _normalize_rows(ctx, words)
+        for w in normalize_rows(ctx, words)
     ]
 
 
@@ -429,7 +428,7 @@ def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int],
     """Minimum-weight words by enumerating one message per scalar class."""
     q, k, n = code.ctx.q, code.k, code.n
     msgs = _projective_messages(q, k)
-    scaled = scaled_rows(code.generator)
+    scaled = scaled_rows(code.ctx, code.generator.data)
     block_size = max(1, (1 << 24) // max(1, n))
     d = n + 1
     kept: list[np.ndarray] = []
@@ -455,16 +454,22 @@ def encoded_min_weight_words(code):
     d = weight_distribution(code).min_distance
     words = []
     for zeros, line in min_weight_codewords(code):
-        word = code.codeword(line)
+        word = np.array(code.codeword(line))
         assert np.count_nonzero(word) == d
         assert zeros == tuple(np.flatnonzero(word == 0).tolist())
         words.append(word)
     return _canonical_words(code.ctx, np.array(words))
 
 
+def collinear_triples(code):
+    """The column triples on the table lines with three or more columns, in
+    lexicographic order: the supports of the weight-3 dual words when the
+    columns are pairwise independent."""
+    return sorted(t for _, cols in _line_table(code).lines for t in combinations(cols, 3))
+
+
 def column_rank(code, idx):
-    cols = code.generator.data[:, list(idx)]
-    return rank(MatrixGF(code.ctx, cols))
+    return rank(code.ctx, np.array(code.generator.data)[:, list(idx)])
 
 
 def rank_dual_distance(code):
@@ -477,10 +482,14 @@ def rank_dual_distance(code):
 
 def determinant_triples(code):
     """Oracle: i < j < l with det[c_i c_j c_l] = 0 by cofactor expansion."""
-    u, v, w = code.generator.data
+    u, v, w = np.array(code.generator.data)
     tri = np.array(list(combinations(range(code.n), 3)))
     i, j, l = tri.T
-    mul = code.ctx.mul_vec
+    table = mul_table(code.ctx)
+
+    def mul(a, b):
+        return table[a, b]
+
     det = (
         mul(u[i], mul(v[j], w[l]) ^ mul(w[j], v[l]))
         ^ mul(v[i], mul(u[j], w[l]) ^ mul(w[j], u[l]))
@@ -492,23 +501,27 @@ def determinant_triples(code):
 @settings(max_examples=100, deadline=None)
 @given(dimension3_codes())
 def test_line_table_matches_oracles(code):
-    assert weight_distribution(code) == enumerated_distribution(code.generator)
+    assert weight_distribution(code) == enumerated_distribution(code.ctx, code.generator.data)
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = rank_dual_distance(code)
     assert dual_distance_exact(code) == dd
     if dd not in (1, 2):
         rank2 = [t for t in combinations(range(code.n), 3) if column_rank(code, t) <= 2]
-        assert _collinear_triples(code) == rank2
+        assert collinear_triples(code) == rank2
+    if dd == 3:
+        assert [sup for sup, _ in min_weight_dual_codewords(code)] == rank2
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 @pytest.mark.parametrize("cid", CONSTRUCTION_IDS)
 def test_line_table_matches_enumeration_all_ids(cid, m):
     code = build(cid, GF2m(m))
-    assert weight_distribution(code) == enumerated_distribution(code.generator)
+    assert weight_distribution(code) == enumerated_distribution(code.ctx, code.generator.data)
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     if dual_distance_exact(code) in (3, None):
-        assert _collinear_triples(code) == determinant_triples(code)
+        assert collinear_triples(code) == determinant_triples(code)
+    if dual_distance_exact(code) == 3:
+        assert [sup for sup, _ in min_weight_dual_codewords(code)] == determinant_triples(code)
 
 
 @dataclass(frozen=True)
@@ -529,7 +542,7 @@ def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
     distinct points, then the (line, column) incidences by sort and dedupe."""
     ctx, q, n = code.ctx, code.ctx.q, code.n
     _check_enumeration_guard(q)
-    canon = _canonical_columns(code)
+    canon = normalize_rows(ctx, np.array(code.generator.data).T)
     radix = np.array([q * q, q, 1])
     key = canon @ radix  # the point of each column as a number, 0 for a zero column
     cols = np.flatnonzero(key)
@@ -537,29 +550,19 @@ def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
     a, b = cols[i], cols[j]
     distinct = key[a] != key[b]
     a, b = a[distinct], b[distinct]
-    # In blocks, so the temporaries of the field products stay small at large q.
-    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, len(a), _PAIR_BLOCK)]
-    line_key = np.concatenate([
-        _normalize_rows(ctx, _cross(ctx, canon[a[s]], canon[b[s]])) @ radix for s in blocks
-    ])
-    # Sort and mask rather than np.unique, whose first call in a process
-    # costs more than the whole table at small q.
-    incidences = np.sort(np.concatenate([line_key * n + a, line_key * n + b]))
-    incidences = incidences[_run_starts(incidences)]
+    line_key = normalize_rows(ctx, cross_rows(ctx, canon[a], canon[b]).reshape(-1, 3)) @ radix
+    incidences = np.unique(np.concatenate([line_key * n + a, line_key * n + b]))
     line_of, columns = np.divmod(incidences, n)
-    starts = _run_starts(line_of)
-    keys = line_of[starts]
-    point_keys = key[cols]
-    order = np.argsort(point_keys)
-    first = _run_starts(point_keys[order])  # one column per distinct point
+    keys, starts = np.unique(line_of, return_index=True)
+    _, first, point_mult = np.unique(key[cols], return_index=True, return_counts=True)
     return AllPairsLineTable(
         zeros=n - len(cols),
         vectors=np.stack([keys // (q * q), keys // q % q, keys % q], axis=1),
         sizes=np.diff(np.append(starts, len(columns))),
         starts=starts,
         columns=columns,
-        point_mult=np.diff(np.append(first, len(cols))),
-        point_lines=np.bincount(columns, minlength=n)[cols[order[first]]],
+        point_mult=point_mult,
+        point_lines=np.bincount(columns, minlength=n)[cols[first]],
     )
 
 
@@ -577,7 +580,7 @@ def all_pairs_facts(code):
     ).astype(np.int64)
     lines_by_z[table.zeros] += q * q + q + 1 - len(table.sizes) - int(lone.sum())
     dist = WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
-    zero_cols = np.flatnonzero(~code.generator.data.any(axis=0)).tolist()
+    zero_cols = np.flatnonzero(~np.array(code.generator.data).any(axis=0)).tolist()
     on_line = [table.columns[s : s + t].tolist() for s, t in zip(table.starts, table.sizes)]
     best = table.sizes.max()
     words = sorted(
@@ -592,7 +595,7 @@ def all_pairs_facts(code):
 def dual_distance_oracle(code, triples):
     """The smallest w <= 3 with w dependent columns, from column ranks and
     the triples of a vanishing determinant."""
-    if not code.generator.data.any(axis=0).all():
+    if not np.array(code.generator.data).any(axis=0).all():
         return 1
     if any(column_rank(code, pair) < 2 for pair in combinations(range(code.n), 2)):
         return 2
@@ -625,7 +628,7 @@ def conic_codes(draw):
     scales = draw(st.lists(scale, min_size=len(cols), max_size=len(cols)))
     cols = [tuple(ctx.mul(a, v) for v in c) for a, c in zip(scales, cols)]
     gen = conic_generator(ctx, draw(st.permutations(cols)))
-    assume(rank(gen) == 3)
+    assume(rank(ctx, gen.data) == 3)
     return LinearCode(gen)
 
 
@@ -638,13 +641,15 @@ def conic_codes(draw):
 @example(LinearCode(conic_generator(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)])))
 def test_arc_line_table_matches_all_pairs_oracle(code):
     dist, words, triples = all_pairs_facts(code)
-    assert weight_distribution(code) == dist == enumerated_distribution(code.generator)
+    assert weight_distribution(code) == dist == enumerated_distribution(
+        code.ctx, code.generator.data
+    )
     assert sorted(min_weight_codewords(code)) == words
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = dual_distance_oracle(code, determinant_triples(code))
     assert dual_distance_exact(code) == dd
     if dd not in (1, 2):
-        assert _collinear_triples(code) == triples == determinant_triples(code)
+        assert collinear_triples(code) == triples == determinant_triples(code)
 
 
 def test_line_table_rejects_three_collinear_arc_points(ctx8):
@@ -652,23 +657,42 @@ def test_line_table_rejects_three_collinear_arc_points(ctx8):
     # points carrying one column each; the line through them and a residue
     # point then holds a third conic column.
     code = build("c", ctx8)
-    canon = _canonical_columns(code).copy()
-    assert canon[0].tolist() == [1, 1, 1] and canon[ctx8.q].tolist() == [0, 0, 1]
-    canon[ctx8.q] = [2, 2, 2]
-    code._derived[_canonical_columns.__wrapped__] = canon
+    canon = list(_canonical_columns(code))
+    assert canon[0] == (1, 1, 1) and canon[ctx8.q] == (0, 0, 1)
+    canon[ctx8.q] = (2, 2, 2)
+    code._derived[_canonical_columns.__wrapped__] = tuple(canon)
     with pytest.raises(AssertionError, match="three arc points"):
         weight_distribution(code)
 
 
-def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8):
-    code = build("c", ctx8)
+def _moved_columns(code, vector, columns):
+    """The code's line table with the columns of line ``vector``, which must
+    be 7, 8 and 10, replaced by ``columns``."""
     table = _line_table(code)
-    line = np.flatnonzero(table.sizes == 3)[0]
-    assert table.vectors[line].tolist() == [0, 1, 0]  # y = 0, which column 1 = (1, a, a^2) misses
-    columns = table.columns.copy()
-    columns[table.starts[line]] = 1
-    code._derived[_line_table.__wrapped__] = replace(table, columns=columns)
+    assert dict(table.lines)[vector] == (7, 8, 10)
+    lines = tuple((v, columns if v == vector else cols) for v, cols in table.lines)
+    return replace(table, lines=lines)
+
+
+def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8, monkeypatch):
+    # The line y = 0 of c holds columns 7 = (1, 0, 0), 8 = (0, 0, 1) and
+    # 10 = (1, 0, 1); column 1 = (1, a, a^2) is off it.  Its minors on x and z
+    # are nonzero, so only the y coordinate shows the fault.
+    code = build("c", ctx8)
+    table = _moved_columns(code, (0, 1, 0), (1, 8, 10))
+    monkeypatch.setattr(nmds.codes, "_line_table", lambda code: table)
     with pytest.raises(AssertionError, match="misses its columns"):
+        min_weight_dual_codewords(code)
+
+
+def test_min_weight_dual_codewords_rejects_a_partial_support(ctx8, monkeypatch):
+    # Column 9 = (0, 1, 0) in place of column 10 on y = 0 is zero on x and z,
+    # so two of the triple's 2 x 2 minors vanish.
+    code = build("c", ctx8)
+    assert code.columns[9] == (0, 1, 0)
+    table = _moved_columns(code, (0, 1, 0), (7, 8, 9))
+    monkeypatch.setattr(nmds.codes, "_line_table", lambda code: table)
+    with pytest.raises(AssertionError, match="partial-support dependency found"):
         min_weight_dual_codewords(code)
 
 
@@ -698,7 +722,7 @@ def test_macwilliams_c_q8(codes8):
 
 
 def test_macwilliams_full_code(ctx4):
-    wd = enumerated_distribution(MatrixGF(ctx4, np.eye(4, dtype=np.int64)))
+    wd = enumerated_distribution(ctx4, np.eye(4, dtype=np.int64))
     out = macwilliams(wd, 4, 4)
     assert out.counts == (1, 0, 0, 0, 0)
 
@@ -715,7 +739,7 @@ def test_macwilliams_matches_dual_enumeration(ctx4):
     # at q=4 the dual of a [5, 3] code is small enough to enumerate directly
     code = build("e", ctx4)
     via_identity = macwilliams(weight_distribution(code), 3, 4)
-    via_enumeration = enumerated_distribution(dual(code.generator))
+    via_enumeration = enumerated_distribution(ctx4, dual(ctx4, code.generator.data))
     assert via_identity.counts == via_enumeration.counts
 
 
@@ -737,4 +761,4 @@ def test_matrix_text_roundtrip(codes8):
     mat = codes8["d"].generator
     head, *rows = matrix_to_text(mat).splitlines()
     assert head.split() == ["3", "11", "3", "0xb"]  # rows, cols, m, modulus
-    assert [[int(v, 16) for v in row.split()] for row in rows] == mat.data.tolist()
+    assert tuple(tuple(int(v, 16) for v in row.split()) for row in rows) == mat.data

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+import nmds.lrc
 import oracles
-from nmds.codes import dual_distance_exact, min_weight_codewords, min_weight_dual_codewords
+from nmds.codes import (
+    LinearCode,
+    MatrixGF,
+    dual_distance_exact,
+    min_weight_codewords,
+    min_weight_dual_codewords,
+)
 from nmds.constructions import CONSTRUCTION_IDS, build, expected_flags, expected_locality
 from nmds.field import GF2m
 from nmds.lrc import (
@@ -32,13 +39,14 @@ def definitional_dual_locality(code):
     """max_i min{wt(g) - 1 : g in code, g_i != 0}, by full enumeration."""
     ctx, q, n = code.ctx, code.ctx.q, code.n
     best = [None] * n
-    rows = code.generator.data
+    rows = np.array(code.generator.data)
+    mul = oracles.mul_table(ctx)
     for a in range(q):
         for b in range(q):
             for c in range(q):
                 if a == b == c == 0:
                     continue
-                vec = ctx.mul_vec(a, rows[0]) ^ ctx.mul_vec(b, rows[1]) ^ ctx.mul_vec(c, rows[2])
+                vec = mul[a, rows[0]] ^ mul[b, rows[1]] ^ mul[c, rows[2]]
                 w = int(np.count_nonzero(vec))
                 for i in np.nonzero(vec)[0]:
                     if best[i] is None or w < best[i]:
@@ -283,6 +291,19 @@ def test_repair_map_matches_rref_oracle_all_ids(m):
 def test_repair_map_matches_rref_oracle_on_random_codes(code):
     assume(dual_distance_exact(code) == 3)
     assert repair_map_or_error(repair_map, code) == repair_map_or_error(oracles.repair_map, code)
+
+
+def test_repair_map_rejects_a_coordinate_on_a_dropped_dependency(ctx4, monkeypatch):
+    # Columns e1, e2, e3, e1 + e2 and e1 + e2 + e3.  With the dual word on
+    # {0, 1, 3} dropped, coordinate 0 falls back to the first independent
+    # triple of the others, columns 1, 2 and 3, and e1 = e2 + (e1 + e2)
+    # gives column 2 a zero coefficient.
+    code = LinearCode(MatrixGF(ctx4, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]))
+    words = min_weight_dual_codewords(code)
+    assert [sup for sup, _ in words] == [(0, 1, 3), (2, 3, 4)]
+    monkeypatch.setattr(nmds.lrc, "min_weight_dual_codewords", lambda code: words[1:])
+    with pytest.raises(AssertionError, match="coordinate 0 lies on a smaller dependency"):
+        repair_map(code)
 
 
 def test_repair_zero_codeword(codes8):

@@ -1,4 +1,5 @@
-"""Every public name and member of the package is used by the package or the benchmark.
+"""Every public name and member of the package is used by the package or the
+benchmark, and the package runs without numpy.
 
 A name in a module's ``__all__`` must be reachable from code that runs:
 the module-level statements of ``src/nmds`` (the CLI entry point among
@@ -14,6 +15,9 @@ when no object's attribute of that name is ever read.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +112,26 @@ def _members(path: Path) -> list[str]:
 def test_every_member_is_read(path):
     reads = _attribute_reads()
     assert [name for name in _members(path) if name.split(".")[1] not in reads] == []
+
+
+def test_package_and_cli_never_import_numpy():
+    """numpy is a test dependency: importing it would cost most of the start-up
+    of a CLI call, so ``nmds`` and ``nmds verify|repair`` must run without it."""
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import nmds, nmds.cli",
+        "from nmds.cli import main, run_verification",
+        "report, failures = run_verification('c', 3)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    status = main(['repair', '--id', 'c', '--m', '3', '--erase', '0'])",
+        "if failures or status:",
+        "    sys.exit(f'verify failed {failures}, repair exited {status}')",
+        "if 'numpy' in sys.modules:",
+        "    sys.exit(f'numpy was imported: {sorted(m for m in sys.modules if \"numpy\" in m)}')",
+    ])
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -150,7 +150,7 @@ def small_codes(draw):
         st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n), min_size=k, max_size=k,
     ))
     gen = MatrixGF(ctx, np.array(rows, dtype=np.int64))
-    assume(rank(gen) == k)
+    assume(rank(ctx, gen.data) == k)
     return gen
 
 
@@ -158,7 +158,7 @@ def small_codes(draw):
 @given(gen=small_codes())
 def test_macwilliams_matches_oracle_on_random_codes(gen):
     # the distribution comes from the enumeration oracle, which takes any k
-    dist = enumerated_distribution(gen)
+    dist = enumerated_distribution(gen.ctx, gen.data)
     q, n, k = gen.ctx.q, gen.cols, gen.rows
     got = macwilliams(dist, k, q)
     assert got.counts == macwilliams_oracle(dist, k, q).counts
