@@ -8,7 +8,6 @@ classification, minimum-weight pairing, locality and bound checks.
 from .field import DEFAULT_MODULI, GF2m, poly_to_str
 from .codes import (
     LinearCode,
-    MatrixGF,
     WeightDistribution,
     dual_distance_exact,
     macwilliams,

@@ -134,12 +134,7 @@ def nmds_primal_distribution_from_Ank(n: int, k: int, q: int, a_nk: int) -> Weig
 class PairingReport:
     """Outcome of the disjoint-support pairing between minimum-weight codewords."""
 
-    counts_equal: bool
-    all_paired_uniquely: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.counts_equal and self.all_paired_uniquely
+    ok: bool
 
 
 def check_min_weight_pairing(code: LinearCode) -> PairingReport:
@@ -158,7 +153,4 @@ def check_min_weight_pairing(code: LinearCode) -> PairingReport:
         raise ValueError(f"pairing check requires an NMDS code, got {tag}")
     primal = min_weight_codewords(code)
     duals = min_weight_dual_codewords(code)
-    return PairingReport(
-        counts_equal=(len(primal) == len(duals)),
-        all_paired_uniquely=sorted(z for z, _ in primal) == [sup for sup, _ in duals],
-    )
+    return PairingReport(ok=sorted(z for z, _ in primal) == [sup for sup, _ in duals])

@@ -270,7 +270,7 @@ def _cmd_show(args) -> int:
     ctx = GF2m(args.m, args.modulus)
     code = cons.build(cid, ctx)
     if args.what == "matrix":
-        sys.stdout.write(matrix_to_text(code.generator))
+        sys.stdout.write(matrix_to_text(code))
         return 0
     if args.what == "enumerator":
         print(weight_distribution(code).enumerator_str())

@@ -1,6 +1,6 @@
-"""Dimension-3 linear codes over GF(2^m): matrices, distributions, duals.
+"""Dimension-3 linear codes over GF(2^m): columns, distributions, duals.
 
-A code is held by its 3 x n generator matrix, and every count comes from
+A code is held as its n generator columns, and every count comes from
 one table of lines of the projective plane PG(2, q).  A nonzero column
 is a point, a message is a line l up to scalars, and the codeword of l has
 weight n minus the number of columns on l.  The columns split into an arc,
@@ -46,7 +46,6 @@ from itertools import combinations, compress
 from .field import GF2m
 
 __all__ = [
-    "MatrixGF",
     "LinearCode",
     "WeightDistribution",
     "weight_distribution",
@@ -64,58 +63,43 @@ ENUMERATION_GUARD = 1 << 34
 Point = tuple[int, int, int]
 
 
-class MatrixGF:
-    """Dense matrix over GF(2^m): a tuple of row tuples of element values in a shared context."""
-
-    def __init__(self, ctx: GF2m, entries) -> None:
-        try:
-            data = tuple(tuple(map(int, row)) for row in entries)
-        except TypeError:
-            raise ValueError("entries must be two-dimensional") from None
-        if len(set(map(len, data))) > 1:
-            raise ValueError("entries must be two-dimensional")
-        if data and data[0] and not (min(map(min, data)) >= 0 and max(map(max, data)) < ctx.q):
-            raise ValueError("entry out of range for the field")
-        self.ctx = ctx
-        self.data = data
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
-
-    def __repr__(self) -> str:
-        return f"MatrixGF({self.rows}x{self.cols} over GF({self.ctx.q}))"
-
-
 class LinearCode:
-    """An [n, 3] linear code given by a rank-3 generator matrix.
+    """An [n, 3] linear code given by the n columns of a rank-3 generator.
 
     Every construction here has dimension 3 and every count reads the
-    columns as points of PG(2, q), so a generator with any other number of
-    rows is refused.  The columns are kept as 3-tuples.
+    columns as points of PG(2, q), so columns of any other length are
+    refused.  The columns are kept as 3-tuples of field elements 0..q-1.
     """
 
-    def __init__(self, generator: MatrixGF) -> None:
-        self.generator = generator
-        self.ctx = generator.ctx
-        self.n = generator.cols
-        self.k = generator.rows
-        if self.k != 3:
-            raise ValueError(f"k={self.k}: only dimension-3 codes are supported")
-        self.columns: tuple[Point, ...] = tuple(zip(*generator.data))
-        if _first_basis(self.ctx, self.columns) is None:
+    k = 3
+
+    def __init__(self, ctx: GF2m, columns) -> None:
+        try:
+            cols = tuple(map(tuple, columns))
+        except TypeError:
+            raise ValueError("columns must be two-dimensional") from None
+        lengths = set(map(len, cols))
+        if len(lengths) > 1:
+            raise ValueError("columns must be two-dimensional")
+        if not set().union(*cols) <= set(range(ctx.q)):
+            raise ValueError("entry out of range for the field")
+        if lengths - {3}:
+            raise ValueError(f"k={lengths.pop()}: only dimension-3 codes are supported")
+        if _first_basis(ctx, cols) is None:
             raise ValueError("generator matrix does not have full row rank")
+        self.ctx = ctx
+        self.n = len(cols)
+        self.columns: tuple[Point, ...] = cols
         self._derived: dict = {}  # per_code results, keyed by the deriving function
 
     def codeword(self, message) -> list[int]:
-        """Encode one message vector of length k."""
+        """Encode one message vector of length k over GF(q)."""
         msg = list(message)
         if len(msg) != self.k:
             raise ValueError(f"message length {len(msg)} != k={self.k}")
+        for a in msg:
+            if not 0 <= a < self.ctx.q:
+                raise ValueError(f"message entry {a} outside [0, {self.ctx.q})")
         exp, log = self.ctx._exp, self.ctx._log
         la, lb, lc = (log[a] for a in msg)
         return [exp[la + log[x]] ^ exp[lb + log[y]] ^ exp[lc + log[z]] for x, y, z in self.columns]
@@ -573,9 +557,8 @@ def macwilliams(dist: WeightDistribution, k: int, q: int) -> WeightDistribution:
 
 # -- text wire format ------------------------------------------------------------
 
-def matrix_to_text(mat: MatrixGF) -> str:
-    """Serialize: first line 'rows cols m modulus_hex', then row-major hex values."""
-    head = f"{mat.rows} {mat.cols} {mat.ctx.m} {hex(mat.ctx.modulus)}"
-    body = "\n".join(" ".join(format(v, "x") for v in row) for row in mat.data)
-    return head + "\n" + body + ("\n" if body else "")
-
+def matrix_to_text(code: LinearCode) -> str:
+    """Serialize the generator: first line 'k n m modulus_hex', then row-major hex values."""
+    lines = [f"{code.k} {code.n} {code.ctx.m} {hex(code.ctx.modulus)}"]
+    lines += [" ".join(format(v, "x") for v in row) for row in zip(*code.columns)]
+    return "\n".join(lines) + "\n"

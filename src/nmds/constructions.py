@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from operator import xor
 
-from .codes import LinearCode, MatrixGF
+from .codes import LinearCode
 from .field import GF2m
 
 __all__ = [
@@ -216,23 +216,17 @@ def expected_flags(cid: str) -> tuple[tuple[bool, bool, bool], tuple[bool, bool,
 
 
 def build(cid: str, ctx: GF2m) -> LinearCode:
-    """Generator matrix for the construction over the given field."""
-    cid = normalize_id(cid)
-    family = CONSTRUCTIONS[cid]
-    base = family.extends or cid
-    base_family = CONSTRUCTIONS[base]
+    """The construction's code over the given field."""
+    family = CONSTRUCTIONS[normalize_id(cid)]
     cols = [(1, a, ctx.mul(a, a)) for a in ctx.nonzero_elements()]
-    cols.extend(base_family.tail)
-    code = LinearCode(MatrixGF(ctx, zip(*cols)))
-    if family.extends:
-        code = extend(code)
-    return code
+    code = LinearCode(ctx, cols + list(family.tail))
+    return extend(code) if family.extends else code
 
 
 def extend(code: LinearCode) -> LinearCode:
     """Append one column so that every generator row sums to zero."""
-    rows = code.generator.data
-    return LinearCode(MatrixGF(code.ctx, [row + (reduce(xor, row, 0),) for row in rows]))
+    parity = tuple(reduce(xor, row, 0) for row in zip(*code.columns))
+    return LinearCode(code.ctx, code.columns + (parity,))
 
 
 @dataclass

@@ -1,17 +1,18 @@
 """Generic linear algebra over GF(2^m), kept as independent test oracles.
 
 The package reads every dimension-3 code off cross products in PG(2, q),
-in pure Python.  These oracles work on any generator matrix, given with its
-field as a 2-D numpy array (or anything ``np.asarray`` takes, such as a
-``MatrixGF``'s ``data``), and share none of that kernel: a pure-Python RREF
-with its rank and null-space dual, exhaustive enumeration of all q^k
-codewords for the weight distribution on numpy arrays, and the RREF-based
-repair map the package used before Cramer's rule.  The random dimension-3 codes
-that several test modules draw are here too, since their rank filter is
-the RREF.  So are the oval facts behind the registry's odd-m constraint,
-as predicates on the value tables of maps GF(q) -> GF(q), built from
-``mul``, ``inv`` and XOR alone, and the union and intersection of the
-weight-3 dual supports that the locality verdicts rest on.
+in pure Python.  These oracles work on any generator matrix, given with
+its field as a 2-D numpy array (or anything ``np.asarray`` takes, such as
+the rows that ``rows_of`` reads off a code's columns), and share none of
+that kernel: a pure-Python RREF with its rank and null-space dual,
+exhaustive enumeration of all q^k codewords for the weight distribution on
+numpy arrays, and the RREF-based repair map the package used before
+Cramer's rule.  The random dimension-3 codes that several test modules
+draw are here too, since their rank filter is the RREF.  So are the oval
+facts behind the registry's odd-m constraint, as predicates on the value
+tables of maps GF(q) -> GF(q), built from ``mul``, ``inv`` and XOR alone,
+and the union and intersection of the weight-3 dual supports that the
+locality verdicts rest on.
 """
 
 from collections import Counter
@@ -21,14 +22,19 @@ from itertools import combinations
 import numpy as np
 from hypothesis import assume, strategies as st
 
-from nmds.codes import LinearCode, MatrixGF, WeightDistribution, min_weight_dual_codewords
+from nmds.codes import LinearCode, WeightDistribution, min_weight_dual_codewords
 from nmds.field import GF2m
 
 SMALL_FIELDS = [GF2m(2), GF2m(3), GF2m(4)]
 
 
+def rows_of(code) -> tuple[tuple[int, ...], ...]:
+    """The 3 x n generator matrix of ``code`` as row tuples, read off its columns."""
+    return tuple(zip(*code.columns))
+
+
 def _array(mat) -> np.ndarray:
-    """A matrix over GF(q) as a 2-D int64 array: a MatrixGF's ``data``, nested lists or an array."""
+    """A matrix over GF(q) as a 2-D int64 array: row tuples, nested lists or an array."""
     arr = np.asarray(mat, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError("a matrix must be two-dimensional")
@@ -186,7 +192,7 @@ def repair_map(code) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         return out
 
     # Fallback coordinates: express column i over an independent column triple.
-    gen = np.array(code.generator.data, dtype=np.int64)
+    gen = np.array(rows_of(code), dtype=np.int64)
     for i in range(code.n):
         if i in out:
             continue
@@ -268,6 +274,5 @@ def dimension3_codes(draw):
             cols.append(tuple(ctx.mul(scale, v) for v in draw(st.sampled_from(cols))))
         else:
             cols.append(tuple(draw(st.integers(0, ctx.q - 1)) for _ in range(3)))
-    gen = MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
-    assume(rank(ctx, gen.data) == 3)
-    return LinearCode(gen)
+    assume(rank(ctx, list(zip(*cols))) == 3)
+    return LinearCode(ctx, cols)

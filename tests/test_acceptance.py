@@ -21,14 +21,20 @@ from nmds.classify import (
 )
 from nmds.codes import (
     LinearCode,
-    MatrixGF,
     dual_distance_exact,
     macwilliams,
     min_weight_codewords,
     min_weight_dual_codewords,
     weight_distribution,
 )
-from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile, extend
+from nmds.constructions import (
+    CONSTRUCTION_IDS,
+    CONSTRUCTIONS,
+    build,
+    expected_profile,
+    extend,
+    m_constraint_ok,
+)
 from nmds.field import GF2m
 from nmds.cli import run_verification
 from nmds.lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
@@ -105,6 +111,16 @@ REFERENCE_FLAGS = {
     "e1": (_AK, _DK), "e2": (_AK, _AK),
     "f1": (_AK, _DK), "f2": (_AK, _DK),
     "f3": (_AK, _AK),
+}
+
+# ids whose codes share the parameters [q + n_offset, 3, q + d_offset], keyed
+# by (n_offset, d_offset): the abstract's "same parameters but different
+# weight enumerators".
+SAME_PARAMETERS = {
+    (4, 1): ("c", "c1"),
+    (3, 0): ("d", "d1", "d2"),
+    (1, -2): ("e", "e1", "e2"),
+    (2, -1): ("e1bar", "f1", "f2", "f3"),
 }
 
 
@@ -205,11 +221,10 @@ def test_criterion_5_pairing_q8():
     problems = []
     for cid in ALL:
         code = build(cid, ctx)
-        report = check_min_weight_pairing(code)
-        if not report.counts_equal:
-            primal, dual = len(min_weight_codewords(code)), len(min_weight_dual_codewords(code))
+        primal, dual = len(min_weight_codewords(code)), len(min_weight_dual_codewords(code))
+        if primal != dual:
             problems.append(f"{cid}: counts {7 * primal} vs {7 * dual}")
-        if not report.all_paired_uniquely:
+        if not check_min_weight_pairing(code).ok:
             problems.append(f"{cid}: pairing not unique")
     announce(5, not problems, "" if not problems else "; ".join(problems))
     assert not problems
@@ -316,19 +331,17 @@ def test_criterion_8_property_suite():
         for seed in range(3):
             perm_rng = np.random.default_rng(seed)
             cols = perm_rng.permutation(base.n)
-            shuffled = LinearCode(MatrixGF(ctx8, np.array(base.generator.data)[:, cols]))
+            shuffled = LinearCode(ctx8, [base.columns[j] for j in cols])
             if weight_distribution(shuffled).counts != ref:
                 problems.append(f"{cid}: column permutation changed the distribution")
-        scaled_rows = [[ctx8.mul(3, v) for v in base.generator.data[0]]] + [
-            list(base.generator.data[i]) for i in (1, 2)
-        ]
-        if weight_distribution(LinearCode(MatrixGF(ctx8, scaled_rows))).counts != ref:
+        scaled = [(ctx8.mul(3, x), y, z) for x, y, z in base.columns]
+        if weight_distribution(LinearCode(ctx8, scaled)).counts != ref:
             problems.append(f"{cid}: row scaling changed the distribution")
 
     # extension: zero row sums always, and distance growth for e1
     for cid in ALL:
         ext = extend(build(cid, ctx8))
-        if np.bitwise_xor.reduce(np.array(ext.generator.data), axis=1).any():
+        if np.bitwise_xor.reduce(np.array(ext.columns), axis=0).any():
             problems.append(f"{cid}: extension rows do not sum to zero")
     for m in (3, 5):
         ctx = GF2m(m)
@@ -367,4 +380,28 @@ def test_criterion_9_scale_probe_q128():
     if elapsed >= 300.0:
         problems.append(f"runtime {elapsed:.2f}s >= 300s")
     announce(9, not problems, f"{elapsed:.2f}s" if not problems else "; ".join(problems))
+    assert not problems
+
+
+def test_criterion_10_same_parameters_different_enumerators():
+    start = time.perf_counter()
+    problems = []
+    for group in SAME_PARAMETERS.values():
+        if len({CONSTRUCTIONS[cid].lines for cid in group}) != len(group):
+            problems.append(f"{group}: registry line rows repeat")
+    for m in range(2, 12):
+        ctx = GF2m(m)
+        q = ctx.q
+        for (n_offset, d_offset), group in SAME_PARAMETERS.items():
+            counts = []
+            for cid in (cid for cid in group if m_constraint_ok(cid, m)):
+                code = build(cid, ctx)
+                dist = weight_distribution(code)
+                if (code.n, dist.min_distance) != (q + n_offset, q + d_offset):
+                    problems.append(f"{cid}@{m}: [n, d] = [{code.n}, {dist.min_distance}]")
+                counts.append(dist.counts)
+            if len(set(counts)) != len(counts):
+                problems.append(f"{group}@{m}: equal weight distributions")
+    elapsed = time.perf_counter() - start
+    announce(10, not problems, f"{elapsed:.2f}s" if not problems else "; ".join(problems))
     assert not problems

@@ -9,6 +9,7 @@ import pytest
 import nmds.cli
 import nmds.constructions as cons
 from nmds.cli import main, run_verification
+from nmds.codes import WeightDistribution
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -96,8 +97,24 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     monkeypatch.setitem(cons.CONSTRUCTIONS, "d", corrupted)
     code, out, err = run(capsys, ["verify", "--id", "d", "--m", "3"])
     assert code == 1
-    assert "FAIL d@3" in err
-    assert "distribution" in err
+    assert err == "nmds: FAIL d@3: distribution, dual_weight3_count\n"
+
+
+@pytest.mark.parametrize("recurrence, check", [
+    ("nmds_dual_distribution_from_Ak", "macwilliams_vs_recurrence"),
+    ("nmds_primal_distribution_from_Ank", "primal_recurrence"),
+])
+def test_verify_detects_a_recurrence_mismatch(capsys, monkeypatch, recurrence, check):
+    real = getattr(nmds.cli, recurrence)
+
+    def off_at_weight_n(n, k, q, seed):
+        counts = real(n, k, q, seed).counts
+        return WeightDistribution(n, counts[:-1] + (counts[-1] + 1,))
+
+    monkeypatch.setattr(nmds.cli, recurrence, off_at_weight_n)
+    code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3"])
+    assert code == 1
+    assert err == f"nmds: FAIL c@3: {check}\n"
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
@@ -186,7 +203,7 @@ def test_show_matrix_roundtrip(capsys, ctx8):
     head, *rows = out.splitlines()
     assert head.split() == ["3", "11", "3", "0xb"]  # rows, cols, m, modulus
     assert tuple(tuple(int(v, 16) for v in row.split()) for row in rows) == (
-        cons.build("d", ctx8).generator.data
+        tuple(zip(*cons.build("d", ctx8).columns))
     )
 
 

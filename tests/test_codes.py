@@ -19,7 +19,6 @@ from nmds.codes import (
     _check_enumeration_guard,
     _line_table,
     LinearCode,
-    MatrixGF,
     WeightDistribution,
     dual_distance_exact,
     macwilliams,
@@ -39,6 +38,7 @@ from oracles import (
     mul_table,
     normalize_rows,
     rank,
+    rows_of,
     rref,
     scaled_rows,
 )
@@ -95,9 +95,13 @@ def test_rref_is_idempotent_and_normalized(ctx8):
 
 def test_matrix_validates_entries(ctx8):
     with pytest.raises(ValueError, match="out of range"):
-        MatrixGF(ctx8, [[0, 9]])
+        LinearCode(ctx8, [[0, 9]])
+    with pytest.raises(ValueError, match="out of range"):
+        LinearCode(ctx8, [(1, 0, 0), (0, 1, 0), (0, 0, -1)])
     with pytest.raises(ValueError, match="two-dimensional"):
-        MatrixGF(ctx8, [1, 2, 3])
+        LinearCode(ctx8, [1, 2, 3])
+    with pytest.raises(ValueError, match="two-dimensional"):
+        LinearCode(ctx8, [(1, 0, 0), (0, 1), (0, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +110,16 @@ def test_matrix_validates_entries(ctx8):
 
 def test_linear_code_requires_full_row_rank(ctx8):
     with pytest.raises(ValueError, match="full row rank"):
-        LinearCode(MatrixGF(ctx8, [[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
+        LinearCode(ctx8, [(1, 1, 0), (1, 1, 0), (0, 0, 0)])
     with pytest.raises(ValueError, match="full row rank"):
-        LinearCode(MatrixGF(ctx8, [[1, 0], [0, 1], [1, 1]]))  # n < k
+        LinearCode(ctx8, [(1, 0, 1), (0, 1, 1)])  # n < k
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_linear_code_rejects_other_dimensions(ctx8, k):
-    rows = {1: [[1] * 5], 2: [[1, 0, 1], [0, 1, 1]], 4: np.eye(4, dtype=np.int64)}[k]
+    cols = {1: [(1,)] * 5, 2: [(1, 0), (0, 1), (1, 1)], 4: np.eye(4, dtype=np.int64)}[k]
     with pytest.raises(ValueError, match=f"k={k}: only dimension-3"):
-        LinearCode(MatrixGF(ctx8, rows))
+        LinearCode(ctx8, cols)
 
 
 @st.composite
@@ -130,17 +134,18 @@ def low_rank_generators(draw):
     rows = [[0] * n for _ in range(3)]
     for i, j, t in product(range(3), range(n), range(r)):
         rows[i][j] ^= ctx.mul(mix[i][t], basis[t][j])
-    return MatrixGF(ctx, rows)
+    return ctx, rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(low_rank_generators())
 def test_full_rank_check_matches_rank(gen):
-    if rank(gen.ctx, gen.data) == 3:
-        assert LinearCode(gen).k == 3
+    ctx, rows = gen
+    if rank(ctx, rows) == 3:
+        assert LinearCode(ctx, zip(*rows)).k == 3
     else:
         with pytest.raises(ValueError, match="full row rank"):
-            LinearCode(gen)
+            LinearCode(ctx, zip(*rows))
 
 
 def test_codeword_encoding_matches_manual(ctx8):
@@ -148,11 +153,18 @@ def test_codeword_encoding_matches_manual(ctx8):
     msg = [3, 5, 7]
     word = code.codeword(msg)
     assert isinstance(word, list) and len(word) == code.n
-    for j, col in enumerate(zip(*code.generator.data)):
+    for j, col in enumerate(code.columns):
         expect = 0
         for a, g in zip(msg, col):
             expect ^= ctx8.mul(a, g)
         assert word[j] == expect
+
+
+@pytest.mark.parametrize("entry", [-1, 8])
+def test_codeword_rejects_message_entries_outside_the_field(ctx8, entry):
+    # -1 would index the log table from its end, and 8 past it.
+    with pytest.raises(ValueError, match=rf"message entry {entry} outside \[0, 8\)"):
+        build("c", ctx8).codeword([entry, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +220,18 @@ def test_minimum_distance_zero_code_rejected(ctx8):
 
 def test_enumeration_guard():
     ctx = GF2m(16)
-    gen = MatrixGF(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     with pytest.raises(ValueError, match="guard"):
-        weight_distribution(LinearCode(gen))
+        weight_distribution(LinearCode(ctx, eye))
     # A zero column gives dual distance 1, read from the line table behind the guard.
-    with_zero = MatrixGF(ctx, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(ValueError, match="guard"):
-        dual_distance_exact(LinearCode(with_zero))
+        dual_distance_exact(LinearCode(ctx, eye + [(0, 0, 0)]))
 
 
 def test_row_scaling_invariance(ctx8):
     base = build("d", ctx8)
-    scaled_rows = [[ctx8.mul(5, v) for v in base.generator.data[0]]] + [
-        list(base.generator.data[i]) for i in (1, 2)
-    ]
-    scaled = LinearCode(MatrixGF(ctx8, scaled_rows))
+    first, *rest = rows_of(base)
+    scaled = LinearCode(ctx8, zip([ctx8.mul(5, v) for v in first], *rest))
     assert weight_distribution(scaled).counts == weight_distribution(base).counts
 
 
@@ -233,7 +242,7 @@ def test_column_permutation_invariance(rnd):
     base = build("e1bar", ctx)
     cols = list(range(base.n))
     rnd.shuffle(cols)
-    permuted = LinearCode(MatrixGF(ctx, np.array(base.generator.data)[:, cols]))
+    permuted = LinearCode(ctx, [base.columns[j] for j in cols])
     assert weight_distribution(permuted).counts == weight_distribution(base).counts
 
 
@@ -243,10 +252,10 @@ def test_column_permutation_invariance(rnd):
 
 def test_dual_dimension_and_orthogonality(codes8):
     code = codes8["c"]
-    dd = dual(code.ctx, code.generator.data)
+    dd = dual(code.ctx, rows_of(code))
     assert dd.shape == (9, 12)
     for hrow in dd:
-        for grow in code.generator.data:
+        for grow in rows_of(code):
             acc = 0
             for a, b in zip(hrow, grow):
                 acc ^= code.ctx.mul(int(a), int(b))
@@ -261,8 +270,8 @@ def test_dual_of_full_space_is_zero_code(ctx8):
 
 def test_dual_dual_is_original(ctx4):
     code = build("e", ctx4)
-    back = dual(ctx4, dual(ctx4, code.generator.data))
-    assert np.array_equal(rref(ctx4, back), rref(ctx4, code.generator.data))
+    back = dual(ctx4, dual(ctx4, rows_of(code)))
+    assert np.array_equal(rref(ctx4, back), rref(ctx4, rows_of(code)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +284,14 @@ def test_dual_distance_exact_constructions(codes8):
 
 
 def test_dual_distance_exact_mds_like(ctx8):
-    eye = LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64)))
+    eye = LinearCode(ctx8, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert dual_distance_exact(eye) is None  # reported as "> 3"
 
 
 def test_dual_distance_exact_low_weights(ctx8):
-    with_zero = LinearCode(MatrixGF(ctx8, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
+    with_zero = LinearCode(ctx8, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
     assert dual_distance_exact(with_zero) == 1
-    proportional = LinearCode(MatrixGF(ctx8, [[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    proportional = LinearCode(ctx8, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert dual_distance_exact(proportional) == 2
 
 
@@ -302,7 +311,7 @@ def test_min_weight_dual_codewords_annihilate(codes8):
         for sup, coeffs in entries:
             assert all(coeffs), cid
             assert coeffs[0] == 1
-            for row in code.generator.data:
+            for row in rows_of(code):
                 acc = 0
                 for j, lam in zip(sup, coeffs):
                     acc ^= ctx.mul(lam, int(row[j]))
@@ -316,12 +325,13 @@ def test_min_weight_dual_codewords_annihilate_rescaled_columns(codes8):
     for cid, code in codes8.items():
         ctx = code.ctx
         scales = rng.integers(1, ctx.q, size=code.n)
-        scaled = LinearCode(MatrixGF(ctx, mul_table(ctx)[np.array(code.generator.data), scales]))
+        scaled_cols = mul_table(ctx)[np.array(code.columns), scales[:, None]]
+        scaled = LinearCode(ctx, scaled_cols.tolist())
         entries = min_weight_dual_codewords(scaled)
         assert [sup for sup, _ in entries] == [sup for sup, _ in min_weight_dual_codewords(code)]
         for sup, coeffs in entries:
             assert all(coeffs) and coeffs[0] == 1, cid
-            for row in scaled.generator.data:
+            for row in rows_of(scaled):
                 acc = 0
                 for j, lam in zip(sup, coeffs):
                     acc ^= ctx.mul(lam, int(row[j]))
@@ -329,7 +339,7 @@ def test_min_weight_dual_codewords_annihilate_rescaled_columns(codes8):
 
 
 def test_min_weight_dual_codewords_preconditions(ctx8):
-    eye = LinearCode(MatrixGF(ctx8, np.eye(3, dtype=np.int64)))
+    eye = LinearCode(ctx8, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="dual distance"):
         min_weight_dual_codewords(eye)
 
@@ -381,11 +391,11 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
         n = int(rng.integers(4, 8))
         rows = rng.integers(0, 4, size=(3, n))
         try:
-            code = LinearCode(MatrixGF(ctx4, rows))
+            code = LinearCode(ctx4, rows.T.tolist())
         except ValueError:
             continue
         checked += 1
-        dual_dist = enumerated_distribution(ctx4, dual(ctx4, code.generator.data))
+        dual_dist = enumerated_distribution(ctx4, dual(ctx4, rows_of(code)))
         true_dd = dual_dist.min_distance
         got = dual_distance_exact(code)
         assert got == (true_dd if true_dd <= 3 else None)
@@ -428,7 +438,7 @@ def _enumerated_min_weight_words(code: LinearCode) -> list[tuple[frozenset[int],
     """Minimum-weight words by enumerating one message per scalar class."""
     q, k, n = code.ctx.q, code.k, code.n
     msgs = _projective_messages(q, k)
-    scaled = scaled_rows(code.ctx, code.generator.data)
+    scaled = scaled_rows(code.ctx, rows_of(code))
     block_size = max(1, (1 << 24) // max(1, n))
     d = n + 1
     kept: list[np.ndarray] = []
@@ -469,7 +479,7 @@ def collinear_triples(code):
 
 
 def column_rank(code, idx):
-    return rank(code.ctx, np.array(code.generator.data)[:, list(idx)])
+    return rank(code.ctx, [code.columns[j] for j in idx])  # rank of the transpose
 
 
 def rank_dual_distance(code):
@@ -482,7 +492,7 @@ def rank_dual_distance(code):
 
 def determinant_triples(code):
     """Oracle: i < j < l with det[c_i c_j c_l] = 0 by cofactor expansion."""
-    u, v, w = np.array(code.generator.data)
+    u, v, w = np.array(rows_of(code))
     tri = np.array(list(combinations(range(code.n), 3)))
     i, j, l = tri.T
     table = mul_table(code.ctx)
@@ -501,7 +511,7 @@ def determinant_triples(code):
 @settings(max_examples=100, deadline=None)
 @given(dimension3_codes())
 def test_line_table_matches_oracles(code):
-    assert weight_distribution(code) == enumerated_distribution(code.ctx, code.generator.data)
+    assert weight_distribution(code) == enumerated_distribution(code.ctx, rows_of(code))
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = rank_dual_distance(code)
     assert dual_distance_exact(code) == dd
@@ -516,7 +526,7 @@ def test_line_table_matches_oracles(code):
 @pytest.mark.parametrize("cid", CONSTRUCTION_IDS)
 def test_line_table_matches_enumeration_all_ids(cid, m):
     code = build(cid, GF2m(m))
-    assert weight_distribution(code) == enumerated_distribution(code.ctx, code.generator.data)
+    assert weight_distribution(code) == enumerated_distribution(code.ctx, rows_of(code))
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     if dual_distance_exact(code) in (3, None):
         assert collinear_triples(code) == determinant_triples(code)
@@ -542,7 +552,7 @@ def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
     distinct points, then the (line, column) incidences by sort and dedupe."""
     ctx, q, n = code.ctx, code.ctx.q, code.n
     _check_enumeration_guard(q)
-    canon = normalize_rows(ctx, np.array(code.generator.data).T)
+    canon = normalize_rows(ctx, code.columns)
     radix = np.array([q * q, q, 1])
     key = canon @ radix  # the point of each column as a number, 0 for a zero column
     cols = np.flatnonzero(key)
@@ -580,7 +590,7 @@ def all_pairs_facts(code):
     ).astype(np.int64)
     lines_by_z[table.zeros] += q * q + q + 1 - len(table.sizes) - int(lone.sum())
     dist = WeightDistribution(n, (1,) + tuple((q - 1) * int(c) for c in lines_by_z[n - 1 :: -1]))
-    zero_cols = np.flatnonzero(~np.array(code.generator.data).any(axis=0)).tolist()
+    zero_cols = np.flatnonzero(~np.array(code.columns).any(axis=1)).tolist()
     on_line = [table.columns[s : s + t].tolist() for s, t in zip(table.starts, table.sizes)]
     best = table.sizes.max()
     words = sorted(
@@ -595,15 +605,11 @@ def all_pairs_facts(code):
 def dual_distance_oracle(code, triples):
     """The smallest w <= 3 with w dependent columns, from column ranks and
     the triples of a vanishing determinant."""
-    if not np.array(code.generator.data).any(axis=0).all():
+    if not np.array(code.columns).any(axis=1).all():
         return 1
     if any(column_rank(code, pair) < 2 for pair in combinations(range(code.n), 2)):
         return 2
     return 3 if triples else None
-
-
-def conic_generator(ctx, cols):
-    return MatrixGF(ctx, [[c[i] for c in cols] for i in range(3)])
 
 
 def conic_points(ctx):
@@ -627,22 +633,22 @@ def conic_codes(draw):
     scale = st.sampled_from([1, 1, 1] + list(range(2, ctx.q)))
     scales = draw(st.lists(scale, min_size=len(cols), max_size=len(cols)))
     cols = [tuple(ctx.mul(a, v) for v in c) for a, c in zip(scales, cols)]
-    gen = conic_generator(ctx, draw(st.permutations(cols)))
-    assume(rank(ctx, gen.data) == 3)
-    return LinearCode(gen)
+    cols = draw(st.permutations(cols))
+    assume(rank(ctx, cols) == 3)
+    return LinearCode(ctx, cols)
 
 
 @settings(max_examples=80, deadline=None)
 @given(conic_codes())
 # The residue is empty: every column is a distinct conic point.
-@example(LinearCode(conic_generator(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[3:])))
+@example(LinearCode(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[3:]))
 # The only residue point is the nucleus (0, 1, 0), on every tangent, so each
 # of its lines holds one conic column and no line holds three columns.
-@example(LinearCode(conic_generator(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)])))
+@example(LinearCode(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)]))
 def test_arc_line_table_matches_all_pairs_oracle(code):
     dist, words, triples = all_pairs_facts(code)
     assert weight_distribution(code) == dist == enumerated_distribution(
-        code.ctx, code.generator.data
+        code.ctx, rows_of(code)
     )
     assert sorted(min_weight_codewords(code)) == words
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
@@ -739,7 +745,7 @@ def test_macwilliams_matches_dual_enumeration(ctx4):
     # at q=4 the dual of a [5, 3] code is small enough to enumerate directly
     code = build("e", ctx4)
     via_identity = macwilliams(weight_distribution(code), 3, 4)
-    via_enumeration = enumerated_distribution(ctx4, dual(ctx4, code.generator.data))
+    via_enumeration = enumerated_distribution(ctx4, dual(ctx4, rows_of(code)))
     assert via_identity.counts == via_enumeration.counts
 
 
@@ -758,7 +764,7 @@ def test_macwilliams_rejects_inconsistent_input():
 # ---------------------------------------------------------------------------
 
 def test_matrix_text_roundtrip(codes8):
-    mat = codes8["d"].generator
-    head, *rows = matrix_to_text(mat).splitlines()
+    code = codes8["d"]
+    head, *rows = matrix_to_text(code).splitlines()
     assert head.split() == ["3", "11", "3", "0xb"]  # rows, cols, m, modulus
-    assert tuple(tuple(int(v, 16) for v in row.split()) for row in rows) == mat.data
+    assert tuple(tuple(int(v, 16) for v in row.split()) for row in rows) == rows_of(code)

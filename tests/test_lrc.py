@@ -16,7 +16,6 @@ import nmds.lrc
 import oracles
 from nmds.codes import (
     LinearCode,
-    MatrixGF,
     dual_distance_exact,
     min_weight_codewords,
     min_weight_dual_codewords,
@@ -39,7 +38,7 @@ def definitional_dual_locality(code):
     """max_i min{wt(g) - 1 : g in code, g_i != 0}, by full enumeration."""
     ctx, q, n = code.ctx, code.ctx.q, code.n
     best = [None] * n
-    rows = np.array(code.generator.data)
+    rows = np.array(oracles.rows_of(code))
     mul = oracles.mul_table(ctx)
     for a in range(q):
         for b in range(q):
@@ -203,6 +202,20 @@ def test_bounds_hold_for_all_constructions(codes8, codes32):
             assert opt_dual.k <= opt_dual.cm_rhs, cid
 
 
+def test_optimality_rejects_a_distance_above_the_singleton_like_bound():
+    # n - k - ceil(k / r) + 2 = 10 - 3 - 2 + 2 = 7
+    with pytest.raises(AssertionError, match="d=9 exceeds the Singleton-like bound 7"):
+        nmds.lrc._optimality("code", 10, 3, 9, 2)
+
+
+def test_optimality_rejects_a_dimension_above_the_cm_bound(codes8, monkeypatch):
+    # Once d is within the Singleton-like bound, k <= cm holds for every n < 40
+    # and every k, d and r, so only a wrong dimension cap can trip this guard.
+    monkeypatch.setattr(nmds.lrc, "cm_bound_dimension", lambda n, d, r: (2, 1))
+    with pytest.raises(AssertionError, match="k=3 exceeds the dimension bound 2"):
+        classify_lrc(codes8["c"])
+
+
 def test_flags_c_q8(codes8):
     opt_code, opt_dual = classify_lrc(codes8["c"])
     assert (opt_code.d_optimal, opt_code.k_optimal) == (True, True)
@@ -298,7 +311,7 @@ def test_repair_map_rejects_a_coordinate_on_a_dropped_dependency(ctx4, monkeypat
     # {0, 1, 3} dropped, coordinate 0 falls back to the first independent
     # triple of the others, columns 1, 2 and 3, and e1 = e2 + (e1 + e2)
     # gives column 2 a zero coefficient.
-    code = LinearCode(MatrixGF(ctx4, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]))
+    code = LinearCode(ctx4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)])
     words = min_weight_dual_codewords(code)
     assert [sup for sup, _ in words] == [(0, 1, 3), (2, 3, 4)]
     monkeypatch.setattr(nmds.lrc, "min_weight_dual_codewords", lambda code: words[1:])

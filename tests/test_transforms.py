@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nmds.classify import nmds_dual_distribution_from_Ak, nmds_primal_distribution_from_Ank
-from nmds.codes import MatrixGF, WeightDistribution, macwilliams
+from nmds.codes import WeightDistribution, macwilliams
 from nmds.constructions import CONSTRUCTION_IDS, expected_profile
 from nmds.field import GF2m
 from oracles import enumerated_distribution, rank
@@ -149,17 +149,17 @@ def small_codes(draw):
     rows = draw(st.lists(
         st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n), min_size=k, max_size=k,
     ))
-    gen = MatrixGF(ctx, np.array(rows, dtype=np.int64))
-    assume(rank(ctx, gen.data) == k)
-    return gen
+    assume(rank(ctx, rows) == k)
+    return ctx, np.array(rows, dtype=np.int64)
 
 
 @settings(max_examples=150, deadline=None)
 @given(gen=small_codes())
 def test_macwilliams_matches_oracle_on_random_codes(gen):
     # the distribution comes from the enumeration oracle, which takes any k
-    dist = enumerated_distribution(gen.ctx, gen.data)
-    q, n, k = gen.ctx.q, gen.cols, gen.rows
+    ctx, rows = gen
+    dist = enumerated_distribution(ctx, rows)
+    q, (k, n) = ctx.q, rows.shape
     got = macwilliams(dist, k, q)
     assert got.counts == macwilliams_oracle(dist, k, q).counts
     assert sum(got.counts) == q ** (n - k)
