@@ -1,35 +1,36 @@
 """Dimension-3 linear codes over GF(2^m): columns, distributions, duals.
 
 A code is held as its n generator columns, and every count comes from
-one table of lines of the projective plane PG(2, q).  A nonzero column
-is a point, a message is a line l up to scalars, and the codeword of l has
-weight n minus the number of columns on l.  The columns split into an arc,
-the conic points y^2 = xz that carry one column each, and a residue of all
-other points.  No three conic points are collinear, so the table lists only
-the lines through a residue point and another column; the lines that miss
-the residue follow from counts on the arc.  So the line table gives the
-exact weight distribution, the minimum-weight codewords and the weight-3
-dual codewords (collinear column triples).  A minimum-weight codeword is
-carried as its line and its zero set, the columns on that line and any zero
-columns: pairing and locality read only where a word vanishes, so no word
-is written out in full.  The table sorts the other columns into the lines
-through each residue point by slope, O(r n) pairs for r residue points:
-with the distribution, about 0.5 ms per registry code at q = 128 and 10 ms
-at q = 2048 on a 2-core Xeon, where the q - 1 block columns lie on the
-conic.  A code with no conic columns crosses all O(n^2) pairs, about 5 s at
-q = 2048.  The table refuses q^3 beyond 2^34.  The cross product u x v, the
-line through two points, gives the determinant [u, v, w] = (u x v).w that
-tests three columns for independence.  All of it is table lookups on plain
-ints, in the log arithmetic of ``nmds.field``.
-Low-weight dual codewords come from column dependencies, which is exact for
-weights up to 3.  The MacWilliams transform gives the full dual
-distribution in exact big-integer arithmetic, from the generating function
-of the Krawtchouk polynomials,
+one table of lines of the projective plane PG(2, q).  The kernel reads the
+columns as n distinct nonzero points, as the columns of every code of the
+registry are, and refuses a zero column or two columns at one point.  A
+message is a line l up to scalars, and the codeword of l has weight n minus
+the number of columns on l.  The columns split into an arc, those on the
+conic y^2 = xz, and a residue of all other points.  No three conic points
+are collinear, so the table lists only the lines through a residue point
+and another column; the lines that miss the residue follow from counts on
+the arc.  So the line table gives the exact weight distribution, the
+minimum-weight codewords and the weight-3 dual codewords (collinear column
+triples).  A minimum-weight codeword is carried as its line and its zero
+set, the columns on that line: pairing and locality read only where a word
+vanishes, so no word is written out in full.  The table sorts the other
+columns into the lines through each residue point by slope, O(r n) pairs
+for r residue points: with the distribution, about 0.5 ms per registry code
+at q = 128 and 10 ms at q = 2048 on a 2-core Xeon, where the q - 1 block
+columns lie on the conic.  A code with no conic columns crosses all O(n^2)
+pairs, about 5 s at q = 2048.  The table refuses q^3 beyond 2^34.  The
+cross product u x v, the line through two points, gives the determinant
+[u, v, w] = (u x v).w that tests three columns for independence.  All of it
+is table lookups on plain ints, in the log arithmetic of ``nmds.field``.
+No one or two distinct points are dependent, so the dual distance is 3
+exactly when some three columns are collinear.  The MacWilliams transform
+gives the full dual distribution in exact big-integer arithmetic, from the
+generating function of the Krawtchouk polynomials,
 sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
 one product of two binomial rows, which for an NMDS distribution is O(n k)
 multiply-adds in all.
 
-Every derivation of a code (canonical columns, line table, distribution,
+Every derivation of a code (point list, line table, distribution,
 minimum-weight words of the code and of its dual) runs once per code: the
 ``per_code`` decorator keeps each result on the code, keyed by the deriving
 function, and hands the same object to every later caller.
@@ -184,9 +185,25 @@ def _normalize(ctx: GF2m, vec: Point) -> Point:
 
 @per_code
 def _canonical_columns(code: LinearCode) -> tuple[Point, ...]:
-    """The generator columns, each scaled so that its first nonzero entry is
-    1; zero columns stay zero."""
-    return tuple(_normalize(code.ctx, col) for col in code.columns)
+    """The generator columns as points of PG(2, q), each scaled so that its
+    first nonzero entry is 1.
+
+    The kernel counts the columns as a set of distinct nonzero points, which
+    every code of the registry is, so a zero column or two columns at one
+    point raise ``ValueError`` naming them.
+    """
+    canon = tuple(_normalize(code.ctx, col) for col in code.columns)
+    first: dict[Point, int] = {}
+    for j, point in enumerate(canon):
+        if point == (0, 0, 0):
+            raise ValueError(f"column {j} is zero; the kernel counts distinct nonzero points")
+        i = first.setdefault(point, j)
+        if i != j:
+            raise ValueError(
+                f"columns {i} and {j} are one point of PG(2, q); "
+                "the kernel counts distinct nonzero points"
+            )
+    return canon
 
 
 # -- the PG(2, q) kernel: lines, determinants and the line table ---------------
@@ -236,41 +253,36 @@ def _first_basis(ctx: GF2m, cols) -> tuple[int, int, int] | None:
 class _LineTable:
     """The lines of PG(2, q) through a residue point and another column point.
 
-    A nonzero column of the generator is a point and a projective message
-    l is a line; the codeword of l has weight n - z(l), where z(l) counts the
-    columns on l.  Zero columns lie on every line and are counted apart.
+    The columns are distinct nonzero points and a projective message l is a
+    line; the codeword of l has weight n - z(l), where z(l) counts the
+    columns on l.
 
-    The arc is the set of points of the conic y^2 = xz that carry exactly one
-    column; every other column point is a residue point.  No three points of
-    a conic are collinear, so every line through three or more nonzero
-    columns passes through a residue point and is listed here with its
-    vector.  The table lines with two columns are counted, not listed.  The
-    lines that miss the residue are counted too: the secants of the arc
-    outside the table meet the columns in two points, and ``lone`` counts the
-    lines that meet the columns in one point alone, by the number of columns
-    at that point.
+    The arc is the set of columns on the conic y^2 = xz; every other column
+    is a residue point.  No three points of a conic are collinear, so every
+    line through three or more columns passes through a residue point and is
+    listed here with its vector.  The lines through exactly two columns are
+    counted, not listed: the table lines with two columns and the secants of
+    the arc outside the table.  ``lone`` counts the lines that meet the
+    columns in one point alone.
     """
 
-    zeros: int  # zero columns
-    points: tuple[tuple[int, ...], ...]  # the columns at each distinct point, by first column
-    lone: dict[int, int]  # columns at a point -> lines meeting the columns in that point alone
+    lone: int  # lines through exactly one column
     lines: tuple[tuple[Point, tuple[int, ...]], ...]  # (line, ascending columns), 3+ columns
-    pairs: int  # table lines with two columns
-    secants: int  # lines through two arc points and no residue point
+    pairs: int  # lines through exactly two columns
 
 
 @per_code
 def _line_table(code: LinearCode) -> _LineTable:
     """The line table of a code.
 
-    The arc is read off the canonical columns alone, in O(n).  Then each
-    residue point P, with leading coordinate la (P_la = 1), sorts every
-    other column point Q into the lines through P by slope: R = Q + Q_la P
-    is where the line PQ meets the line x_la = 0, and R_i2 / R_i1 over the
-    other two coordinates i1 < i2 (or infinity when R_i1 = 0) tells those
-    points apart.  That is O(r n) pairs for r residue points.  A line is kept
-    once, under the first residue point on it, and gets its vector only if
-    it holds three or more columns.
+    The arc is read off the point list alone, in O(n).  Then each residue
+    point P, with leading coordinate la (P_la = 1), sorts every other column
+    Q into the lines through P by slope: R = Q + Q_la P is where the line PQ
+    meets the line x_la = 0, and R_i2 / R_i1 over the other two coordinates
+    i1 < i2 (or infinity when R_i1 = 0) tells those points apart.  That is
+    O(r n) pairs for r residue points.  A line is kept once, under the first
+    residue point on it, and gets its vector only if it holds three or more
+    columns.
 
     For s arc points, C(s, 2) secants minus the table lines with two arc
     points lie outside the table.  An arc point lies on s - 1 secants, so
@@ -283,23 +295,15 @@ def _line_table(code: LinearCode) -> _LineTable:
     ctx, q = code.ctx, code.ctx.q
     _check_enumeration_guard(q)
     exp, log = ctx._exp, ctx._log
-    canon = _canonical_columns(code)
-    at: dict[Point, tuple[int, ...]] = {}
-    for j, col in enumerate(canon):
-        if col != (0, 0, 0):
-            at[col] = at.get(col, ()) + (j,)
-    points, members = list(at), list(at.values())
-    on_arc = [
-        len(cols) == 1 and exp[2 * log[y]] == exp[log[x] + log[z]]
-        for (x, y, z), cols in zip(points, members)
-    ]
+    points = _canonical_columns(code)
+    on_arc = [exp[2 * log[y]] == exp[log[x] + log[z]] for x, y, z in points]
     arc = list(compress(range(len(points)), on_arc))
     residue = [t for t, on in enumerate(on_arc) if not on]
     s = len(arc)
     coords = list(zip(*points))
     logs = [[log[v] for v in coord] for coord in coords]
-    lone = Counter({1: s * (q + 1 - (s - 1))})  # less the table lines with one arc point
-    lines, pairs, secants = [], 0, s * (s - 1) // 2
+    lone = s * (q + 1 - (s - 1))  # less the table lines with one arc point
+    lines, pairs = [], s * (s - 1) // 2  # less the table lines with two arc points
     for t in residue:
         p = points[t]
         la = p.index(1)
@@ -310,12 +314,11 @@ def _line_table(code: LinearCode) -> _LineTable:
             for lq, x, y in zip(logs[la], coords[i1], coords[i2])
         ]
         slopes[t] = -1  # P itself, taken out below
-        through: dict[int, tuple[int, ...]] = {}  # the columns on each line through P but P's
-        for slope, cols in zip(slopes, members):
-            through[slope] = through.get(slope, ()) + cols
+        through: dict[int, tuple[int, ...]] = {}  # the columns on each line through P but P
+        for j, slope in enumerate(slopes):
+            through[slope] = through.get(slope, ()) + (j,)
         del through[-1]
-        own = members[t]
-        lone[len(own)] += q + 1 - len(through)
+        lone += q + 1 - len(through)
         done = {slopes[u] for u in residue if u < t}  # listed under an earlier residue point
         arcs_on = Counter(map(slopes.__getitem__, arc))  # arc points on each line through P
         for slope in done:
@@ -325,24 +328,17 @@ def _line_table(code: LinearCode) -> _LineTable:
             raise AssertionError(
                 "a table line holds three arc points; the conic columns are not an arc"
             )
-        lone[1] -= lines_by_arcs[1]
-        secants -= lines_by_arcs[2]
+        lone -= lines_by_arcs[1]
+        pairs -= lines_by_arcs[2]
         for slope, cols in through.items():
             if slope in done:
                 continue
-            if len(own) + len(cols) == 2:
+            if len(cols) == 1:
                 pairs += 1
             else:
-                line = _normalize(ctx, _cross(ctx, p, canon[cols[0]]))
-                lines.append((line, tuple(sorted(own + cols))))
-    return _LineTable(
-        zeros=code.n - sum(map(len, members)),
-        points=tuple(members),
-        lone=lone,
-        lines=tuple(lines),
-        pairs=pairs,
-        secants=secants,
-    )
+                line = _normalize(ctx, _cross(ctx, p, points[cols[0]]))
+                lines.append((line, tuple(sorted(cols + (t,)))))
+    return _LineTable(lone=lone, lines=tuple(lines), pairs=pairs)
 
 
 # -- distribution and minimum-weight codewords ---------------------------------
@@ -350,21 +346,16 @@ def _line_table(code: LinearCode) -> _LineTable:
 @per_code
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact distribution: each of the q^2 + q + 1 lines gives q - 1
-    codewords of weight n - z.  Besides the table lines, the secants outside
-    the table meet the columns in two points, the lone lines of each point in
-    that point, and the rest in none."""
+    codewords of weight n - z.  Besides the table lines, ``pairs`` lines meet
+    the columns in two points, ``lone`` lines in one, and the rest in none."""
     q, n = code.ctx.q, code.n
     table = _line_table(code)
-    z = table.zeros
     lines_by_z = [0] * (n + 1)
     for _, cols in table.lines:
-        lines_by_z[z + len(cols)] += 1
-    for size, lone in table.lone.items():
-        lines_by_z[z + size] += lone
-    lines_by_z[z + 2] += table.pairs + table.secants
-    lines_by_z[z] += (
-        q * q + q + 1 - len(table.lines) - table.pairs - table.secants - sum(table.lone.values())
-    )
+        lines_by_z[len(cols)] += 1
+    lines_by_z[2] += table.pairs
+    lines_by_z[1] += table.lone
+    lines_by_z[0] += q * q + q + 1 - len(table.lines) - table.pairs - table.lone
     return WeightDistribution(n, (1,) + tuple((q - 1) * c for c in lines_by_z[n - 1 :: -1]))
 
 
@@ -374,19 +365,16 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
 
     ``line`` is the message, scaled so that its first nonzero entry is 1,
     and ``zeros`` the ascending coordinates where its codeword vanishes: the
-    columns on that line of PG(2, q) and the zero columns.  Every
-    minimum-weight codeword is a nonzero multiple of exactly one entry's
-    codeword.  Entries come in the order of their projective messages.
+    columns on that line of PG(2, q).  Every minimum-weight codeword is a
+    nonzero multiple of exactly one entry's codeword.  Entries come in the
+    order of their projective messages.
 
     These are the lines with the most columns.  If some line holds three
-    columns they are all in the table: a line outside it is an arc secant
-    with two columns, or meets the columns in one point, and rank 3 puts a
-    residue point on a table line with more columns than a line meeting the
-    columns in that point alone.  If no line holds three columns, every
-    point carries one column and the lines with the most columns are those
-    through two points.  Two checks hold this to account: each line must
-    vanish on its columns, and q - 1 times the number of lines must be A_d
-    of the distribution, which counts every line.
+    columns they are all in the table: a line outside it holds at most two.
+    If no line holds three columns, the lines with the most columns are
+    those through two of them, one per pair.  Two checks hold this to
+    account: each line must vanish on its columns, and q - 1 times the
+    number of lines must be A_d of the distribution, which counts every line.
     """
     ctx, columns = code.ctx, code.columns
     exp, log = ctx._exp, ctx._log
@@ -395,20 +383,18 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
         size = max(len(cols) for _, cols in table.lines)
         best = [(line, cols) for line, cols in table.lines if len(cols) == size]
     else:
-        canon = _canonical_columns(code)
+        points = _canonical_columns(code)
         best = [
-            (_normalize(ctx, _cross(ctx, canon[a[0]], canon[b[0]])), a + b)
-            for a, b in combinations(table.points, 2)
+            (_normalize(ctx, _cross(ctx, points[a], points[b])), (a, b))
+            for a, b in combinations(range(code.n), 2)
         ]
     # Projective-message order: by the position of the leading 1, then as
     # numbers.  Sorted as numbers, the lines come with those positions reversed.
     best.sort()
     lead1, lead0 = bisect_left(best, ((0, 1, 0),)), bisect_left(best, ((1, 0, 0),))
     best = best[lead0:] + best[lead1:lead0] + best[:lead1]
-    zero_cols = tuple(j for j, col in enumerate(columns) if col == (0, 0, 0))
     words = []
     for line, cols in best:
-        zeros = tuple(sorted(cols + zero_cols)) if zero_cols else cols
         # O(1) per word instead of encoding it: the line vanishes on its columns.
         l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
         for j in cols:
@@ -417,7 +403,7 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
                 raise AssertionError(
                     "a table line misses one of its columns; line table inconsistent"
                 )
-        words.append((zeros, line))
+        words.append((cols, line))
     dist = weight_distribution(code)
     a_d = dist.counts[dist.min_distance]
     if (ctx.q - 1) * len(words) != a_d:
@@ -434,21 +420,13 @@ def dual_distance_exact(code: LinearCode) -> int | None:
     """Exact dual minimum distance if it is at most 3, else None.
 
     Weight w in the dual corresponds to w generator columns carrying a linear
-    dependency with all w coefficients nonzero: a zero column (w=1), a
-    proportional pair (w=2), or a collinear triple of pairwise independent
-    columns (w=3).  Past 3 the distance is 4 when n >= 4, the Singleton
+    dependency with all w coefficients nonzero.  The columns are distinct
+    nonzero points, so no one or two of them are dependent, and three are
+    exactly when they are collinear: the distance is 3 when the line table
+    lists a line.  Past 3 the distance is 4 when n >= 4, the Singleton
     bound of the [n, n - 3] dual; a code with n = 3 has the zero dual.
-    All three read the line table: its zero columns, its points that carry
-    two or more columns, and its lines with three or more.
     """
-    table = _line_table(code)
-    if table.zeros:
-        return 1
-    if len(table.points) < code.n - table.zeros:  # some point carries two columns
-        return 2
-    if table.lines:
-        return 3
-    return None
+    return 3 if _line_table(code).lines else None
 
 
 @per_code

@@ -106,8 +106,10 @@ def _tables(m: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     q = 1 << m
 
     def order(a: int) -> int:
+        # Every order divides q - 1, so a search past it finds none; a
+        # modulus of another degree than m then fails here, not loops.
         v, n = a, 1
-        while v != 1:
+        while v != 1 and n < q:
             v = _mul_raw(v, a, modulus)
             n += 1
         return n
@@ -122,8 +124,6 @@ def _tables(m: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         exp[i] = exp[i + q - 1] = v
         log[v] = i
         v = _mul_raw(v, g, modulus)
-    if v != 1:
-        raise AssertionError("generator order mismatch while building tables")
     return tuple(exp), tuple(log)
 
 

@@ -8,7 +8,8 @@ that kernel: a pure-Python RREF with its rank and null-space dual,
 exhaustive enumeration of all q^k codewords for the weight distribution on
 numpy arrays, and the RREF-based repair map the package used before
 Cramer's rule.  The random dimension-3 codes that several test modules
-draw are here too, since their rank filter is the RREF.  So are the oval
+draw are here too, since their rank filter is the RREF, with the reduction
+of a draw to its distinct nonzero points.  So are the oval
 facts behind the registry's odd-m constraint, as predicates on the value
 tables of maps GF(q) -> GF(q), built from ``mul``, ``inv`` and XOR alone,
 and the union and intersection of the weight-3 dual supports that the
@@ -20,6 +21,7 @@ from functools import cache
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import assume, strategies as st
 
 from nmds.codes import LinearCode, WeightDistribution, min_weight_dual_codewords
@@ -258,10 +260,30 @@ def has_root_f_plus_x_plus_1(table: list[int]) -> bool:
     return any(v == x ^ 1 for x, v in enumerate(table))
 
 
+def as_point_set(code, derive):
+    """``code`` itself if its columns are distinct nonzero points of PG(2, q).
+
+    Otherwise ``derive(code)`` must raise the kernel's refusal, and the
+    result is the code on the first column at each distinct nonzero point.
+    The zero and repeated columns it drops add nothing to the span, so it
+    still has rank 3.
+    """
+    points = [tuple(p) for p in normalize_rows(code.ctx, code.columns).tolist()]
+    keep = [j for j, p in enumerate(points) if any(p) and p not in points[:j]]
+    if len(keep) == code.n:
+        return code
+    refusal = r"^(column \d+ is zero|columns \d+ and \d+ are one point of PG\(2, q\)); "
+    with pytest.raises(ValueError, match=refusal + "the kernel counts distinct nonzero points$"):
+        derive(code)
+    return LinearCode(code.ctx, [code.columns[j] for j in keep])
+
+
 @st.composite
 def dimension3_codes(draw):
     """Full-rank 3 x n generators over GF(4), GF(8) or GF(16), n in 3..12,
-    mixing random, zero and rescaled repeated columns."""
+    mixing random, zero and rescaled repeated columns.  The package refuses
+    a draw with a zero or repeated column, so tests check that refusal and
+    compare on ``as_point_set`` of the draw."""
     ctx = draw(st.sampled_from(SMALL_FIELDS))
     kinds = ["random"] * 4 + ["zero"] * draw(st.booleans()) + ["repeat"] * draw(st.booleans())
     cols: list[tuple[int, ...]] = []

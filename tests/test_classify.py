@@ -19,7 +19,7 @@ from nmds.codes import (
 )
 from nmds.constructions import build
 from nmds.field import GF2m
-from oracles import dual, enumerated_distribution, rows_of
+from oracles import as_point_set, dual, enumerated_distribution, rows_of
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,7 @@ def test_classify_matches_enumeration_oracle(seed):
             break
         except ValueError:
             continue
+    code = as_point_set(code, classify)
     verdict = classify(code)
     d = enumerated_distribution(ctx, rows_of(code)).min_distance
     dd = enumerated_distribution(ctx, dual(ctx, rows_of(code))).min_distance

@@ -1,6 +1,7 @@
 """Command surface: argument handling, report schema, exit codes, formats."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 import nmds.cli
 import nmds.constructions as cons
-from nmds.cli import main, run_verification
+from nmds.cli import main, report_to_json, run_verification
 from nmds.codes import WeightDistribution
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -164,6 +165,24 @@ def test_verify_prints_the_benchmark_reference(capsys, name, m):
     assert out == (REFERENCE_DIR / f"{name}.json").read_text()
 
 
+# sha256 of report_to_json for all ids at each m below 11 that the benchmark
+# reference (m = 3, 4 and 7) does not pin.  A refactor keeps every byte.
+REPORT_SHA256 = {
+    2: "1be3af4209bedee3c64fd60c7c0328131e54750cc2b0aaf79c51fda23377df53",
+    5: "cf571d636cf9a250749ea6ce405ac52052575c37be2e7a6402d608f57436210d",
+    6: "47a817ae2a79733ba40f557b00dd3d821d1ba934c848e6e4ce71f79a8432abd3",
+    8: "ccfeb92d354f45d6bed9542ad3e5600553f8eafccc16f6b0595f76850c0f049a",
+    9: "3bc36146a68625e34bb45639cca7d8cca540fd73e5abae3bb120e04e62526541",
+    10: "3f9225d844ddd6a723765bb91039ff82090f2ea8c3d8abba21b3289945bae297",
+}
+
+
+@pytest.mark.parametrize("m", sorted(REPORT_SHA256))
+def test_verify_reports_are_pinned(m):
+    text = report_to_json([run_verification(cid, m)[0] for cid in cons.CONSTRUCTION_IDS])
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[m]
+
+
 def test_verify_bad_format_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--all", "--m", "3", "--format", "yaml"])
@@ -229,6 +248,18 @@ def test_show_bounds(capsys):
 def test_show_unknown_id(capsys):
     code, _, err = run(capsys, ["show", "--id", "qq", "--m", "3", "--what", "matrix"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--all", "--m", ""], "empty m list"),
+    (["verify", "--all", "--m", ","], "empty m list"),
+    (["show", "--id", "c", "--m", "3,5", "--what", "matrix"], "expected a single m value"),
+])
+def test_m_list_parsers_reject_the_wrong_number_of_values(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

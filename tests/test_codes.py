@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import nmds.codes
+from nmds.classify import classify
 from nmds.codes import (
     _canonical_columns,
     _check_enumeration_guard,
@@ -31,6 +32,7 @@ from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
 from nmds.field import GF2m
 from oracles import (
     SMALL_FIELDS,
+    as_point_set,
     cross_rows,
     dimension3_codes,
     dual,
@@ -167,6 +169,21 @@ def test_codeword_rejects_message_entries_outside_the_field(ctx8, entry):
         build("c", ctx8).codeword([entry, 0, 0])
 
 
+def test_codeword_rejects_a_message_of_the_wrong_length(ctx8):
+    with pytest.raises(ValueError, match=r"^message length 2 != k=3$"):
+        build("c", ctx8).codeword([1, 2])
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((1, 0, 7), "counts must have length n\\+1"),
+    ((2, 0, 0, 6), "A_0 must be 1"),
+    ((1, 8, -1, 0), "negative count"),
+])
+def test_weight_distribution_rejects_impossible_counts(counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WeightDistribution(3, counts)
+
+
 # ---------------------------------------------------------------------------
 # weight distribution and minimum distance
 # ---------------------------------------------------------------------------
@@ -223,7 +240,7 @@ def test_enumeration_guard():
     eye = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     with pytest.raises(ValueError, match="guard"):
         weight_distribution(LinearCode(ctx, eye))
-    # A zero column gives dual distance 1, read from the line table behind the guard.
+    # The point list, which refuses a zero column, is read behind the guard.
     with pytest.raises(ValueError, match="guard"):
         dual_distance_exact(LinearCode(ctx, eye + [(0, 0, 0)]))
 
@@ -288,11 +305,25 @@ def test_dual_distance_exact_mds_like(ctx8):
     assert dual_distance_exact(eye) is None  # reported as "> 3"
 
 
-def test_dual_distance_exact_low_weights(ctx8):
+def test_kernel_refuses_columns_that_are_not_distinct_points(ctx8):
+    # Both codes have rank 3, so LinearCode takes them; the kernel does not.
     with_zero = LinearCode(ctx8, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
-    assert dual_distance_exact(with_zero) == 1
     proportional = LinearCode(ctx8, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert dual_distance_exact(proportional) == 2
+    for code, fault in ((with_zero, "column 3 is zero"),
+                        (proportional, r"columns 0 and 1 are one point of PG\(2, q\)")):
+        for derive in (dual_distance_exact, weight_distribution, min_weight_codewords, classify):
+            with pytest.raises(ValueError, match=rf"^{fault}; the kernel counts distinct nonzero"):
+                derive(code)
+
+
+def test_every_registry_code_is_a_point_set():
+    # So no CLI or benchmark input reaches the refusal: every id builds
+    # distinct nonzero points at every m the kernel accepts.
+    for m in range(2, 12):
+        ctx = GF2m(m)
+        for cid in CONSTRUCTION_IDS:
+            code = build(cid, ctx)
+            assert len(set(_canonical_columns(code))) == code.n, (cid, m)
 
 
 def test_min_weight_dual_codewords_counts(codes8):
@@ -395,8 +426,10 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
         except ValueError:
             continue
         checked += 1
+        code = as_point_set(code, dual_distance_exact)
         dual_dist = enumerated_distribution(ctx4, dual(ctx4, rows_of(code)))
-        true_dd = dual_dist.min_distance
+        # The point set of a draw can have n = 3, whose dual is the zero code.
+        true_dd = min((w for w, _ in dual_dist.nonzero_items() if w), default=4)
         got = dual_distance_exact(code)
         assert got == (true_dd if true_dd <= 3 else None)
         if got == 3:
@@ -511,13 +544,13 @@ def determinant_triples(code):
 @settings(max_examples=100, deadline=None)
 @given(dimension3_codes())
 def test_line_table_matches_oracles(code):
+    code = as_point_set(code, weight_distribution)
     assert weight_distribution(code) == enumerated_distribution(code.ctx, rows_of(code))
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = rank_dual_distance(code)
     assert dual_distance_exact(code) == dd
-    if dd not in (1, 2):
-        rank2 = [t for t in combinations(range(code.n), 3) if column_rank(code, t) <= 2]
-        assert collinear_triples(code) == rank2
+    rank2 = [t for t in combinations(range(code.n), 3) if column_rank(code, t) <= 2]
+    assert collinear_triples(code) == rank2
     if dd == 3:
         assert [sup for sup, _ in min_weight_dual_codewords(code)] == rank2
 
@@ -646,22 +679,21 @@ def conic_codes(draw):
 # of its lines holds one conic column and no line holds three columns.
 @example(LinearCode(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)]))
 def test_arc_line_table_matches_all_pairs_oracle(code):
+    code = as_point_set(code, weight_distribution)
     dist, words, triples = all_pairs_facts(code)
     assert weight_distribution(code) == dist == enumerated_distribution(
         code.ctx, rows_of(code)
     )
     assert sorted(min_weight_codewords(code)) == words
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
-    dd = dual_distance_oracle(code, determinant_triples(code))
-    assert dual_distance_exact(code) == dd
-    if dd not in (1, 2):
-        assert collinear_triples(code) == triples == determinant_triples(code)
+    assert dual_distance_exact(code) == dual_distance_oracle(code, determinant_triples(code))
+    assert collinear_triples(code) == triples == determinant_triples(code)
 
 
 def test_line_table_rejects_three_collinear_arc_points(ctx8):
-    # Two columns at one point canonicalized differently look like two conic
-    # points carrying one column each; the line through them and a residue
-    # point then holds a third conic column.
+    # A point list holding column 0's point twice, once unscaled, passes for
+    # two conic points; the line through them and a residue point then holds
+    # a third conic column.
     code = build("c", ctx8)
     canon = list(_canonical_columns(code))
     assert canon[0] == (1, 1, 1) and canon[ctx8.q] == (0, 0, 1)

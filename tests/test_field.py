@@ -5,7 +5,8 @@ known field facts."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmds.field import DEFAULT_MODULI, GF2m, _mul_raw, find_factor, poly_to_str
+import nmds.field
+from nmds.field import DEFAULT_MODULI, GF2m, _mul_raw, _tables, find_factor, poly_to_str
 from oracles import (
     has_root_f_plus_x_plus_1,
     is_oval,
@@ -48,8 +49,17 @@ def test_reducible_modulus_rejected_with_factor():
 
 
 def test_modulus_wrong_degree_rejected():
-    with pytest.raises(ValueError, match="degree"):
-        GF2m(4, 0b1011)
+    # Without the degree check each fails in the primitive search instead.
+    for m, modulus in [(2, 0b1011), (3, 0b10011), (4, 0b1011)]:
+        with pytest.raises(ValueError, match=f"has degree {modulus.bit_length() - 1}, expected {m}$"):
+            GF2m(m, modulus)
+
+
+def test_table_build_without_a_primitive_element_raises(monkeypatch):
+    # A product that is always 1 gives every element order 2.
+    monkeypatch.setattr(nmds.field, "_mul_raw", lambda a, b, modulus: 1)
+    with pytest.raises(AssertionError, match="no primitive element found"):
+        _tables.__wrapped__(3, DEFAULT_MODULI[3])
 
 
 def test_modulus_even_constant_term_rejected():

@@ -233,9 +233,10 @@ def test_transforms_agree_on_closed_forms_m9():
 
 
 def test_primal_recurrence_rejects_dimension_beyond_length():
-    for fn in (nmds_primal_distribution_from_Ank, primal_recurrence_oracle):
-        with pytest.raises(ValueError):
-            fn(3, 5, 8, 1)
+    with pytest.raises(ValueError, match=r"^dimension k = 5 outside 0\.\.n = 3$"):
+        nmds_primal_distribution_from_Ank(3, 5, 8, 1)
+    with pytest.raises(ValueError):
+        primal_recurrence_oracle(3, 5, 8, 1)
 
 
 @pytest.mark.parametrize("k", [13, -1])
