@@ -15,20 +15,17 @@ triples).  A minimum-weight codeword is carried as its line and its zero
 set, the columns on that line: pairing and locality read only where a word
 vanishes, so no word is written out in full.  The table sorts the other
 columns into the lines through each residue point by slope, O(r n) pairs
-for r residue points: with the distribution, about 0.5 ms per registry code
-at q = 128 and 10 ms at q = 2048 on a 2-core Xeon, where the q - 1 block
-columns lie on the conic.  A code with no conic columns crosses all O(n^2)
-pairs, about 5 s at q = 2048.  The table refuses q^3 beyond 2^34.  The
+for r residue points, and a code with no conic columns crosses all O(n^2)
+pairs (README "Scale" has timings).  The table refuses q^3 beyond 2^34.  The
 cross product u x v, the line through two points, gives the determinant
 [u, v, w] = (u x v).w that tests three columns for independence.  All of it
 is table lookups on plain ints, in the log arithmetic of ``nmds.field``.
 No one or two distinct points are dependent, so the dual distance is 3
 exactly when some three columns are collinear.  The MacWilliams transform
-gives the full dual distribution in exact big-integer arithmetic, from the
-generating function of the Krawtchouk polynomials,
-sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i): each nonzero count adds
-one product of two binomial rows, which for an NMDS distribution is O(n k)
-multiply-adds in all.
+gives the full dual distribution in exact big-integer arithmetic from the
+Krawtchouk generating function, with the factor (1 - z)^d that the terms of
+all positive weights share taken out: two long binomial rows and
+O(n (n - d)) multiply-adds, which for an NMDS distribution is O(n k).
 
 Every derivation of a code (point list, line table, distribution,
 minimum-weight words of the code and of its dual) runs once per code: the
@@ -496,34 +493,34 @@ def _binomial_row(e: int, x: int) -> list[int]:
     return row
 
 
+def _add_product(acc: list[int], a: list[int], b: list[int]) -> None:
+    """Add the polynomial a * b into acc, one pass over b per coefficient of a."""
+    for s, c in enumerate(a):
+        end = s + len(b)
+        acc[s:end] = [x + c * v for x, v in zip(acc[s:end], b)]
+
+
 def macwilliams(dist: WeightDistribution, k: int, q: int) -> WeightDistribution:
     """Dual weight distribution via the MacWilliams identity, exactly.
 
-    A_j(dual) = q^-k * sum_i A_i K_j(i) with the Krawtchouk polynomial
-    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s).  The K_j(i) for
-    all j at once are the coefficients of the generating function
-
-        sum_j K_j(i) z^j = (1 - z)^i (1 + (q-1) z)^(n-i),
-
-    so each nonzero A_i adds A_i times the product of two binomial rows to
-    one list of n+1 integers, multiplying the shorter row into the longer.
-    That costs O(n * min(i, n-i)) multiply-adds per weight, so O(n k) for an
-    NMDS distribution (weights 0 and n-k..n).  Inputs that do not come from
-    a genuine [n, k] code surface as non-integer or negative outputs, which
-    raise.
+    q^k sum_j A_j(dual) z^j = sum_i A_i (1 - z)^i (1 + (q-1) z)^(n-i), the
+    Krawtchouk generating function.  A_0 = 1 gives (1 + (q-1) z)^n, and the
+    terms from the least positive weight d with A_d != 0 on share (1 - z)^d;
+    their cofactor P(z), of degree n - d, comes from short rows.  So two
+    rows are long, and n - d + 1 passes add (1 - z)^d P(z): O(n (n - d))
+    multiply-adds.  Inputs not from a genuine [n, k] code surface as
+    non-integer or negative outputs, which raise.
     """
-    n = dist.n
-    items = dist.nonzero_items()
+    n, items = dist.n, dist.nonzero_items()
     qk = q**k
     if sum(c for _, c in items) != qk:
         raise ValueError("counts do not sum to q^k; not a valid [n, k] distribution")
-    sums = [0] * (n + 1)
-    for i, a_i in items:
-        short, long = sorted((_binomial_row(i, -1), _binomial_row(n - i, q - 1)), key=len)
-        for s, c in enumerate(short):
-            c *= a_i
-            end = s + len(long)
-            sums[s:end] = [acc + c * v for acc, v in zip(sums[s:end], long)]
+    d = items[1][0] if len(items) > 1 else n  # A_0 alone leaves P = 0
+    p = [0] * (n - d + 1)
+    for i, a_i in items[1:]:
+        _add_product(p, [a_i * c for c in _binomial_row(i - d, -1)], _binomial_row(n - i, q - 1))
+    sums = _binomial_row(n, q - 1)
+    _add_product(sums, p, _binomial_row(d, -1))
     out = []
     for j, acc in enumerate(sums):
         quot, rem = divmod(acc, qk)

@@ -224,7 +224,10 @@ def build(cid: str, ctx: GF2m) -> LinearCode:
 
 
 def extend(code: LinearCode) -> LinearCode:
-    """Append one column so that every generator row sums to zero."""
+    """Append one column so that every generator row sums to zero.
+
+    It can be zero or repeat a point, and then every counting function
+    refuses the code; of the registry only d1, e1, f1 and f2 avoid that."""
     parity = tuple(reduce(xor, row, 0) for row in zip(*code.columns))
     return LinearCode(code.ctx, code.columns + (parity,))
 

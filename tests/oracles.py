@@ -9,7 +9,7 @@ exhaustive enumeration of all q^k codewords for the weight distribution on
 numpy arrays, and the RREF-based repair map the package used before
 Cramer's rule.  The random dimension-3 codes that several test modules
 draw are here too, since their rank filter is the RREF, with the reduction
-of a draw to its distinct nonzero points.  So are the oval
+of a code to its distinct nonzero points.  So are the oval
 facts behind the registry's odd-m constraint, as predicates on the value
 tables of maps GF(q) -> GF(q), built from ``mul``, ``inv`` and XOR alone,
 and the union and intersection of the weight-3 dual supports that the
@@ -278,23 +278,21 @@ def as_point_set(code, derive):
     return LinearCode(code.ctx, [code.columns[j] for j in keep])
 
 
+def plane_points(ctx: GF2m) -> list[tuple[int, int, int]]:
+    """The q^2 + q + 1 points of PG(2, q), each with first nonzero entry 1."""
+    q = ctx.q
+    return [(1, a, b) for a in range(q) for b in range(q)] + [(0, 1, b) for b in range(q)] + [(0, 0, 1)]
+
+
 @st.composite
 def dimension3_codes(draw):
     """Full-rank 3 x n generators over GF(4), GF(8) or GF(16), n in 3..12,
-    mixing random, zero and rescaled repeated columns.  The package refuses
-    a draw with a zero or repeated column, so tests check that refusal and
-    compare on ``as_point_set`` of the draw."""
+    whose columns are distinct nonzero points of PG(2, q), each rescaled, as
+    the package requires.  Its refusal of a zero or repeated column is
+    covered by explicit examples through ``as_point_set``."""
     ctx = draw(st.sampled_from(SMALL_FIELDS))
-    kinds = ["random"] * 4 + ["zero"] * draw(st.booleans()) + ["repeat"] * draw(st.booleans())
-    cols: list[tuple[int, ...]] = []
-    for _ in range(draw(st.integers(3, 12))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "zero":
-            cols.append((0, 0, 0))
-        elif kind == "repeat" and cols:
-            scale = draw(st.integers(1, ctx.q - 1))
-            cols.append(tuple(ctx.mul(scale, v) for v in draw(st.sampled_from(cols))))
-        else:
-            cols.append(tuple(draw(st.integers(0, ctx.q - 1)) for _ in range(3)))
+    points = draw(st.lists(st.sampled_from(plane_points(ctx)), min_size=3, max_size=12, unique=True))
+    scales = draw(st.lists(st.integers(1, ctx.q - 1), min_size=len(points), max_size=len(points)))
+    cols = [tuple(ctx.mul(a, v) for v in p) for a, p in zip(scales, points)]
     assume(rank(ctx, list(zip(*cols))) == 3)
     return LinearCode(ctx, cols)

@@ -1,11 +1,12 @@
 """Generator matrix builders, closed-form profiles and verification reports."""
 
+import re
 from functools import reduce
 from operator import xor
 
 import pytest
 
-from nmds.codes import weight_distribution
+from nmds.codes import _canonical_columns, weight_distribution
 from nmds.constructions import (
     CONSTRUCTION_IDS,
     CONSTRUCTIONS,
@@ -85,6 +86,25 @@ def test_extend_of_zero_sum_rows_appends_zero_column(ctx8):
     once = extend(build("e1", ctx8))
     twice = extend(once)
     assert twice.columns[-1] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_extend_gives_point_sets_only_for_four_ids(m):
+    # The appended row-sum column, the last, repeats the point of the named
+    # column or is zero (None) for eight ids, and the kernel refuses those
+    # extensions by name.
+    ctx = GF2m(m)
+    q = ctx.q
+    repeats = {"c": q + 2, "c1": q, "d": 0, "d2": None, "e": q, "e2": q, "e1bar": None, "f3": q - 1}
+    for cid in CONSTRUCTION_IDS:
+        ext = extend(build(cid, ctx))
+        if cid in ("d1", "e1", "f1", "f2"):
+            assert len(_canonical_columns(ext)) == ext.n, cid
+            continue
+        first, last = repeats[cid], ext.n - 1
+        why = f"column {last} is zero" if first is None else f"columns {first} and {last} are one point of PG(2, q)"
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}; the kernel counts distinct nonzero points$"):
+            _canonical_columns(ext)
 
 
 def test_extend_raises_distance_by_one_for_e1(ctx8, ctx32):

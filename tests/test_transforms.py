@@ -1,19 +1,20 @@
 """The exact big-integer transforms against their definitional oracles.
 
-``macwilliams`` multiplies binomial rows (the Krawtchouk generating
-function) and the NMDS recurrences step one Horner recurrence across the
-weights.  The oracles below are the direct formulas they replaced: the
-triple Krawtchouk sum and the double loop over each recurrence's inner sum,
-one ``q**e`` and two ``comb`` calls per term.  The new kernels must agree
-with them exactly, error messages included, on real code distributions,
-on closed forms, on arbitrary counts and over a grid of parameters.
+``macwilliams`` factors (1 - z)^d, d the least positive weight, out of
+the Krawtchouk generating function and multiplies the short rows left, and
+the NMDS recurrences step one Horner recurrence across the weights.  The
+oracles below are the direct formulas they replaced: the triple Krawtchouk
+sum and the double loop over each recurrence's inner sum, one ``q**e`` and
+two ``comb`` calls per term.  The new kernels must agree with them exactly,
+error messages included, on real code distributions, on closed forms, on
+arbitrary counts and over a grid of parameters.
 """
 
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nmds.classify import nmds_dual_distribution_from_Ak, nmds_primal_distribution_from_Ank
 from nmds.codes import WeightDistribution, macwilliams
@@ -181,6 +182,54 @@ def counts_summing_to_qk(draw):
 @given(args=counts_summing_to_qk())
 def test_macwilliams_matches_oracle_on_arbitrary_counts(args):
     # both raise the same "inconsistent distribution" error or agree exactly
+    assert_same(macwilliams, macwilliams_oracle, *args)
+
+
+@st.composite
+def counts_from_smallest_weight(draw):
+    """Counts with A_0 = 1 and sum q^k, zero below a least positive weight d.
+
+    Above d the support has gaps, is every weight d..n (the NMDS shape) or
+    is d = n alone; with k = 0 only A_0 is left.  A quarter of the draws
+    are formal MDS distributions, d = n - k + 1, whose transform is exact,
+    so the comparison covers outputs as well as the first failing weight.
+    """
+    q = draw(st.sampled_from([2, 4, 8, 16]))
+    k = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(["gaps", "nmds", "top", "mds"])) if k else "zero"
+    if shape == "zero":
+        n = draw(st.integers(0, 12))
+        return WeightDistribution(n, (1,) + (0,) * n), k, q
+    if shape == "mds":
+        n = draw(st.integers(k, min(12, q + k - 1)))
+        d = n - k + 1
+        counts = [1] + [0] * (d - 1) + [
+            comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1))
+            for w in range(d, n + 1)
+        ]
+        assume(min(counts) >= 0)
+        return WeightDistribution(n, tuple(counts)), k, q
+    n = draw(st.integers(1, 12))
+    d = n if shape == "top" else draw(st.integers(1, n))
+    above = range(d + 1, n + 1)
+    if shape == "gaps":
+        above = draw(st.lists(st.sampled_from(above), unique=True)) if above else []
+    rest = q**k - 1
+    support = sorted([d, *above])[:rest]
+    cuts = sorted(draw(st.sets(st.integers(1, max(rest - 1, 1)),
+                               min_size=len(support) - 1, max_size=len(support) - 1)))
+    counts = [1] + [0] * n
+    for w, a, b in zip(support, [0, *cuts], [*cuts, rest]):
+        counts[w] = b - a
+    return WeightDistribution(n, tuple(counts)), k, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=counts_from_smallest_weight())
+@example(args=(WeightDistribution(0, (1,)), 0, 16))
+def test_macwilliams_matches_oracle_from_smallest_weight(args):
+    # the factor (1 - z)^d for every d, the empty P(z) of A_0 alone, and
+    # the same error text when the counts are not a code's
     assert_same(macwilliams, macwilliams_oracle, *args)
 
 
