@@ -194,36 +194,38 @@ def classify_lrc(
 def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """One witness linear repair per coordinate of the code.
 
-    Returns {i: (repair_set, coefficients)} with the relation
-    c_i = sum_j coefficients[j] * c_{repair_set[j]} holding for every
-    codeword c.  Coordinates covered by a weight-3 dual codeword get a
-    2-element set.  The rest get the lexicographically first independent
-    triple u, v, w of the other columns, and column x = c_i is solved over
-    it by Cramer's rule with [a, b, c] = (a x b).c:
+    Returns {i: (repair_set, coefficients)} with c_i = sum_j
+    coefficients[j] * c_{repair_set[j]} for every codeword c.  A weight-3
+    dual word h on (a, b, c) gives its three relations at once, c_a =
+    (h1/h0) c_b + (h2/h0) c_c and two rotations, one exp lookup a quotient.
+    The first word, in order, that covers a coordinate gives its 2-element
+    set, as if each position of each word were solved alone.  The rest get
+    the lexicographically first independent triple u, v, w of the other
+    columns, and x = c_i is solved by Cramer's rule with [a, b, c] = (a x b).c:
 
         [u, v, w] (l_u, l_v, l_w) = ([x, v, w], [u, x, w], [u, v, x]).
 
-    All three coefficients are nonzero precisely because no smaller
-    dependency covers the coordinate.
+    All three are nonzero precisely because no smaller dependency covers i.
     """
-    ctx = code.ctx
-    words = min_weight_dual_codewords(code)
+    ctx, cols = code.ctx, code.columns
+    exp, log = ctx._exp, ctx._log
+    q1 = ctx.q - 1
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for sup, coeffs in words:
-        for pos, i in enumerate(sup):
-            if i in out:
-                continue
-            hi_inv = ctx.inv(coeffs[pos])
-            others = [(j, coeffs[p]) for p, j in enumerate(sup) if p != pos]
-            out[i] = (
-                tuple(j for j, _ in others),
-                tuple(ctx.mul(hi_inv, h) for _, h in others),
-            )
+    for (a, b, c), (h0, h1, h2) in min_weight_dual_codewords(code):
+        # A zero's sentinel log would make a quotient a silent zero.
+        if not (h0 and h1 and h2):
+            raise AssertionError(f"dual word on support ({a}, {b}, {c}) has a zero coefficient")
+        l0, l1, l2 = log[h0], log[h1], log[h2]
+        if a not in out:
+            out[a] = ((b, c), (exp[q1 + l1 - l0], exp[q1 + l2 - l0]))
+        if b not in out:
+            out[b] = ((a, c), (exp[q1 + l0 - l1], exp[q1 + l2 - l1]))
+        if c not in out:
+            out[c] = ((a, b), (exp[q1 + l0 - l2], exp[q1 + l1 - l2]))
     if len(out) == code.n:
         return out
 
     # Fallback coordinates: Cramer's rule over the first independent triple.
-    cols = code.columns
     for i in range(code.n):
         if i in out:
             continue
@@ -244,12 +246,10 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
     return out
 
 
-def repair_value(
-    codeword, entry: tuple[tuple[int, ...], tuple[int, ...]], ctx
-) -> int:
+def repair_value(codeword, entry: tuple[tuple[int, ...], tuple[int, ...]], ctx) -> int:
     """Evaluate one repair relation on a (possibly erased) codeword."""
-    idx, coeffs = entry
+    exp, log = ctx._exp, ctx._log
     acc = 0
-    for j, h in zip(idx, coeffs):
-        acc ^= ctx.mul(h, codeword[j])
+    for j, h in zip(*entry):
+        acc ^= exp[log[h] + log[codeword[j]]]  # a zero entry's sentinel log gives 0
     return acc

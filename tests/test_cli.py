@@ -11,6 +11,7 @@ import nmds.cli
 import nmds.constructions as cons
 from nmds.cli import main, report_to_json, run_verification
 from nmds.codes import WeightDistribution
+from nmds.field import GF2m
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -284,6 +285,20 @@ def test_repair_output_is_pinned(capsys):
         "repair set [7, 11], linear function c[0] = 0x1*c[7] + 0x1*c[11]\n"
         "recovered 0x7: ok\n"
     )
+
+
+# sha256 over the exit code and output of `repair --m 3` for every id and
+# every coordinate, the seven fallback coordinates among them.
+REPAIR_SHA256 = "12b079187a5089e9b048389cdb9959ee3e42e3b32503f936ff6cb2b3408c4322"
+
+
+def test_repair_output_is_pinned_for_every_id_and_coordinate(capsys):
+    digest = hashlib.sha256()
+    for cid in cons.CONSTRUCTION_IDS:
+        for i in range(cons.build(cid, GF2m(3)).n):
+            code, out, err = run(capsys, ["repair", "--id", cid, "--m", "3", "--erase", str(i)])
+            digest.update(f"{cid} {i} {code}\n{out}{err}".encode())
+    assert digest.hexdigest() == REPAIR_SHA256
 
 
 def test_repair_e1_uncovered_coordinate_uses_three_elements(capsys):

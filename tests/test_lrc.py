@@ -10,7 +10,7 @@ mechanisms.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import nmds.lrc
 import oracles
@@ -321,6 +321,43 @@ def test_repair_map_rejects_a_coordinate_on_a_dropped_dependency(ctx4, monkeypat
     monkeypatch.setattr(nmds.lrc, "min_weight_dual_codewords", lambda code: words[1:])
     with pytest.raises(AssertionError, match="coordinate 0 lies on a smaller dependency"):
         repair_map(code)
+
+
+@pytest.mark.parametrize("pos", range(3))
+def test_repair_map_rejects_a_zero_coefficient(codes8, monkeypatch, pos):
+    # Every coefficient of a word is checked, not only the ones divided by:
+    # a zero's sentinel log would make each quotient with it a silent zero.
+    code = codes8["c"]
+    (sup, coeffs), *rest = min_weight_dual_codewords(code)
+    broken = tuple(0 if p == pos else h for p, h in enumerate(coeffs))
+    monkeypatch.setattr(nmds.lrc, "min_weight_dual_codewords", lambda code: [(sup, broken), *rest])
+    with pytest.raises(AssertionError, match=rf"^dual word on support \({sup[0]}, {sup[1]}, {sup[2]}\) "
+                       "has a zero coefficient$"):
+        repair_map(code)
+
+
+# Each witness is evaluated on the word with its own coordinate erased and
+# checked against the word and a sum of scalar products.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(oracles.dimension3_codes(), st.data())
+def test_repair_value_recovers_every_coordinate_on_random_codes(code, data):
+    code = oracles.as_point_set(code, dual_distance_exact)
+    assume(dual_distance_exact(code) == 3)
+    ctx = code.ctx
+    try:
+        witnesses = repair_map(code)
+    except ValueError:  # a coordinate with no repair set
+        assume(False)
+    message = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=3, max_size=3))
+    for msg in (message, [0, 0, 0]):
+        word = code.codeword(msg)
+        for i, entry in witnesses.items():
+            erased = [0 if j == i else v for j, v in enumerate(word)]
+            scalar = 0
+            for j, h in zip(*entry):
+                scalar ^= ctx.mul(h, word[j])
+            value = repair_value(erased, entry, ctx)
+            assert value == repair_value(word, entry, ctx) == scalar == word[i], (msg, i)
 
 
 def test_repair_zero_codeword(codes8):
