@@ -109,9 +109,9 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
             },
         }
         checks["locality"] = (loc_code.r, loc_dual.r) == cons.expected_locality(cid, q)
-        exp_fc, exp_fd = cons.expected_flags(cid)
-        checks["flags_code"] = tuple(getattr(opt_code, name) for name in _FLAGS) == exp_fc
-        checks["flags_dual"] = tuple(getattr(opt_dual, name) for name in _FLAGS) == exp_fd
+        family = cons.CONSTRUCTIONS[cid]
+        checks["flags_code"] = tuple(getattr(opt_code, name) for name in _FLAGS) == family.flags_code
+        checks["flags_dual"] = tuple(getattr(opt_dual, name) for name in _FLAGS) == family.flags_dual
 
     # Off its m-constraint a construction's closed forms are not claimed.
     constraint_ok = cons.m_constraint_ok(cid, m)
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification pipeline")
     group = p_verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", help="construction id (c, c1, d, d1, d2, e, e1, e2, e1bar, f1, f2, f3)")
+    group.add_argument("--id", help=f"construction id ({', '.join(cons.CONSTRUCTION_IDS)})")
     group.add_argument("--all", action="store_true", help="verify every construction")
     p_verify.add_argument("--m", type=_parse_m_list, required=True,
                           help="extension degree(s), e.g. 3 or 3,5; weights are "

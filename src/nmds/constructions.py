@@ -3,8 +3,9 @@
 Every generator matrix is 3 x n over GF(q), q = 2^m.  The first q-1 columns
 are (1, a, a^2) for the nonzero field elements a in canonical order (1, then
 the rest ascending); the remaining columns are a fixed 0/1 tail that is what
-distinguishes the constructions.  The id "e1bar" is the extension of "e1" by
-one column making each row sum to zero.
+distinguishes the constructions.  The id "e1bar" is "e1" plus the column that
+makes each row sum to zero, (0, 0, 1) at every m: the conic columns sum to
+(1, 0, 0) and e1's tail to (1, 0, 1).
 
 For each id the registry carries the closed-form parameters, the four
 nonzero weight-enumerator coefficients as data, the minimum m and odd-m
@@ -26,10 +27,8 @@ external table carries the same values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
-from operator import xor
 
-from .codes import LinearCode
+from .codes import LinearCode, dual_distance_exact, min_weight_dual_codewords, weight_distribution
 from .field import GF2m
 
 __all__ = [
@@ -38,10 +37,8 @@ __all__ = [
     "CONSTRUCTION_IDS",
     "ExpectedProfile",
     "build",
-    "extend",
     "expected_profile",
     "expected_locality",
-    "expected_flags",
     "m_constraint_ok",
     "VerificationReport",
     "verify_construction",
@@ -52,11 +49,9 @@ __all__ = [
 class Construction:
     """Static description of one construction family."""
 
-    id: str
     tail: tuple[tuple[int, int, int], ...]
     min_m: int
     odd_m_only: bool
-    extends: str | None = None
     # distance offset: d = q + d_offset
     d_offset: int = 0
     # locality of the code and of the dual (dual as offset from q)
@@ -70,89 +65,85 @@ class Construction:
     lines: tuple[tuple[int, int, int], ...] = dc_field(kw_only=True)
 
 
-def _f(d_opt: bool, almost: bool, k_opt: bool = True) -> tuple[bool, bool, bool]:
-    return (d_opt, almost, k_opt)
-
-
 CONSTRUCTIONS: dict[str, Construction] = {
     "c": Construction(
-        "c", ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=1,
         lines=((0, 2, 4), (1, 1, 0), (0, 2, -4), (1, -3, 2)),
         r_code=2, r_dual_offset=0,
     ),
     "c1": Construction(
-        "c1", ((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)),
+        ((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=1,
         lines=((0, 3, 2), (1, -2, 6), (0, 5, -10), (1, -4, 4)),
         r_code=2, r_dual_offset=0,
     ),
     "d": Construction(
-        "d", ((1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)),
+        ((1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=0,
         lines=((0, 2, 0), (1, -1, 6), (0, 4, -6), (1, -3, 2)),
         r_code=2, r_dual_offset=-1,
     ),
     "d1": Construction(
-        "d1", ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
         min_m=2, odd_m_only=False, d_offset=0,
         lines=((0, 1, 2), (1, 2, 0), (0, 1, 0), (1, -2, 0)),
         r_code=2, r_dual_offset=0,
-        flags_dual=_f(False, True),
+        flags_dual=(False, True, True),
     ),
     "d2": Construction(
-        "d2", ((1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)),
+        ((1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)),
         min_m=3, odd_m_only=True, d_offset=0,
         lines=((0, 3, -2), (1, -4, 12), (0, 7, -12), (1, -4, 4)),
         r_code=2, r_dual_offset=-1,
     ),
     "e": Construction(
-        "e", ((1, 0, 0), (0, 1, 1)),
+        ((1, 0, 0), (0, 1, 1)),
         min_m=2, odd_m_only=False, d_offset=-2,
         lines=((0, 1, 0), (1, -2, 0), (0, 5, 2), (1, -2, 0)),
         r_code=2, r_dual_offset=-2,
-        flags_dual=_f(False, True),
+        flags_dual=(False, True, True),
     ),
     "e1": Construction(
-        "e1", ((1, 1, 0), (0, 1, 1)),
+        ((1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=-2,
         lines=((0, 2, -4), (1, -5, 12), (0, 8, -10), (1, -3, 4)),
         r_code=3, r_dual_offset=-3,
-        flags_code=_f(False, True),
+        flags_code=(False, True, True),
     ),
     "e2": Construction(
-        "e2", ((1, 0, 0), (1, 0, 1)),
+        ((1, 0, 0), (1, 0, 1)),
         min_m=2, odd_m_only=False, d_offset=-2,
         lines=((0, 1, -2), (1, -2, 6), (0, 5, -4), (1, -2, 2)),
         r_code=3, r_dual_offset=-2,
-        flags_code=_f(False, True), flags_dual=_f(False, True),
+        flags_code=(False, True, True), flags_dual=(False, True, True),
     ),
     "e1bar": Construction(
-        "e1bar", ((1, 1, 0), (0, 1, 1)),
-        min_m=3, odd_m_only=True, extends="e1", d_offset=-1,
+        ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+        min_m=3, odd_m_only=True, d_offset=-1,
         lines=((0, 2, -2), (1, -3, 8), (0, 6, -6), (1, -3, 2)),
         r_code=2, r_dual_offset=-2,
     ),
     "f1": Construction(
-        "f1", ((1, 0, 1), (1, 1, 0), (0, 1, 1)),
+        ((1, 0, 1), (1, 1, 0), (0, 1, 1)),
         min_m=3, odd_m_only=True, d_offset=-1,
         lines=((0, 3, -4), (1, -6, 14), (0, 9, -12), (1, -4, 4)),
         r_code=3, r_dual_offset=-2,
-        flags_code=_f(False, True),
+        flags_code=(False, True, True),
     ),
     "f2": Construction(
-        "f2", ((1, 0, 0), (1, 0, 1), (1, 1, 0)),
+        ((1, 0, 0), (1, 0, 1), (1, 1, 0)),
         min_m=3, odd_m_only=True, d_offset=-1,
         lines=((0, 2, -4), (1, -3, 14), (0, 6, -12), (1, -3, 4)),
         r_code=3, r_dual_offset=-2,
-        flags_code=_f(False, True),
+        flags_code=(False, True, True),
     ),
     "f3": Construction(
-        "f3", ((1, 0, 0), (0, 0, 1), (1, 0, 1)),
+        ((1, 0, 0), (0, 0, 1), (1, 0, 1)),
         min_m=3, odd_m_only=True, d_offset=-1,
         lines=((0, 1, 0), (1, 0, 2), (0, 3, 0), (1, -2, 0)),
         r_code=3, r_dual_offset=-1,
-        flags_code=_f(False, True), flags_dual=_f(False, True),
+        flags_code=(False, True, True), flags_dual=(False, True, True),
     ),
 }
 
@@ -197,7 +188,7 @@ def m_constraint_ok(cid: str, m: int) -> bool:
 def expected_profile(cid: str, q: int) -> ExpectedProfile:
     cid = normalize_id(cid)
     family = CONSTRUCTIONS[cid]
-    n = (q - 1) + len(family.tail) + (1 if family.extends else 0)
+    n = (q - 1) + len(family.tail)
     d = q + family.d_offset
     weights = {
         d + i: (q - 1) * (a * q * q + b * q + c) // 2 for i, (a, b, c) in enumerate(family.lines)
@@ -210,26 +201,11 @@ def expected_locality(cid: str, q: int) -> tuple[int, int]:
     return family.r_code, q + family.r_dual_offset
 
 
-def expected_flags(cid: str) -> tuple[tuple[bool, bool, bool], tuple[bool, bool, bool]]:
-    family = CONSTRUCTIONS[normalize_id(cid)]
-    return family.flags_code, family.flags_dual
-
-
 def build(cid: str, ctx: GF2m) -> LinearCode:
     """The construction's code over the given field."""
     family = CONSTRUCTIONS[normalize_id(cid)]
     cols = [(1, a, ctx.mul(a, a)) for a in ctx.nonzero_elements()]
-    code = LinearCode(ctx, cols + list(family.tail))
-    return extend(code) if family.extends else code
-
-
-def extend(code: LinearCode) -> LinearCode:
-    """Append one column so that every generator row sums to zero.
-
-    It can be zero or repeat a point, and then every counting function
-    refuses the code; of the registry only d1, e1, f1 and f2 avoid that."""
-    parity = tuple(reduce(xor, row, 0) for row in zip(*code.columns))
-    return LinearCode(code.ctx, code.columns + (parity,))
+    return LinearCode(ctx, cols + list(family.tail))
 
 
 @dataclass
@@ -256,8 +232,6 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationRe
     checks are skipped (the closed forms are not claimed there); the observed
     values are still reported, with a warning.
     """
-    from .codes import dual_distance_exact, min_weight_dual_codewords, weight_distribution
-
     cid = normalize_id(cid)
     family = CONSTRUCTIONS[cid]
     q = ctx.q

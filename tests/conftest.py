@@ -1,6 +1,7 @@
 import pytest
 
-from nmds import GF2m, build, CONSTRUCTION_IDS
+from nmds.constructions import CONSTRUCTION_IDS, build
+from nmds.field import GF2m
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ exhaustive enumeration of all q^k codewords for the weight distribution on
 numpy arrays, and the RREF-based repair map the package used before
 Cramer's rule.  The random dimension-3 codes that several test modules
 draw are here too, since their rank filter is the RREF, with the reduction
-of a code to its distinct nonzero points.  So are the oval
+of a code to its distinct nonzero points, and the row-sum extension that
+the registry's e1bar tail is pinned against.  So are the oval
 facts behind the registry's odd-m constraint, as predicates on the value
 tables of maps GF(q) -> GF(q), built from ``mul``, ``inv`` and XOR alone,
 and the union and intersection of the weight-3 dual supports that the
@@ -17,8 +18,9 @@ locality verdicts rest on.
 """
 
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -276,6 +278,15 @@ def as_point_set(code, derive):
     with pytest.raises(ValueError, match=refusal + "the kernel counts distinct nonzero points$"):
         derive(code)
     return LinearCode(code.ctx, [code.columns[j] for j in keep])
+
+
+def extend(code) -> LinearCode:
+    """Append one column so that every generator row sums to zero.
+
+    It can be zero or repeat a point, and then every counting function
+    refuses the code; of the registry only d1, e1, f1 and f2 avoid that."""
+    parity = tuple(reduce(xor, row, 0) for row in zip(*code.columns))
+    return LinearCode(code.ctx, code.columns + (parity,))
 
 
 def plane_points(ctx: GF2m) -> list[tuple[int, int, int]]:

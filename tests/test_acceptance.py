@@ -32,13 +32,13 @@ from nmds.constructions import (
     CONSTRUCTIONS,
     build,
     expected_profile,
-    extend,
     m_constraint_ok,
 )
 from nmds.field import GF2m
 from nmds.cli import run_verification
 from nmds.lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
 from oracles import (
+    extend,
     has_root_f_plus_x_plus_1,
     is_oval,
     is_oval_by_slopes,

@@ -3,21 +3,12 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from nmds import (
-    CONSTRUCTION_IDS,
-    GF2m,
-    build,
-    check_min_weight_pairing,
-    classify,
-    classify_lrc,
-    locality_of_code,
-    locality_of_dual,
-    min_weight_codewords,
-    min_weight_dual_codewords,
-    repair_map,
-    weight_distribution,
-)
+from nmds.classify import check_min_weight_pairing, classify
 from nmds.cli import run_verification
+from nmds.codes import min_weight_codewords, min_weight_dual_codewords, weight_distribution
+from nmds.constructions import CONSTRUCTION_IDS, build
+from nmds.field import GF2m
+from nmds.lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map
 
 WORKERS = 4  # more than the cores of a small runner, so threads interleave
 TIMEOUT_S = 120

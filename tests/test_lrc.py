@@ -20,7 +20,7 @@ from nmds.codes import (
     min_weight_codewords,
     min_weight_dual_codewords,
 )
-from nmds.constructions import CONSTRUCTION_IDS, build, expected_flags, expected_locality
+from nmds.constructions import CONSTRUCTION_IDS, CONSTRUCTIONS, build, expected_locality
 from nmds.field import GF2m
 from nmds.lrc import (
     classify_lrc,
@@ -240,11 +240,11 @@ def test_flags_match_registry_q8_q32(codes8, codes32):
     for bundle in (codes8, codes32):
         for cid, code in bundle.items():
             opt_code, opt_dual = classify_lrc(code)
-            exp_code, exp_dual = expected_flags(cid)
+            family = CONSTRUCTIONS[cid]
             got_code = (opt_code.d_optimal, opt_code.almost_d_optimal, opt_code.k_optimal)
             got_dual = (opt_dual.d_optimal, opt_dual.almost_d_optimal, opt_dual.k_optimal)
-            assert got_code == exp_code, cid
-            assert got_dual == exp_dual, cid
+            assert got_code == family.flags_code, cid
+            assert got_dual == family.flags_dual, cid
 
 
 # ---------------------------------------------------------------------------
