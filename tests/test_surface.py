@@ -1,6 +1,5 @@
 """Every public name and member of the package is used by the package or the
-benchmark, the package runs without numpy, and its root binds only its
-submodules.
+benchmark, and the package runs without numpy.
 
 A name in a module's ``__all__`` must be reachable from code that runs:
 the module-level statements of ``src/nmds`` (the CLI entry point among
@@ -115,16 +114,6 @@ def test_every_member_is_read(path):
     assert [name for name in _members(path) if name.split(".")[1] not in reads] == []
 
 
-def _run_clean(script: str) -> None:
-    """Run ``script`` in a fresh interpreter that imports the package from ``src``."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-
-
 def test_package_and_cli_never_import_numpy():
     """numpy is a test dependency: importing it would cost most of the start-up
     of a CLI call, so ``nmds`` and ``nmds verify|repair`` must run without it."""
@@ -140,20 +129,9 @@ def test_package_and_cli_never_import_numpy():
         "if 'numpy' in sys.modules:",
         "    sys.exit(f'numpy was imported: {sorted(m for m in sys.modules if \"numpy\" in m)}')",
     ])
-    _run_clean(script)
-
-
-def test_package_root_binds_only_submodules():
-    """The package root re-exports nothing, so ``nmds.classify`` is the module
-    and not the function of that name."""
-    script = "\n".join([
-        "import sys, types",
-        "import nmds, nmds.cli",
-        "bad = [name for name, value in vars(nmds).items() if not name.startswith('_')",
-        "       and getattr(value, '__name__', None) != f'nmds.{name}']",
-        "if bad:",
-        "    sys.exit(f'not submodules of nmds: {bad}')",
-        "if not isinstance(nmds.classify, types.ModuleType):",
-        "    sys.exit(f'nmds.classify is {nmds.classify!r}')",
-    ])
-    _run_clean(script)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
