@@ -123,15 +123,6 @@ def report_to_json(reports: list[dict]) -> str:
     return json.dumps(reports, indent=2, sort_keys=False) + "\n"
 
 
-_CSV_FIELDS = [
-    "key", "id", "m", "q", "n", "k", "d", "d_dual", "class",
-    "dual_weight3_count", "pairing_ok",
-    "locality_code", "locality_dual", "mechanism_code", "mechanism_dual",
-    "sl_rhs_code", "sl_rhs_dual", "cm_rhs_code", "cm_rhs_dual",
-    "distribution", "warnings",
-]
-
-
 def _flatten(report: dict) -> dict:
     loc = report.get("locality") or {}
     bounds = report.get("bounds") or {}
@@ -154,10 +145,11 @@ def _flatten(report: dict) -> dict:
 
 
 def report_to_csv(reports: list[dict]) -> str:
+    rows = [_flatten(rep) for rep in reports]
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    writer.writerows(_flatten(rep) for rep in reports)
+    writer.writerows(rows)
     return out.getvalue()
 
 

@@ -7,14 +7,14 @@ distinguishes the constructions.  The id "e1bar" is "e1" plus the column that
 makes each row sum to zero, (0, 0, 1) at every m: the conic columns sum to
 (1, 0, 0) and e1's tail to (1, 0, 1).
 
-For each id the registry carries the closed-form parameters, the four
-nonzero weight-enumerator coefficients as data, the minimum m and odd-m
-requirement under which the closed forms are proved, and the expected
-locality pair and optimality flags of the code and its dual.  The codes are
-NMDS of distance d = n - 3, so A_(d+i) is q - 1 times the number of lines of
-PG(2, q) that meet the columns in 3 - i points.  That number is
-(a q^2 + b q + c) / 2 for the registry's row (a, b, c) of i; the four rows
-of an id sum to (2, 2, 2), the q^2 + q + 1 lines of the plane.
+For each id the registry carries the four nonzero weight-enumerator
+coefficients as data, whether the closed forms are proved for odd m only
+(then from m = 3, else from m = 2), and the expected locality pair and
+optimality flags of the code and its dual.  The codes are NMDS, so the
+length n fixes d = n - 3 and d_dual = 3, and A_(d+i) is q - 1 times the
+number of lines of PG(2, q) that meet the columns in 3 - i points.  That
+number is (a q^2 + b q + c) / 2 for the registry's row (a, b, c) of i; the
+four rows of an id sum to (2, 2, 2), the q^2 + q + 1 lines of the plane.
 
 The expected localities recorded here are the computationally verified
 values.  For ids "e" and "e2" the dual locality is q-2: columns 0..q-1 are
@@ -50,10 +50,7 @@ class Construction:
     """Static description of one construction family."""
 
     tail: tuple[tuple[int, int, int], ...]
-    min_m: int
     odd_m_only: bool
-    # distance offset: d = q + d_offset
-    d_offset: int = 0
     # locality of the code and of the dual (dual as offset from q)
     r_code: int = 2
     r_dual_offset: int = 0
@@ -68,79 +65,79 @@ class Construction:
 CONSTRUCTIONS: dict[str, Construction] = {
     "c": Construction(
         ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
-        min_m=3, odd_m_only=True, d_offset=1,
+        odd_m_only=True,
         lines=((0, 2, 4), (1, 1, 0), (0, 2, -4), (1, -3, 2)),
         r_code=2, r_dual_offset=0,
     ),
     "c1": Construction(
         ((1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)),
-        min_m=3, odd_m_only=True, d_offset=1,
+        odd_m_only=True,
         lines=((0, 3, 2), (1, -2, 6), (0, 5, -10), (1, -4, 4)),
         r_code=2, r_dual_offset=0,
     ),
     "d": Construction(
         ((1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)),
-        min_m=3, odd_m_only=True, d_offset=0,
+        odd_m_only=True,
         lines=((0, 2, 0), (1, -1, 6), (0, 4, -6), (1, -3, 2)),
         r_code=2, r_dual_offset=-1,
     ),
     "d1": Construction(
         ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
-        min_m=2, odd_m_only=False, d_offset=0,
+        odd_m_only=False,
         lines=((0, 1, 2), (1, 2, 0), (0, 1, 0), (1, -2, 0)),
         r_code=2, r_dual_offset=0,
         flags_dual=(False, True, True),
     ),
     "d2": Construction(
         ((1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)),
-        min_m=3, odd_m_only=True, d_offset=0,
+        odd_m_only=True,
         lines=((0, 3, -2), (1, -4, 12), (0, 7, -12), (1, -4, 4)),
         r_code=2, r_dual_offset=-1,
     ),
     "e": Construction(
         ((1, 0, 0), (0, 1, 1)),
-        min_m=2, odd_m_only=False, d_offset=-2,
+        odd_m_only=False,
         lines=((0, 1, 0), (1, -2, 0), (0, 5, 2), (1, -2, 0)),
         r_code=2, r_dual_offset=-2,
         flags_dual=(False, True, True),
     ),
     "e1": Construction(
         ((1, 1, 0), (0, 1, 1)),
-        min_m=3, odd_m_only=True, d_offset=-2,
+        odd_m_only=True,
         lines=((0, 2, -4), (1, -5, 12), (0, 8, -10), (1, -3, 4)),
         r_code=3, r_dual_offset=-3,
         flags_code=(False, True, True),
     ),
     "e2": Construction(
         ((1, 0, 0), (1, 0, 1)),
-        min_m=2, odd_m_only=False, d_offset=-2,
+        odd_m_only=False,
         lines=((0, 1, -2), (1, -2, 6), (0, 5, -4), (1, -2, 2)),
         r_code=3, r_dual_offset=-2,
         flags_code=(False, True, True), flags_dual=(False, True, True),
     ),
     "e1bar": Construction(
         ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
-        min_m=3, odd_m_only=True, d_offset=-1,
+        odd_m_only=True,
         lines=((0, 2, -2), (1, -3, 8), (0, 6, -6), (1, -3, 2)),
         r_code=2, r_dual_offset=-2,
     ),
     "f1": Construction(
         ((1, 0, 1), (1, 1, 0), (0, 1, 1)),
-        min_m=3, odd_m_only=True, d_offset=-1,
+        odd_m_only=True,
         lines=((0, 3, -4), (1, -6, 14), (0, 9, -12), (1, -4, 4)),
         r_code=3, r_dual_offset=-2,
         flags_code=(False, True, True),
     ),
     "f2": Construction(
         ((1, 0, 0), (1, 0, 1), (1, 1, 0)),
-        min_m=3, odd_m_only=True, d_offset=-1,
+        odd_m_only=True,
         lines=((0, 2, -4), (1, -3, 14), (0, 6, -12), (1, -3, 4)),
         r_code=3, r_dual_offset=-2,
         flags_code=(False, True, True),
     ),
     "f3": Construction(
         ((1, 0, 0), (0, 0, 1), (1, 0, 1)),
-        min_m=3, odd_m_only=True, d_offset=-1,
+        odd_m_only=True,
         lines=((0, 1, 0), (1, 0, 2), (0, 3, 0), (1, -2, 0)),
         r_code=3, r_dual_offset=-1,
         flags_code=(False, True, True), flags_dual=(False, True, True),
@@ -182,14 +179,14 @@ def normalize_id(cid: str) -> str:
 
 def m_constraint_ok(cid: str, m: int) -> bool:
     family = CONSTRUCTIONS[normalize_id(cid)]
-    return m >= family.min_m and (not family.odd_m_only or m % 2 == 1)
+    return not family.odd_m_only or m % 2 == 1
 
 
 def expected_profile(cid: str, q: int) -> ExpectedProfile:
     cid = normalize_id(cid)
     family = CONSTRUCTIONS[cid]
     n = (q - 1) + len(family.tail)
-    d = q + family.d_offset
+    d = n - 3
     weights = {
         d + i: (q - 1) * (a * q * q + b * q + c) // 2 for i, (a, b, c) in enumerate(family.lines)
     }
@@ -233,7 +230,6 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationRe
     values are still reported, with a warning.
     """
     cid = normalize_id(cid)
-    family = CONSTRUCTIONS[cid]
     q = ctx.q
     profile = expected_profile(cid, q)
 
@@ -245,9 +241,8 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationRe
     report = VerificationReport(n=code.n, k=code.k, d=d, d_dual=dd, dual_weight3_count=w3)
     constraint = m_constraint_ok(cid, ctx.m)
     if not constraint:
-        need = f"m >= {family.min_m}" + (", m odd" if family.odd_m_only else "")
         report.warnings.append(
-            f"m={ctx.m} violates the constraint ({need}); closed forms not asserted, "
+            f"m={ctx.m} violates the constraint (m >= 3, m odd); closed forms not asserted, "
             "observed values reported"
         )
         return report

@@ -142,8 +142,8 @@ class GF2m:
     Raises
     ------
     ValueError
-        If m is out of range, or the modulus has wrong degree, even constant
-        term, or is reducible (the message names the found root or factor).
+        If m is out of range, or the modulus is negative, of degree not m,
+        with even constant term, or reducible (naming the root or factor).
 
     The instance is immutable after construction and safe to share across
     threads; every operation is a pure function of its arguments.
@@ -154,6 +154,8 @@ class GF2m:
             raise ValueError(f"extension degree m={m} out of supported range [2, {MAX_M}]")
         if modulus is None:
             modulus = DEFAULT_MODULI[m]
+        if modulus < 0:
+            raise ValueError(f"modulus {modulus:#x} is negative; give its coefficient bits")
         if modulus.bit_length() - 1 != m:
             raise ValueError(
                 f"modulus {poly_to_str(modulus)} has degree {modulus.bit_length() - 1}, expected {m}"

@@ -4,7 +4,8 @@
 reads attributes off what it returns, and checks every pair against the
 stored reports in ``perfbench/reference/``.  A package change that breaks
 one of those calls makes every benchmark pass fail, so one pass of each
-workload runs here, once untraced and once through the tracer.  Nothing is
+workload runs here, once untraced and once through the tracer, and the
+benchmark's own check that each span wraps the function it names.  Nothing is
 written, bytecode caches included: the passes keep their results and spans
 in memory.
 """
@@ -28,3 +29,12 @@ def test_benchmark_pass_reports_no_problem(monkeypatch, workload, traced):
     result = workloads.Pass(workload, 1, 0, tracing.Tracer() if traced else None).run()
     assert len(result["pairs"]) == len(workloads.WORKLOADS[workload].keys())
     assert [(key, problem) for key, _, problem in result["pairs"] if problem] == []
+
+
+def test_span_targets(monkeypatch):
+    """Each span the benchmark opens wraps the package function it names."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+
+    selftest.test_span_targets()

@@ -55,6 +55,14 @@ def test_modulus_wrong_degree_rejected():
             GF2m(m, modulus)
 
 
+def test_negative_modulus_rejected():
+    # Its bits would otherwise be read as a polynomial of the wrong degree or
+    # sent to the primitive search.
+    for modulus in (-11, -5):
+        with pytest.raises(ValueError, match=f"modulus {modulus:#x} is negative"):
+            GF2m(3, modulus)
+
+
 def test_table_build_without_a_primitive_element_raises(monkeypatch):
     # A product that is always 1 gives every element order 2.
     monkeypatch.setattr(nmds.field, "_mul_raw", lambda a, b, modulus: 1)

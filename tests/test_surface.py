@@ -1,5 +1,6 @@
 """Every public name and member of the package is used by the package or the
-benchmark, and the package runs without numpy.
+benchmark, the package root re-exports only ``classify``, and the package
+runs without numpy.
 
 A name in a module's ``__all__`` must be reachable from code that runs:
 the module-level statements of ``src/nmds`` (the CLI entry point among
@@ -11,7 +12,10 @@ tests do not count: a name that only the tests call is dead surface.
 Each annotated field, property and public method of a class in ``src/nmds``
 must be read as an attribute (``x.name``) somewhere in ``src/nmds`` or
 ``perfbench/*.py``.  The match is by name alone, so a member is dead only
-when no object's attribute of that name is ever read.
+when no object's attribute of that name is ever read; reads off the CLI's
+argparse namespace ``args`` do not count.
+
+The package root binds its submodules and nothing else but ``classify``.
 """
 
 import ast
@@ -83,12 +87,15 @@ def test_every_public_name_is_used(path):
 
 
 def _attribute_reads() -> set[str]:
-    """Attribute names loaded anywhere in the package or the benchmark."""
+    """Attribute names loaded anywhere in the package or the benchmark, except
+    reads off ``args``, the CLI's argparse namespace: ``args.id`` says nothing
+    about a member named ``id``."""
     return {
         node.attr
         for path in PACKAGE + BENCHMARK
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
 
 
@@ -114,10 +121,33 @@ def test_every_member_is_read(path):
     assert [name for name in _members(path) if name.split(".")[1] not in reads] == []
 
 
+def _run_script(lines: list[str]) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_package_root_binds_only_submodules():
+    """``nmds.<name>`` is the submodule of that name; the one exception,
+    ``classify``, is the function the benchmark's self-test pins."""
+    result = _run_script([
+        "import sys, types",
+        "import nmds, nmds.cli",
+        "extra = sorted(name for name, value in vars(nmds).items() if not name.startswith('_')",
+        "               and not (isinstance(value, types.ModuleType)",
+        "                        and value.__name__ == f'nmds.{name}'))",
+        "if extra != ['classify']:",
+        "    sys.exit(f'package root binds {extra}')",
+    ])
+    assert result.returncode == 0, result.stderr
+
+
 def test_package_and_cli_never_import_numpy():
     """numpy is a test dependency: importing it would cost most of the start-up
     of a CLI call, so ``nmds`` and ``nmds verify|repair`` must run without it."""
-    script = "\n".join([
+    result = _run_script([
         "import contextlib, io, sys",
         "import nmds, nmds.cli",
         "from nmds.cli import main, run_verification",
@@ -129,9 +159,4 @@ def test_package_and_cli_never_import_numpy():
         "if 'numpy' in sys.modules:",
         "    sys.exit(f'numpy was imported: {sorted(m for m in sys.modules if \"numpy\" in m)}')",
     ])
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
-    )
     assert result.returncode == 0, result.stderr
