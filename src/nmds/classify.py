@@ -87,14 +87,16 @@ def _nmds_distribution(n: int, w: int, q: int, seed: int) -> WeightDistribution:
     counts[0] = 1
     counts[w] = seed
     f = 0
-    binom, top, low = 1, comb(n, w), 1  # C(w+s-1, s-1), C(n, w+s-1), C(n-w, s-1)
+    binom, top, low = 1, comb(n, w), seed  # C(w+s-1, s-1), C(n, w+s-1), C(n-w, s-1) A_w
     for s in range(1, n - w + 1):
-        t = binom if s & 1 else -binom
-        f = (q - 1) * f + q * t
         top = top * (n - w - s + 1) // (w + s)
         low = low * (n - w - s + 1) // s
-        tail = low * seed
-        val = top * (f - t) + (-tail if s & 1 else tail)
+        if s & 1:  # t_s = binom
+            f = q * (f + binom) - f
+            val = top * (f - binom) - low
+        else:  # t_s = -binom
+            f = q * (f - binom) - f
+            val = top * (f + binom) + low
         if val < 0:
             raise ValueError(f"recurrence produced negative count at weight {w + s}")
         counts[w + s] = val

@@ -35,11 +35,11 @@ function, and hands the same object to every later caller.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, compress
+from operator import itemgetter
 
 from .field import GF2m
 
@@ -59,6 +59,9 @@ __all__ = [
 ENUMERATION_GUARD = 1 << 34
 
 Point = tuple[int, int, int]
+
+# The other two coordinates, ascending, of each coordinate 0, 1, 2.
+_OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
 
 class LinearCode:
@@ -118,7 +121,7 @@ class WeightDistribution:
             raise ValueError("counts must have length n+1")
         if self.counts[0] != 1:
             raise ValueError("A_0 must be 1")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("negative count")
 
     @property
@@ -189,17 +192,22 @@ def _canonical_columns(code: LinearCode) -> tuple[Point, ...]:
     every code of the registry is, so a zero column or two columns at one
     point raise ``ValueError`` naming them.
     """
-    canon = tuple(_normalize(code.ctx, col) for col in code.columns)
-    first: dict[Point, int] = {}
-    for j, point in enumerate(canon):
-        if point == (0, 0, 0):
-            raise ValueError(f"column {j} is zero; the kernel counts distinct nonzero points")
-        i = first.setdefault(point, j)
-        if i != j:
-            raise ValueError(
-                f"columns {i} and {j} are one point of PG(2, q); "
-                "the kernel counts distinct nonzero points"
-            )
+    ctx = code.ctx
+    canon = tuple(
+        col if (col[0] or col[1] or col[2]) == 1 else _normalize(ctx, col) for col in code.columns
+    )
+    distinct = set(canon)
+    if len(distinct) < len(canon) or (0, 0, 0) in distinct:
+        first: dict[Point, int] = {}  # walked only to name the first offender
+        for j, point in enumerate(canon):
+            if point == (0, 0, 0):
+                raise ValueError(f"column {j} is zero; the kernel counts distinct nonzero points")
+            i = first.setdefault(point, j)
+            if i != j:
+                raise ValueError(
+                    f"columns {i} and {j} are one point of PG(2, q); "
+                    "the kernel counts distinct nonzero points"
+                )
     return canon
 
 
@@ -279,7 +287,7 @@ def _line_table(code: LinearCode) -> _LineTable:
     i1 < i2 (or infinity when R_i1 = 0) tells those points apart.  That is
     O(r n) pairs for r residue points.  A line is kept once, under the first
     residue point on it, and gets its vector only if it holds three or more
-    columns.
+    columns: one product from P and its slope, no cross product.
 
     For s arc points, C(s, 2) secants minus the table lines with two arc
     points lie outside the table.  An arc point lies on s - 1 secants, so
@@ -298,22 +306,27 @@ def _line_table(code: LinearCode) -> _LineTable:
     residue = [t for t, on in enumerate(on_arc) if not on]
     s = len(arc)
     coords = list(zip(*points))
-    logs = [[log[v] for v in coord] for coord in coords]
+    # A residue point leads with x or y: (0, 0, 1) is on the conic.
+    logs = {la: [log[v] for v in coords[la]] for la in {points[t].index(1) for t in residue}}
     lone = s * (q + 1 - (s - 1))  # less the table lines with one arc point
     lines, pairs = [], s * (s - 1) // 2  # less the table lines with two arc points
     for t in residue:
         p = points[t]
         la = p.index(1)
-        i1, i2 = [i for i in range(3) if i != la]
-        l1, l2 = log[p[i1]], log[p[i2]]
+        i1, i2 = _OTHER_TWO[la]
+        p1, p2 = p[i1], p[i2]
+        l1, l2 = log[p1], log[p2]
         slopes = [
             exp[log[y ^ exp[lq + l2]] + q - 1 - log[r1]] if (r1 := x ^ exp[lq + l1]) else q
             for lq, x, y in zip(logs[la], coords[i1], coords[i2])
         ]
         slopes[t] = -1  # P itself, taken out below
-        through: dict[int, tuple[int, ...]] = {}  # the columns on each line through P but P
+        through: dict[int, list[int]] = {}  # the columns on each line through P but P
         for j, slope in enumerate(slopes):
-            through[slope] = through.get(slope, ()) + (j,)
+            if slope in through:
+                through[slope].append(j)
+            else:
+                through[slope] = [j]
         del through[-1]
         lone += q + 1 - len(through)
         done = {slopes[u] for u in residue if u < t}  # listed under an earlier residue point
@@ -332,9 +345,15 @@ def _line_table(code: LinearCode) -> _LineTable:
                 continue
             if len(cols) == 1:
                 pairs += 1
-            else:
-                line = _normalize(ctx, _cross(ctx, p, points[cols[0]]))
-                lines.append((line, tuple(sorted(cols + (t,)))))
+                continue
+            # On (x_la, x_i1, x_i2), the line through P and (0, 1, slope) is
+            # (P_i1 slope + P_i2, slope, 1), and through (0, 0, 1) at slope
+            # infinity it is (P_i1, 1, 0).
+            v = (p1, 1, 0) if slope == q else (exp[l1 + log[slope]] ^ p2, slope, 1)
+            line = _normalize(ctx, v if la == 0 else (v[1], v[0], v[2]))
+            cols.append(t)
+            cols.sort()
+            lines.append((line, tuple(cols)))
     return _LineTable(lone=lone, lines=tuple(lines), pairs=pairs)
 
 
@@ -353,7 +372,7 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
     lines_by_z[2] += table.pairs
     lines_by_z[1] += table.lone
     lines_by_z[0] += q * q + q + 1 - len(table.lines) - table.pairs - table.lone
-    return WeightDistribution(n, (1,) + tuple((q - 1) * c for c in lines_by_z[n - 1 :: -1]))
+    return WeightDistribution(n, tuple([1] + [(q - 1) * c for c in lines_by_z[n - 1 :: -1]]))
 
 
 @per_code
@@ -385,11 +404,12 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
             (_normalize(ctx, _cross(ctx, points[a], points[b])), (a, b))
             for a, b in combinations(range(code.n), 2)
         ]
-    # Projective-message order: by the position of the leading 1, then as
-    # numbers.  Sorted as numbers, the lines come with those positions reversed.
-    best.sort()
-    lead1, lead0 = bisect_left(best, ((0, 1, 0),)), bisect_left(best, ((1, 0, 0),))
-    best = best[lead0:] + best[lead1:lead0] + best[:lead1]
+    # Projective-message order: (1, y, z) as the number y q + z, then
+    # (0, 1, z) from q^2 + z, then (0, 0, 1) last.
+    q = ctx.q
+    best.sort(
+        key=lambda e: e[0][1] * q + e[0][2] if e[0][0] else q * q + (e[0][2] if e[0][1] else q)
+    )
     words = []
     for line, cols in best:
         # O(1) per word instead of encoding it: the line vanishes on its columns.
@@ -453,9 +473,8 @@ def min_weight_dual_codewords(
     q1 = ctx.q - 1
     words = []
     for line, on_line in _line_table(code).lines:
-        i = line.index(1)
-        a, b = [t for t in range(3) if t != i]
-        for triple in combinations(on_line, 3):
+        a, b = _OTHER_TWO[line.index(1)]
+        for triple in combinations(on_line, 3) if len(on_line) > 3 else (on_line,):
             u, v, w = columns[triple[0]], columns[triple[1]], columns[triple[2]]
             ua, ub = log[u[a]], log[u[b]]
             va, vb = log[v[a]], log[v[b]]
@@ -479,7 +498,7 @@ def min_weight_dual_codewords(
                     "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
                 )
             words.append((triple, (1, exp[g1], exp[g2])))
-    words.sort()
+    words.sort(key=itemgetter(0))  # the supports are distinct
     return words
 
 

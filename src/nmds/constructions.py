@@ -201,7 +201,8 @@ def expected_locality(cid: str, q: int) -> tuple[int, int]:
 def build(cid: str, ctx: GF2m) -> LinearCode:
     """The construction's code over the given field."""
     family = CONSTRUCTIONS[normalize_id(cid)]
-    cols = [(1, a, ctx.mul(a, a)) for a in ctx.nonzero_elements()]
+    exp, log = ctx._exp, ctx._log
+    cols = [(1, a, exp[2 * log[a]]) for a in ctx.nonzero_elements()]
     return LinearCode(ctx, cols + list(family.tail))
 
 

@@ -142,7 +142,7 @@ class GF2m:
     Raises
     ------
     ValueError
-        If m is out of range, or the modulus is negative, of degree not m,
+        If m is out of range, or the modulus is negative, zero, of degree not m,
         with even constant term, or reducible (naming the root or factor).
 
     The instance is immutable after construction and safe to share across
@@ -156,6 +156,8 @@ class GF2m:
             modulus = DEFAULT_MODULI[m]
         if modulus < 0:
             raise ValueError(f"modulus {modulus:#x} is negative; give its coefficient bits")
+        if modulus == 0:
+            raise ValueError(f"modulus 0 is the zero polynomial, expected degree {m}")
         if modulus.bit_length() - 1 != m:
             raise ValueError(
                 f"modulus {poly_to_str(modulus)} has degree {modulus.bit_length() - 1}, expected {m}"

@@ -347,6 +347,18 @@ def test_negative_modulus_is_one_line_and_exit_2(capsys, argv):
     assert err == "nmds: modulus -0xb is negative; give its coefficient bits\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "c", "--m", "3"],
+    ["show", "--id", "c", "--m", "3", "--what", "matrix"],
+    ["repair", "--id", "c", "--m", "3", "--erase", "0"],
+], ids=lambda argv: argv[0])
+def test_zero_modulus_is_one_line_and_exit_2(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--modulus", "0x0"])
+    assert code == 2
+    assert out == ""
+    assert err == "nmds: modulus 0 is the zero polynomial, expected degree 3\n"
+
+
 # ---------------------------------------------------------------------------
 # library-level pipeline
 # ---------------------------------------------------------------------------

@@ -391,6 +391,33 @@ def test_min_weight_codewords_c_q8(codes8):
         assert zeros == tuple(np.flatnonzero(word == 0).tolist())
 
 
+def assert_min_weight_lines_in_message_order(code):
+    """The lines of ``min_weight_codewords`` are the projective messages of
+    weight-d codewords, in message order: (1, y, z), (0, 1, z), (0, 0, 1)."""
+    q, d = code.ctx.q, weight_distribution(code).min_distance
+    messages = [
+        *product((1,), range(q), range(q)), *product((0,), (1,), range(q)), (0, 0, 1)
+    ]
+    lines = [msg for msg in messages if code.n - code.codeword(msg).count(0) == d]
+    assert [line for _, line in min_weight_codewords(code)] == lines
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("cid", CONSTRUCTION_IDS)
+def test_min_weight_codewords_in_message_order_all_ids(cid, m):
+    assert_min_weight_lines_in_message_order(build(cid, GF2m(m)))
+
+
+def test_min_weight_codewords_in_message_order_across_leading_positions(ctx8):
+    # The conic columns and (0, 1, 0), (1, 0, 0), (0, 0, 1) form a hyperoval,
+    # so the lines with the most columns are the 5 through (0, 1, 1) and two
+    # of its points.  The line (0, 1, 1) is one, and it leads at position 1.
+    conic = [(1, a, ctx8.mul(a, a)) for a in range(1, 8)]
+    code = LinearCode(ctx8, conic + [(0, 1, 0), (0, 1, 1), (1, 0, 0), (0, 0, 1)])
+    assert (0, 1, 1) in [line for _, line in min_weight_codewords(code)]
+    assert_min_weight_lines_in_message_order(code)
+
+
 def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
     code = build("c", ctx8)
     table = _line_table(code)
@@ -614,10 +641,11 @@ def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
 
 
 def all_pairs_facts(code):
-    """Distribution, sorted minimum-weight (zeros, line) pairs and collinear
-    triples of a k = 3 code, read off the all-pairs table: lines outside it
-    meet the columns in one point, q + 1 minus its table lines of them per
-    point, or in none."""
+    """Distribution, sorted minimum-weight (zeros, line) pairs, collinear
+    triples and the set of (line, columns) with three or more columns of a
+    k = 3 code, read off the all-pairs table: lines outside it meet the
+    columns in one point, q + 1 minus its table lines of them per point, or
+    in none."""
     q, n = code.ctx.q, code.n
     table = all_pairs_line_table(code)
     lone = q + 1 - table.point_lines
@@ -636,7 +664,12 @@ def all_pairs_facts(code):
         if size == best
     )
     triples = sorted(t for cols in on_line for t in combinations(cols, 3))
-    return dist, words, triples
+    lines = {
+        (tuple(line), tuple(cols))
+        for line, cols in zip(table.vectors.tolist(), on_line)
+        if len(cols) >= 3
+    }
+    return dist, words, triples, lines
 
 
 def dual_distance_oracle(code, triples):
@@ -686,10 +719,11 @@ def conic_codes(draw):
 @example(LinearCode(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)]))
 def test_arc_line_table_matches_all_pairs_oracle(code):
     code = as_point_set(code, weight_distribution)
-    dist, words, triples = all_pairs_facts(code)
+    dist, words, triples, lines = all_pairs_facts(code)
     assert weight_distribution(code) == dist == enumerated_distribution(
         code.ctx, rows_of(code)
     )
+    assert set(_line_table(code).lines) == lines
     assert sorted(min_weight_codewords(code)) == words
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     assert dual_distance_exact(code) == dual_distance_oracle(code, determinant_triples(code))

@@ -63,6 +63,12 @@ def test_negative_modulus_rejected():
             GF2m(3, modulus)
 
 
+def test_zero_modulus_rejected():
+    # Its bit length would otherwise report degree -1.
+    with pytest.raises(ValueError, match="^modulus 0 is the zero polynomial, expected degree 3$"):
+        GF2m(3, 0)
+
+
 def test_table_build_without_a_primitive_element_raises(monkeypatch):
     # A product that is always 1 gives every element order 2.
     monkeypatch.setattr(nmds.field, "_mul_raw", lambda a, b, modulus: 1)
