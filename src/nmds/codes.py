@@ -5,18 +5,18 @@ one table of lines of the projective plane PG(2, q).  The kernel reads the
 columns as n distinct nonzero points, as the columns of every code of the
 registry are, and refuses a zero column or two columns at one point.  A
 message is a line l up to scalars, and the codeword of l has weight n minus
-the number of columns on l.  The columns split into an arc, those on the
-conic y^2 = xz, and a residue of all other points.  No three conic points
-are collinear, so the table lists only the lines through a residue point
-and another column; the lines that miss the residue follow from counts on
-the arc.  So the line table gives the exact weight distribution, the
-minimum-weight codewords and the weight-3 dual codewords (collinear column
-triples).  A minimum-weight codeword is carried as its line and its zero
-set, the columns on that line: pairing and locality read only where a word
-vanishes, so no word is written out in full.  The table sorts the other
-columns into the lines through each residue point by slope, O(r n) pairs
-for r residue points, and a code with no conic columns crosses all O(n^2)
-pairs (README "Scale" has timings).  The table refuses q^3 beyond 2^34.  The
+the number of columns on l.  The line table lists the lines through
+three or more columns, and the standard equations of a point set count the
+rest (``weight_distribution``).  The conic y^2 = xz only picks the points
+the table pivots on: no three conic points are collinear, so every listed
+line passes through a residue point, a column off the conic.  That is
+O(r n) column pairs for r residue points, and a code with no conic columns
+crosses all O(n^2) pairs (README "Scale" has timings).  So the line table
+gives the exact weight distribution, the minimum-weight codewords and the
+weight-3 dual codewords (collinear column triples).  A minimum-weight
+codeword is carried as its line and its zero set, the columns on that
+line: pairing and locality read only where a word vanishes, so no word is
+written out in full.  The table refuses q^3 beyond 2^34.  The
 cross product u x v, the line through two points, gives the determinant
 [u, v, w] = (u x v).w that tests three columns for independence.  All of it
 is table lookups on plain ints, in the log arithmetic of ``nmds.field``.
@@ -254,48 +254,21 @@ def _first_basis(ctx: GF2m, cols) -> tuple[int, int, int] | None:
     return i, j, l
 
 
-@dataclass(frozen=True)
-class _LineTable:
-    """The lines of PG(2, q) through a residue point and another column point.
-
-    The columns are distinct nonzero points and a projective message l is a
-    line; the codeword of l has weight n - z(l), where z(l) counts the
-    columns on l.
-
-    The arc is the set of columns on the conic y^2 = xz; every other column
-    is a residue point.  No three points of a conic are collinear, so every
-    line through three or more columns passes through a residue point and is
-    listed here with its vector.  The lines through exactly two columns are
-    counted, not listed: the table lines with two columns and the secants of
-    the arc outside the table.  ``lone`` counts the lines that meet the
-    columns in one point alone.
-    """
-
-    lone: int  # lines through exactly one column
-    lines: tuple[tuple[Point, tuple[int, ...]], ...]  # (line, ascending columns), 3+ columns
-    pairs: int  # lines through exactly two columns
-
-
 @per_code
-def _line_table(code: LinearCode) -> _LineTable:
-    """The line table of a code.
+def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...]], ...]:
+    """The lines of PG(2, q) through three or more columns, as (line,
+    ascending columns).
 
-    The arc is read off the point list alone, in O(n).  Then each residue
-    point P, with leading coordinate la (P_la = 1), sorts every other column
-    Q into the lines through P by slope: R = Q + Q_la P is where the line PQ
-    meets the line x_la = 0, and R_i2 / R_i1 over the other two coordinates
-    i1 < i2 (or infinity when R_i1 = 0) tells those points apart.  That is
-    O(r n) pairs for r residue points.  A line is kept once, under the first
-    residue point on it, and gets its vector only if it holds three or more
-    columns: one product from P and its slope, no cross product.
-
-    For s arc points, C(s, 2) secants minus the table lines with two arc
-    points lie outside the table.  An arc point lies on s - 1 secants, so
-    the arc points lie on s (q + 1 - (s - 1)) minus (table lines with one arc
-    point) lines that meet the columns in one arc point alone; a residue
-    point lies on q + 1 minus its table lines.  Each table line through P
-    counts its arc points at once, and one with three would refute the arc
-    and raises ``AssertionError``.
+    The arc, the columns on the conic y^2 = xz, is read off the point list
+    in O(n) and only picks the points the table pivots on: the columns off
+    it are the residue points, and each residue point P, with leading
+    coordinate la (P_la = 1), sorts every other column Q into the lines
+    through P by slope.  R = Q + Q_la P is where the line PQ meets the line
+    x_la = 0, and R_i2 / R_i1 over the other two coordinates i1 < i2 (or
+    infinity when R_i1 = 0) tells those points apart.  A line is kept once,
+    under the first residue point on it, and gets its vector from P and its
+    slope with one product.  A line through P with three arc points would
+    refute the arc and raises ``AssertionError``.
     """
     ctx, q = code.ctx, code.ctx.q
     _check_enumeration_guard(q)
@@ -304,13 +277,11 @@ def _line_table(code: LinearCode) -> _LineTable:
     on_arc = [exp[2 * log[y]] == exp[log[x] + log[z]] for x, y, z in points]
     arc = list(compress(range(len(points)), on_arc))
     residue = [t for t, on in enumerate(on_arc) if not on]
-    s = len(arc)
     coords = list(zip(*points))
     # A residue point leads with x or y: (0, 0, 1) is on the conic.
     logs = {la: [log[v] for v in coords[la]] for la in {points[t].index(1) for t in residue}}
-    lone = s * (q + 1 - (s - 1))  # less the table lines with one arc point
-    lines, pairs = [], s * (s - 1) // 2  # less the table lines with two arc points
-    for t in residue:
+    lines = []
+    for i, t in enumerate(residue):
         p = points[t]
         la = p.index(1)
         i1, i2 = _OTHER_TWO[la]
@@ -320,6 +291,10 @@ def _line_table(code: LinearCode) -> _LineTable:
             exp[log[y ^ exp[lq + l2]] + q - 1 - log[r1]] if (r1 := x ^ exp[lq + l1]) else q
             for lq, x, y in zip(logs[la], coords[i1], coords[i2])
         ]
+        if max(Counter(map(slopes.__getitem__, arc)).values(), default=0) >= 3:
+            raise AssertionError(
+                "a table line holds three arc points; the conic columns are not an arc"
+            )
         slopes[t] = -1  # P itself, taken out below
         through: dict[int, list[int]] = {}  # the columns on each line through P but P
         for j, slope in enumerate(slopes):
@@ -328,23 +303,10 @@ def _line_table(code: LinearCode) -> _LineTable:
             else:
                 through[slope] = [j]
         del through[-1]
-        lone += q + 1 - len(through)
-        done = {slopes[u] for u in residue if u < t}  # listed under an earlier residue point
-        arcs_on = Counter(map(slopes.__getitem__, arc))  # arc points on each line through P
-        for slope in done:
-            arcs_on.pop(slope, None)
-        lines_by_arcs = Counter(arcs_on.values())
-        if max(lines_by_arcs, default=0) >= 3:
-            raise AssertionError(
-                "a table line holds three arc points; the conic columns are not an arc"
-            )
-        lone -= lines_by_arcs[1]
-        pairs -= lines_by_arcs[2]
+        for u in residue[:i]:  # a line through an earlier residue point is listed there
+            through.pop(slopes[u], None)
         for slope, cols in through.items():
-            if slope in done:
-                continue
             if len(cols) == 1:
-                pairs += 1
                 continue
             # On (x_la, x_i1, x_i2), the line through P and (0, 1, slope) is
             # (P_i1 slope + P_i2, slope, 1), and through (0, 0, 1) at slope
@@ -354,7 +316,7 @@ def _line_table(code: LinearCode) -> _LineTable:
             cols.append(t)
             cols.sort()
             lines.append((line, tuple(cols)))
-    return _LineTable(lone=lone, lines=tuple(lines), pairs=pairs)
+    return tuple(lines)
 
 
 # -- distribution and minimum-weight codewords ---------------------------------
@@ -362,17 +324,28 @@ def _line_table(code: LinearCode) -> _LineTable:
 @per_code
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact distribution: each of the q^2 + q + 1 lines gives q - 1
-    codewords of weight n - z.  Besides the table lines, ``pairs`` lines meet
-    the columns in two points, ``lone`` lines in one, and the rest in none."""
+    codewords of weight n - z, where z counts the columns on the line.
+
+    The table gives the numbers t_z of lines with z >= 3.  The standard
+    equations of n distinct points, sum t_z = q^2 + q + 1 (all lines),
+    sum z t_z = n (q + 1) (q + 1 lines through each point) and
+    sum C(z, 2) t_z = C(n, 2) (one line through each pair), give t_2, t_1
+    and t_0; a negative one raises ``AssertionError``.
+    """
     q, n = code.ctx.q, code.n
     table = _line_table(code)
-    lines_by_z = [0] * (n + 1)
-    for _, cols in table.lines:
-        lines_by_z[len(cols)] += 1
-    lines_by_z[2] += table.pairs
-    lines_by_z[1] += table.lone
-    lines_by_z[0] += q * q + q + 1 - len(table.lines) - table.pairs - table.lone
-    return WeightDistribution(n, tuple([1] + [(q - 1) * c for c in lines_by_z[n - 1 :: -1]]))
+    sizes = Counter(len(cols) for _, cols in table)  # t_z for z >= 3
+    t2 = n * (n - 1) // 2 - sum(t * z * (z - 1) // 2 for z, t in sizes.items())
+    t1 = n * (q + 1) - sum(t * z for z, t in sizes.items()) - 2 * t2
+    t0 = q * q + q + 1 - len(table) - t2 - t1
+    if min(t0, t1, t2) < 0:
+        raise AssertionError(
+            f"negative line counts t_0, t_1, t_2 = {t0}, {t1}, {t2}; line table inconsistent"
+        )
+    lines_by_z = [t0, t1, t2] + [0] * (n - 3)  # z < n: the columns span the plane
+    for z, t in sizes.items():
+        lines_by_z[z] = t
+    return WeightDistribution(n, tuple([1] + [(q - 1) * c for c in reversed(lines_by_z)]))
 
 
 @per_code
@@ -395,9 +368,9 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
     ctx, columns = code.ctx, code.columns
     exp, log = ctx._exp, ctx._log
     table = _line_table(code)
-    if table.lines:
-        size = max(len(cols) for _, cols in table.lines)
-        best = [(line, cols) for line, cols in table.lines if len(cols) == size]
+    if table:
+        size = max(len(cols) for _, cols in table)
+        best = [(line, cols) for line, cols in table if len(cols) == size]
     else:
         points = _canonical_columns(code)
         best = [
@@ -443,7 +416,7 @@ def dual_distance_exact(code: LinearCode) -> int | None:
     lists a line.  Past 3 the distance is 4 when n >= 4, the Singleton
     bound of the [n, n - 3] dual; a code with n = 3 has the zero dual.
     """
-    return 3 if _line_table(code).lines else None
+    return 3 if _line_table(code) else None
 
 
 @per_code
@@ -472,7 +445,7 @@ def min_weight_dual_codewords(
     exp, log = ctx._exp, ctx._log
     q1 = ctx.q - 1
     words = []
-    for line, on_line in _line_table(code).lines:
+    for line, on_line in _line_table(code):
         a, b = _OTHER_TWO[line.index(1)]
         for triple in combinations(on_line, 3) if len(on_line) > 3 else (on_line,):
             u, v, w = columns[triple[0]], columns[triple[1]], columns[triple[2]]

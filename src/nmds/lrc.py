@@ -124,21 +124,17 @@ def k_opt_singleton(n: int, d: int) -> int:
 
 
 def cm_bound_dimension(n: int, d: int, r: int) -> tuple[int, int]:
-    """Dimension cap min_t [r t + k_opt(n - t(r+1), d)] and the minimizing t.
+    """Dimension cap min_t [r t + k_opt(n - t(r+1), d)] and the least
+    minimizing t, for d >= 1.
 
     t ranges over 1 .. floor((n-1)/(r+1)); past that the residual length is
     non-positive.  If even t = 1 leaves no residual the bound degenerates to
     r itself (t = 1, empty tail code).
     """
-    t_max = (n - 1) // (r + 1)
-    if t_max < 1:
-        return r, 1
-    best_val, best_t = None, 1
-    for t in range(1, t_max + 1):
-        val = r * t + k_opt_singleton(n - t * (r + 1), d)
-        if best_val is None or val < best_val:
-            best_val, best_t = val, t
-    return int(best_val), best_t
+    return min(
+        (r * t + k_opt_singleton(n - t * (r + 1), d), t)
+        for t in range(1, max(1, (n - 1) // (r + 1)) + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ here, and the RREF, null-space dual and exhaustive codeword enumeration of
 ``oracles.py``, which also run on generators of other dimensions.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -421,12 +421,12 @@ def test_min_weight_codewords_in_message_order_across_leading_positions(ctx8):
 def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
     code = build("c", ctx8)
     table = _line_table(code)
-    size = max(len(cols) for _, cols in table.lines)
-    best = [i for i, (_, cols) in enumerate(table.lines) if len(cols) == size]
-    lines = list(table.lines)
+    size = max(len(cols) for _, cols in table)
+    best = [i for i, (_, cols) in enumerate(table) if len(cols) == size]
+    lines = list(table)
     # Two distinct lines share at most one column.
     lines[best[0]] = (lines[best[1]][0], lines[best[0]][1])
-    code._derived[_line_table.__wrapped__] = replace(table, lines=tuple(lines))
+    code._derived[_line_table.__wrapped__] = tuple(lines)
     with pytest.raises(AssertionError, match="misses one of its columns"):
         min_weight_codewords(code)
 
@@ -536,7 +536,7 @@ def collinear_triples(code):
     """The column triples on the table lines with three or more columns, in
     lexicographic order: the supports of the weight-3 dual words when the
     columns are pairwise independent."""
-    return sorted(t for _, cols in _line_table(code).lines for t in combinations(cols, 3))
+    return sorted(t for _, cols in _line_table(code) for t in combinations(cols, 3))
 
 
 def column_rank(code, idx):
@@ -723,11 +723,20 @@ def test_arc_line_table_matches_all_pairs_oracle(code):
     assert weight_distribution(code) == dist == enumerated_distribution(
         code.ctx, rows_of(code)
     )
-    assert set(_line_table(code).lines) == lines
+    assert set(_line_table(code)) == lines
     assert sorted(min_weight_codewords(code)) == words
     assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     assert dual_distance_exact(code) == dual_distance_oracle(code, determinant_triples(code))
     assert collinear_triples(code) == triples == determinant_triples(code)
+
+
+def test_weight_distribution_rejects_a_negative_line_count(ctx8):
+    # One line through all 12 columns of c leaves no pair for t_2, gives
+    # t_1 = 12 (q + 1) - 12 = 96 and t_0 = 73 - 1 - 96 = -24.
+    code = build("c", ctx8)
+    code._derived[_line_table.__wrapped__] = (((0, 1, 0), tuple(range(code.n))),)
+    with pytest.raises(AssertionError, match=r"t_0, t_1, t_2 = -24, 96, 0; line table"):
+        weight_distribution(code)
 
 
 def test_line_table_rejects_three_collinear_arc_points(ctx8):
@@ -747,9 +756,8 @@ def _moved_columns(code, vector, columns):
     """The code's line table with the columns of line ``vector``, which must
     be 7, 8 and 10, replaced by ``columns``."""
     table = _line_table(code)
-    assert dict(table.lines)[vector] == (7, 8, 10)
-    lines = tuple((v, columns if v == vector else cols) for v, cols in table.lines)
-    return replace(table, lines=lines)
+    assert dict(table)[vector] == (7, 8, 10)
+    return tuple((v, columns if v == vector else cols) for v, cols in table)
 
 
 def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8, monkeypatch):

@@ -161,8 +161,12 @@ def test_singleton_like_bound_values():
     assert singleton_like_bound(10, 3, 3) == 8
     for n, k in ((10, 4), (7, 3), (9, 2)):
         assert singleton_like_bound(n, k, k) == n - k + 1  # classical Singleton
-    with pytest.raises(ValueError):
-        singleton_like_bound(3, 3, 2)
+    # k = 1 and r = 1 are in range; k = 0 and r = 0 are not.
+    assert singleton_like_bound(5, 1, 2) == 5
+    assert singleton_like_bound(6, 3, 1) == 2
+    for n, k, r in ((3, 3, 2), (5, 0, 2), (6, 3, 0)):
+        with pytest.raises(ValueError, match="need n > k >= 1 and r >= 1"):
+            singleton_like_bound(n, k, r)
 
 
 def test_k_opt_singleton():
@@ -179,6 +183,10 @@ def test_cm_bound_values():
     assert cm_bound_dimension(9, 3, 6) == (6, 1)
     # degenerate: residual length vanishes even at t=1
     assert cm_bound_dimension(4, 3, 4) == (4, 1)
+    # t runs to floor((n-1)/(r+1)) exactly: (5, 2, 1) needs t = 2, and at
+    # (4, 1, 1) t = 2 would give 2 but lies past it
+    assert cm_bound_dimension(4, 1, 1) == (3, 1)
+    assert cm_bound_dimension(5, 2, 1) == (2, 2)
 
 
 def test_cm_bound_scans_t():
