@@ -1,7 +1,8 @@
-"""MDS/AMDS/NMDS classification, distribution recurrences, pairing checks.
+"""MDS/NMDS classification, distribution recurrences, pairing checks.
 
 A code with Singleton defect 0 is MDS; defect 1 is AMDS; AMDS with an AMDS
-dual is NMDS.  For an NMDS code the whole weight distribution of either side
+dual is NMDS, and every AMDS code the kernel accepts is NMDS (``classify``).
+For an NMDS code the whole weight distribution of either side
 follows from one seed count by a recurrence, computed here in exact
 big-integer arithmetic (the counts overflow 64-bit well inside the supported
 range) with one Horner step per weight.  The pairing check confirms that
@@ -19,7 +20,6 @@ from math import comb
 from .codes import (
     LinearCode,
     WeightDistribution,
-    dual_distance_exact,
     min_weight_codewords,
     min_weight_dual_codewords,
     per_code,
@@ -40,31 +40,23 @@ __all__ = [
 class CodeClass:
     """Classification verdict with the code's minimum distance."""
 
-    tag: str  # "MDS" | "AMDS-only" | "NMDS" | "other"
+    tag: str  # "MDS" | "NMDS" | "other"
     d: int
 
 
 @per_code
 def classify(code: LinearCode) -> CodeClass:
-    """Tag per the Singleton defects of the code and its dual.
+    """Tag per the Singleton defect n - k + 1 - d: 0 is MDS, 1 is NMDS and
+    more is "other".
 
-    A code that is not MDS has n >= 4, so any 4 of its columns are
-    dependent and its dual distance is at most 4: the column checks give it
-    exactly up to 3, and past that it is 4.
+    NMDS asks for defect 1 on the dual side too, and for the kernel's codes,
+    n distinct points of PG(2, q), defect 1 gives it.  A_(n-3) > 0 is q - 1
+    times the lines through three columns, so the dual distance is 3 and the
+    dual defect k + 1 - 3 = 1: no code here is AMDS with a dual that is not.
     """
     d = weight_distribution(code).min_distance
     defect = code.n - code.k + 1 - d
-    if defect == 0:
-        # MDS; the dual of an MDS code is MDS, no dual computation needed.
-        return CodeClass("MDS", d)
-    dual_defect = code.k + 1 - (dual_distance_exact(code) or 4)  # n' - k' + 1 - d', k' = n - k
-    if defect == 1 and dual_defect == 1:
-        tag = "NMDS"
-    elif defect == 1:
-        tag = "AMDS-only"
-    else:
-        tag = "other"
-    return CodeClass(tag, d)
+    return CodeClass("MDS" if defect == 0 else "NMDS" if defect == 1 else "other", d)
 
 
 def _nmds_distribution(n: int, w: int, q: int, seed: int) -> WeightDistribution:

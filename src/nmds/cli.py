@@ -44,12 +44,12 @@ _FLAGS = ("d_optimal", "almost_d_optimal", "k_optimal")
 
 
 def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict, list[str]]:
-    """Full pipeline for one (construction, m) pair.
+    """Full pipeline for one (construction, m) pair; ``cid`` is a registry
+    key, as ``normalize_id`` returns it.
 
     Returns the report object (JSON-ready) and the list of failed check
     names; an empty list means every registered expectation held.
     """
-    cid = cons.normalize_id(cid)
     ctx = GF2m(m, modulus)
     q = ctx.q
     code = cons.build(cid, ctx)
@@ -79,9 +79,8 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
     }
 
     if verdict.tag == "NMDS":  # for k = 3, dual defect 1 means d_dual = 3
-        a3 = vr.dual_weight3_count or 0
         mw = macwilliams(dist, vr.k, q)
-        rec_dual = nmds_dual_distribution_from_Ak(vr.n, vr.k, q, a3)
+        rec_dual = nmds_dual_distribution_from_Ak(vr.n, vr.k, q, vr.dual_weight3_count)
         rec_primal = nmds_primal_distribution_from_Ank(vr.n, vr.k, q, dist.counts[vr.n - vr.k])
         checks["macwilliams_vs_recurrence"] = mw.counts == rec_dual.counts
         checks["primal_recurrence"] = rec_primal.counts == dist.counts
@@ -274,11 +273,12 @@ def _cmd_show(args) -> int:
         return 0
     opt_code, opt_dual = classify_lrc(code)
     for rep in (opt_code, opt_dual):
-        flags = [name.replace("_", "-") for name in _FLAGS if getattr(rep, name)]
+        # k-optimal is always among the flags: on both sides of an NMDS code
+        # the CM bound's t = 1 term is k, and _optimality refuses k above it.
+        flags = ", ".join(name.replace("_", "-") for name in _FLAGS if getattr(rep, name))
         print(
             f"{rep.side}: [n={rep.n}, k={rep.k}, d={rep.d}] r={rep.r} "
-            f"singleton_like_rhs={rep.sl_rhs} cm_rhs={rep.cm_rhs} (t={rep.cm_t}) "
-            f"{', '.join(flags) if flags else 'no optimality flags'}"
+            f"singleton_like_rhs={rep.sl_rhs} cm_rhs={rep.cm_rhs} (t={rep.cm_t}) {flags}"
         )
     return 0
 

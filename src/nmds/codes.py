@@ -295,18 +295,17 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...]], ...]:
             raise AssertionError(
                 "a table line holds three arc points; the conic columns are not an arc"
             )
-        slopes[t] = -1  # P itself, taken out below
+        slopes[t] = -1  # P itself, alone in its group: its own slope would be q
         through: dict[int, list[int]] = {}  # the columns on each line through P but P
         for j, slope in enumerate(slopes):
             if slope in through:
                 through[slope].append(j)
             else:
                 through[slope] = [j]
-        del through[-1]
         for u in residue[:i]:  # a line through an earlier residue point is listed there
             through.pop(slopes[u], None)
         for slope, cols in through.items():
-            if len(cols) == 1:
+            if len(cols) == 1:  # P's own group, or a line through P and one column
                 continue
             # On (x_la, x_i1, x_i2), the line through P and (0, 1, slope) is
             # (P_i1 slope + P_i2, slope, 1), and through (0, 0, 1) at slope
@@ -358,25 +357,20 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
     nonzero multiple of exactly one entry's codeword.  Entries come in the
     order of their projective messages.
 
-    These are the lines with the most columns.  If some line holds three
-    columns they are all in the table: a line outside it holds at most two.
-    If no line holds three columns, the lines with the most columns are
-    those through two of them, one per pair.  Two checks hold this to
-    account: each line must vanish on its columns, and q - 1 times the
-    number of lines must be A_d of the distribution, which counts every line.
+    These are the lines of the table with the most columns: a line outside
+    it holds at most two.  A code with no line through three columns is MDS
+    and raises ``ValueError``; every caller refuses a code that is not NMDS
+    first.  Two checks hold the table to account: each line must vanish on
+    its columns, and q - 1 times the number of lines must be A_d of the
+    distribution, which counts every line.
     """
     ctx, columns = code.ctx, code.columns
     exp, log = ctx._exp, ctx._log
     table = _line_table(code)
-    if table:
-        size = max(len(cols) for _, cols in table)
-        best = [(line, cols) for line, cols in table if len(cols) == size]
-    else:
-        points = _canonical_columns(code)
-        best = [
-            (_normalize(ctx, _cross(ctx, points[a], points[b])), (a, b))
-            for a, b in combinations(range(code.n), 2)
-        ]
+    if not table:
+        raise ValueError("no line holds three columns: the code is MDS")
+    size = max(len(cols) for _, cols in table)
+    best = [(line, cols) for line, cols in table if len(cols) == size]
     # Projective-message order: (1, y, z) as the number y q + z, then
     # (0, 1, z) from q^2 + z, then (0, 0, 1) last.
     q = ctx.q
@@ -438,9 +432,8 @@ def min_weight_dual_codewords(
     that line makes it nonzero.  Each dependency is checked to annihilate
     its three columns, O(1) per word.
     """
-    dd = dual_distance_exact(code)
-    if dd != 3:
-        raise ValueError(f"dual distance is {dd if dd else '> 3'}, expected exactly 3")
+    if dual_distance_exact(code) != 3:
+        raise ValueError("dual distance is > 3, expected exactly 3")
     ctx, columns = code.ctx, code.columns
     exp, log = ctx._exp, ctx._log
     q1 = ctx.q - 1

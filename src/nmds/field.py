@@ -56,15 +56,11 @@ def poly_to_str(p: int) -> str:
     return "+".join(terms)
 
 
-def _poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of GF(2)[x] division of a by b (b != 0)."""
-    db = b.bit_length() - 1
-    quo = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        quo ^= 1 << shift
-        a ^= b << shift
-    return quo, a
+def _poly_mod(a: int, b: int) -> int:
+    """Remainder of GF(2)[x] division of a by b (b != 0)."""
+    while a.bit_length() >= b.bit_length():
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
 
 
 def find_factor(p: int) -> int | None:
@@ -75,7 +71,7 @@ def find_factor(p: int) -> int | None:
     """
     deg = p.bit_length() - 1
     for cand in range(2, 1 << (deg // 2 + 1)):
-        if _poly_divmod(p, cand)[1] == 0:
+        if _poly_mod(p, cand) == 0:
             return cand
     return None
 

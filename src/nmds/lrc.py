@@ -218,8 +218,6 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
             out[b] = ((a, c), (exp[q1 + l0 - l1], exp[q1 + l2 - l1]))
         if c not in out:
             out[c] = ((a, b), (exp[q1 + l0 - l2], exp[q1 + l1 - l2]))
-    if len(out) == code.n:
-        return out
 
     # Fallback coordinates: Cramer's rule over the first independent triple.
     for i in range(code.n):

@@ -102,6 +102,34 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     assert err == "nmds: FAIL d@3: distribution, dual_weight3_count\n"
 
 
+def test_verify_names_every_check_a_full_conic_fails(capsys, monkeypatch):
+    # e's tail replaced by (1, 0, 0) and (0, 0, 1) makes its nine columns the
+    # whole conic at m = 3: an MDS code of the right length, no weight-3
+    # dual word, and d = 7 where the closed forms say 6.
+    conic = dataclasses.replace(cons.CONSTRUCTIONS["e"], tail=((1, 0, 0), (0, 0, 1)))
+    monkeypatch.setitem(cons.CONSTRUCTIONS, "e", conic)
+    code, out, err = run(capsys, ["verify", "--id", "e", "--m", "3"])
+    assert code == 1
+    assert err == "nmds: FAIL e@3: d, d_dual, distribution, dual_weight3_count, class\n"
+    (report,) = json.loads(out)
+    assert (report["class"], report["d"], report["d_dual"]) == ("MDS", 7, None)
+    assert report["dual_weight3_count"] is None
+
+
+def test_verify_names_a_locality_mismatch(capsys, monkeypatch):
+    wrong = dataclasses.replace(cons.CONSTRUCTIONS["c"], r_code=3)
+    monkeypatch.setitem(cons.CONSTRUCTIONS, "c", wrong)
+    code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3", "-v"])
+    assert code == 1
+    assert err == "c@3: FAIL\nnmds: FAIL c@3: locality\n"
+
+
+def test_verify_verbose_streams_one_line_per_pair(capsys):
+    code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3,4", "-v"])
+    assert code == 0
+    assert err == "c@3: ok\nc@4: ok (1 warning)\n"
+
+
 @pytest.mark.parametrize("recurrence, check", [
     ("nmds_dual_distribution_from_Ak", "macwilliams_vs_recurrence"),
     ("nmds_primal_distribution_from_Ank", "primal_recurrence"),
@@ -213,6 +241,18 @@ def test_verify_out_file_markdown(tmp_path, capsys):
     assert len(lines) == 14  # header, separator, 12 rows
 
 
+def test_verify_markdown_leaves_the_cells_of_a_non_nmds_pair_empty(capsys):
+    code, out, _ = run(capsys, ["verify", "--id", "c", "--m", "4", "--format", "markdown"])
+    assert code == 0
+    assert out == (
+        "| key | n | k | d | d_dual | class | pairing_ok | locality_code | locality_dual"
+        " | warnings |\n"
+        "|---|---|---|---|---|---|---|---|---|---|\n"
+        "| c@4 | 20 | 3 | 16 | 3 | other |  |  |  | m=4 violates the constraint (m >= 3, m odd);"
+        " closed forms not asserted, observed values reported |\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # show
 # ---------------------------------------------------------------------------
@@ -240,10 +280,21 @@ def test_show_locality(capsys):
 
 
 def test_show_bounds(capsys):
-    code, out, _ = run(capsys, ["show", "--id", "c", "--m", "3", "--what", "bounds"])
+    for cid, expected in {
+        "c": "code: [n=12, k=3, d=9] r=2 singleton_like_rhs=9 cm_rhs=3 (t=1) d-optimal, k-optimal\n"
+             "dual: [n=12, k=9, d=3] r=8 singleton_like_rhs=3 cm_rhs=9 (t=1) d-optimal, k-optimal\n",
+        "e2": "code: [n=9, k=3, d=6] r=3 singleton_like_rhs=7 cm_rhs=3 (t=1)"
+              " almost-d-optimal, k-optimal\n"
+              "dual: [n=9, k=6, d=3] r=6 singleton_like_rhs=4 cm_rhs=6 (t=1)"
+              " almost-d-optimal, k-optimal\n",
+    }.items():
+        assert run(capsys, ["show", "--id", cid, "--m", "3", "--what", "bounds"]) == (0, expected, "")
+
+
+def test_show_matrix_at_the_largest_m(capsys):
+    code, out, _ = run(capsys, ["show", "--id", "c", "--m", "16", "--what", "matrix"])
     assert code == 0
-    assert "d-optimal" in out and "k-optimal" in out
-    assert "singleton_like_rhs=9" in out
+    assert out.split("\n", 1)[0] == "3 65540 16 0x1100b"
 
 
 def test_show_unknown_id(capsys):
@@ -261,6 +312,18 @@ def test_m_list_parsers_reject_the_wrong_number_of_values(capsys, argv, message)
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--all", "--m", "3,x"], "argument --m: bad m list '3,x'"),
+    (["show", "--id", "c", "--m", "3", "--what", "matrix", "--modulus", "0xZ"],
+     "argument --modulus: modulus must be a hex integer, got '0xZ'"),
+])
+def test_parsers_reject_text_that_is_no_number(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +378,29 @@ def test_repair_every_coordinate_c(capsys):
 
 
 def test_repair_erase_out_of_range(capsys):
-    code, _, err = run(capsys, ["repair", "--id", "c", "--m", "3", "--erase", "99"])
-    assert code == 2
-    assert "outside" in err
+    for erase in (12, 99, -1):  # c has n = 12 at m = 3
+        assert run(capsys, ["repair", "--id", "c", "--m", "3", "--erase", str(erase)]) == (
+            2, "", f"nmds: erase index {erase} outside [0, 12)\n"
+        )
+
+
+def test_repair_refuses_a_repair_set_larger_than_the_locality(capsys, monkeypatch):
+    monkeypatch.setattr(nmds.cli, "repair_map", lambda code: {0: ((1, 2, 3), (1, 1, 1))})
+    assert run(capsys, ["repair", "--id", "c", "--m", "3", "--erase", "0"]) == (
+        1, "", "nmds: no repair set of size 2 covers coordinate 0\n"
+    )
+
+
+def test_repair_reports_a_mismatch_with_exit_1(capsys, monkeypatch):
+    real = nmds.cli.repair_value
+    monkeypatch.setattr(nmds.cli, "repair_value", lambda *args: real(*args) ^ 1)
+    code, out, err = run(capsys, ["repair", "--id", "c", "--m", "3", "--erase", "0"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        "erased c[0] = 0x7",
+        "repair set [7, 11], linear function c[0] = 0x1*c[7] + 0x1*c[11]",
+        "recovered 0x6: MISMATCH",
+    ]
 
 
 @pytest.mark.parametrize("argv", [

@@ -118,6 +118,13 @@ def test_linear_code_requires_full_row_rank(ctx8):
         LinearCode(ctx8, [(1, 0, 1), (0, 1, 1)])  # n < k
 
 
+def test_linear_code_takes_a_zero_first_column_the_kernel_refuses(ctx8):
+    # Rank 3 with a zero first column: LinearCode takes it, the kernel names it.
+    code = LinearCode(ctx8, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="^column 0 is zero; the kernel counts distinct nonzero"):
+        weight_distribution(code)
+
+
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_linear_code_rejects_other_dimensions(ctx8, k):
     cols = {1: [(1,)] * 5, 2: [(1, 0), (0, 1), (1, 1)], 4: np.eye(4, dtype=np.int64)}[k]
@@ -532,6 +539,9 @@ def encoded_min_weight_words(code):
     return _canonical_words(code.ctx, np.array(words))
 
 
+MDS_REFUSAL = "no line holds three columns: the code is MDS"
+
+
 def collinear_triples(code):
     """The column triples on the table lines with three or more columns, in
     lexicographic order: the supports of the weight-3 dual words when the
@@ -576,8 +586,13 @@ def determinant_triples(code):
 @example(LinearCode(SMALL_FIELDS[0], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 2)]))
 def test_line_table_matches_oracles(code):
     code = as_point_set(code, weight_distribution)
-    assert weight_distribution(code) == enumerated_distribution(code.ctx, rows_of(code))
-    assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
+    dist = enumerated_distribution(code.ctx, rows_of(code))
+    assert weight_distribution(code) == dist
+    if dist.min_distance == code.n - 2:  # MDS: no line holds three columns
+        with pytest.raises(ValueError, match=f"^{MDS_REFUSAL}$"):
+            min_weight_codewords(code)
+    else:
+        assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     dd = rank_dual_distance(code)
     assert dual_distance_exact(code) == dd
     rank2 = [t for t in combinations(range(code.n), 3) if column_rank(code, t) <= 2]
@@ -724,8 +739,12 @@ def test_arc_line_table_matches_all_pairs_oracle(code):
         code.ctx, rows_of(code)
     )
     assert set(_line_table(code)) == lines
-    assert sorted(min_weight_codewords(code)) == words
-    assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
+    if dist.min_distance == code.n - 2:  # MDS: no line holds three columns
+        with pytest.raises(ValueError, match=f"^{MDS_REFUSAL}$"):
+            min_weight_codewords(code)
+    else:
+        assert sorted(min_weight_codewords(code)) == words
+        assert encoded_min_weight_words(code) == _enumerated_min_weight_words(code)
     assert dual_distance_exact(code) == dual_distance_oracle(code, determinant_triples(code))
     assert collinear_triples(code) == triples == determinant_triples(code)
 

@@ -173,6 +173,13 @@ def test_verify_construction_all_pass_q8(ctx8):
         assert not report.warnings
 
 
+def test_verify_construction_names_each_failing_check(ctx8):
+    # e's code against c's closed forms: n = 9 and d = 6 where c has 12 and
+    # 9, and 28 weight-3 dual words where c has 70; both have d_dual = 3.
+    report = verify_construction("c", ctx8, build("e", ctx8))
+    assert report.failing_fields() == ["n", "d", "distribution", "dual_weight3_count"]
+
+
 def test_verify_construction_warning_at_even_m(ctx4):
     report = verify_construction("c", ctx4, build("c", ctx4))
     assert report.warnings and "m=2" in report.warnings[0]

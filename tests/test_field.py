@@ -120,6 +120,16 @@ def test_modulus_override():
         assert ctx.mul(a, ctx.inv(a)) == 1
 
 
+def test_find_factor_tries_x_first():
+    # x^3 is x x x: the factor x (0b10) is the first candidate, and no other
+    # candidate of degree <= 1 divides it.
+    assert find_factor(0b1000) == 0b10
+
+
+def test_context_repr_names_the_modulus():
+    assert repr(GF2m(3)) == "GF2m(m=3, modulus=x^3+x+1)"
+
+
 def test_poly_to_str():
     assert poly_to_str(0b1011) == "x^3+x+1"
     assert poly_to_str(0b111) == "x^2+x+1"

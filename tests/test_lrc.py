@@ -115,6 +115,15 @@ def test_locality_of_dual_rejects_zero_sets_sharing_a_coordinate(ctx8):
         locality_of_dual(code)
 
 
+def test_dual_support_sets_intersect_every_support(ctx8):
+    # (0, 1, 2) and (0, 6, 7) share coordinate 0; only (3, 4, 5) empties the
+    # intersection, so every support must enter it.
+    code = build("c", ctx8)
+    supports = ((0, 1, 2), (3, 4, 5), (0, 6, 7))
+    code._derived[min_weight_dual_codewords.__wrapped__] = [(s, (1, 1, 1)) for s in supports]
+    assert nmds.lrc._dual_support_sets(code) == (frozenset(range(8)), frozenset())
+
+
 def test_locality_rejects_non_nmds(ctx4):
     with pytest.raises(ValueError, match="NMDS"):
         locality_of_code(build("c", ctx4))
