@@ -7,11 +7,17 @@ registry are, and refuses a zero column or two columns at one point.  A
 message is a line l up to scalars, and the codeword of l has weight n minus
 the number of columns on l.  The line table lists the lines through
 three or more columns, and the standard equations of a point set count the
-rest (``weight_distribution``).  The conic y^2 = xz only picks the points
-the table pivots on: no three conic points are collinear, so every listed
-line passes through a residue point, a column off the conic.  That is
-O(r n) column pairs for r residue points, and a code with no conic columns
-crosses all O(n^2) pairs (README "Scale" has timings).  So the line table
+rest (``weight_distribution``).  A code's leading columns are its arc:
+the q - 1 points of the conic y^2 = xz that its construction states
+(``conic_arc``, one ``Arc`` per field), or else its own leading columns on
+the conic.  No three conic points are collinear, so every listed line
+passes through a residue point, a later column off the conic.  The lines
+through a residue point over the arc, its pencil, are a fact of the arc:
+each pencil is derived and checked once per (arc, point) and shared by
+every code that states the arc, and a code sorts only its later columns
+into it.  That is O(q) per pencil and O(r t) per code for r residue points
+among t later columns; a code with no leading conic column crosses all
+O(n^2) pairs (README "Scale" has timings).  So the line table
 gives the exact weight distribution, the minimum-weight codewords and the
 weight-3 dual codewords (collinear column triples).  A minimum-weight
 codeword is carried as its line and its zero set, the columns on that
@@ -30,7 +36,8 @@ O(n (n - d)) multiply-adds, which for an NMDS distribution is O(n k).
 Every derivation of a code (point list, line table, distribution,
 minimum-weight words of the code and of its dual) runs once per code: the
 ``per_code`` decorator keeps each result on the code, keyed by the deriving
-function, and hands the same object to every later caller.
+function, and hands the same object to every later caller.  A pencil is
+kept on its arc the same way.
 """
 
 from __future__ import annotations
@@ -38,12 +45,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
-from itertools import combinations, compress
+from itertools import combinations
 from operator import itemgetter
 
 from .field import GF2m
 
 __all__ = [
+    "Arc",
+    "conic_arc",
     "LinearCode",
     "WeightDistribution",
     "weight_distribution",
@@ -70,11 +79,14 @@ class LinearCode:
     Every construction here has dimension 3 and every count reads the
     columns as points of PG(2, q), so columns of any other length are
     refused.  The columns are kept as 3-tuples of field elements 0..q-1.
+    ``arc`` states that the leading columns are the points of an ``Arc``,
+    and a code whose leading columns are not refuses it by name; a code
+    that states none gets its leading conic columns as its own arc.
     """
 
     k = 3
 
-    def __init__(self, ctx: GF2m, columns) -> None:
+    def __init__(self, ctx: GF2m, columns, arc: Arc | None = None) -> None:
         try:
             cols = tuple(map(tuple, columns))
         except TypeError:
@@ -88,7 +100,16 @@ class LinearCode:
             raise ValueError(f"k={lengths.pop()}: only dimension-3 codes are supported")
         if _first_basis(ctx, cols) is None:
             raise ValueError("generator matrix does not have full row rank")
+        if arc is None:  # the leading columns on the conic are the code's own arc
+            off = _off_conic(ctx, cols)
+            arc = Arc(ctx, cols[: off[0] if off else len(cols)])
+        elif (arc.ctx.m, arc.ctx.modulus) != (ctx.m, ctx.modulus):
+            raise ValueError(f"the stated arc is over {arc.ctx!r}, the columns over {ctx!r}")
+        elif cols[: len(arc.columns)] != arc.columns:
+            j = next((j for j, (c, a) in enumerate(zip(cols, arc.columns)) if c != a), len(cols))
+            raise ValueError(f"column {j} is not point {j} of the stated arc")
         self.ctx = ctx
+        self.arc = arc
         self.n = len(cols)
         self.columns: tuple[Point, ...] = cols
         self._derived: dict = {}  # per_code results, keyed by the deriving function
@@ -107,6 +128,41 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.ctx.q}))"
+
+
+class Arc:
+    """Points of the conic y^2 = xz that codes state as their leading columns.
+
+    Each point is checked on the conic once, here.  The pencil of lines
+    through a residue point over the arc is a fact of the arc, not of a
+    code: ``_line_table`` derives it once per (arc, point) and keeps it in
+    ``_pencils``.  Two threads may both derive one, but ``setdefault`` keeps
+    the first, so every code that states the arc reads the same pencil.
+    """
+
+    def __init__(self, ctx: GF2m, columns) -> None:
+        cols = tuple(map(tuple, columns))
+        off = _off_conic(ctx, cols)
+        if off:
+            raise ValueError(f"arc point {off[0]} is off the conic y^2 = xz")
+        self.ctx = ctx
+        self.columns: tuple[Point, ...] = cols
+        self._pencils: dict = {}  # residue column -> its pencil, as ``_pencil`` returns it
+
+
+_CONIC_ARCS: dict[tuple[int, int], Arc] = {}
+
+
+def conic_arc(ctx: GF2m) -> Arc:
+    """The q - 1 points (1, a, a^2) of the conic, a != 0 ascending, as one
+    ``Arc`` per field (m, modulus), built and checked on first use and then
+    shared by every code over that field that states it."""
+    key = (ctx.m, ctx.modulus)
+    if key not in _CONIC_ARCS:
+        exp, log = ctx._exp, ctx._log
+        points = [(1, a, exp[2 * log[a]]) for a in ctx.nonzero_elements()]
+        _CONIC_ARCS.setdefault(key, Arc(ctx, points))
+    return _CONIC_ARCS[key]
 
 
 @dataclass(frozen=True)
@@ -254,67 +310,230 @@ def _first_basis(ctx: GF2m, cols) -> tuple[int, int, int] | None:
     return i, j, l
 
 
-@per_code
-def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...]], ...]:
-    """The lines of PG(2, q) through three or more columns, as (line,
-    ascending columns).
-
-    The arc, the columns on the conic y^2 = xz, is read off the point list
-    in O(n) and only picks the points the table pivots on: the columns off
-    it are the residue points, and each residue point P, with leading
-    coordinate la (P_la = 1), sorts every other column Q into the lines
-    through P by slope.  R = Q + Q_la P is where the line PQ meets the line
-    x_la = 0, and R_i2 / R_i1 over the other two coordinates i1 < i2 (or
-    infinity when R_i1 = 0) tells those points apart.  A line is kept once,
-    under the first residue point on it, and gets its vector from P and its
-    slope with one product.  A line through P with three arc points would
-    refute the arc and raises ``AssertionError``.
-    """
-    ctx, q = code.ctx, code.ctx.q
-    _check_enumeration_guard(q)
+def _off_conic(ctx: GF2m, points) -> list[int]:
+    """The positions of the points off the conic y^2 = xz."""
     exp, log = ctx._exp, ctx._log
-    points = _canonical_columns(code)
-    on_arc = [exp[2 * log[y]] == exp[log[x] + log[z]] for x, y, z in points]
-    arc = list(compress(range(len(points)), on_arc))
-    residue = [t for t, on in enumerate(on_arc) if not on]
-    coords = list(zip(*points))
-    # A residue point leads with x or y: (0, 0, 1) is on the conic.
-    logs = {la: [log[v] for v in coords[la]] for la in {points[t].index(1) for t in residue}}
-    lines = []
-    for i, t in enumerate(residue):
-        p = points[t]
-        la = p.index(1)
-        i1, i2 = _OTHER_TWO[la]
-        p1, p2 = p[i1], p[i2]
-        l1, l2 = log[p1], log[p2]
-        slopes = [
-            exp[log[y ^ exp[lq + l2]] + q - 1 - log[r1]] if (r1 := x ^ exp[lq + l1]) else q
-            for lq, x, y in zip(logs[la], coords[i1], coords[i2])
-        ]
-        if max(Counter(map(slopes.__getitem__, arc)).values(), default=0) >= 3:
+    return [i for i, (x, y, z) in enumerate(points) if exp[2 * log[y]] != exp[log[x] + log[z]]]
+
+
+def _slopes(ctx: GF2m, p: Point, la: int, points) -> tuple[list[int], list[int]]:
+    """The slope of each point seen from the residue point p, with p_la = 1,
+    and the log of its lam.
+
+    R = Q + Q_la p is where the line pQ meets the line x_la = 0, at the
+    point D = (0, 1, slope) on (x_la, x_i1, x_i2), for i1 < i2 the other two
+    coordinates, or at D = (0, 0, 1) when R_i1 = 0, given slope q.  So
+    Q = lam D + Q_la p with lam = R_i1, or R_i2 when R_i1 = 0; p itself has
+    lam = 0.  Scaling Q scales R, so a column and its point have one slope.
+    """
+    exp, log = ctx._exp, ctx._log
+    q = ctx.q
+    i1, i2 = _OTHER_TWO[la]
+    l1, l2 = log[p[i1]], log[p[i2]]
+    rs = [(pt[i1] ^ exp[lq + l1], pt[i2] ^ exp[lq + l2]) for pt in points for lq in (log[pt[la]],)]
+    slopes = [exp[log[r2] + q - 1 - log[r1]] if r1 else q for r1, r2 in rs]
+    return slopes, [log[r1 or r2] for r1, r2 in rs]
+
+
+def _slope_line(ctx: GF2m, p: Point, la: int, slope: int) -> Point:
+    """The line through p at ``slope``, scaled so that its first nonzero entry is 1.
+
+    On (x_la, x_i1, x_i2), the line through p and (0, 1, slope) is
+    (p_i1 slope + p_i2, slope, 1), and through (0, 0, 1) at slope q it is
+    (p_i1, 1, 0).
+    """
+    exp, log = ctx._exp, ctx._log
+    i1, i2 = _OTHER_TWO[la]
+    p1, p2 = p[i1], p[i2]
+    v = (p1, 1, 0) if slope == ctx.q else (exp[log[p1] + log[slope]] ^ p2, slope, 1)
+    return _normalize(ctx, v if la == 0 else (v[1], v[0], v[2]))
+
+
+def _message_key(q: int, line: Point) -> int:
+    """A line's place among the projective messages: (1, y, z) as the
+    number y q + z, then (0, 1, z) from q^2 + z, then (0, 0, 1) last."""
+    return line[1] * q + line[2] if line[0] else q * q + (line[2] if line[1] else q)
+
+
+def _check_on_line(ctx: GF2m, line: Point, vectors) -> None:
+    """Raise unless ``line`` vanishes on every one of the columns ``vectors``."""
+    exp, log = ctx._exp, ctx._log
+    l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
+    for x, y, z in vectors:
+        if exp[l0 + log[x]] ^ exp[l1 + log[y]] ^ exp[l2 + log[z]]:
+            raise AssertionError("a table line misses one of its columns; line table inconsistent")
+
+
+def _dependency(
+    ctx: GF2m, la: int, u: Point, v: Point, w: Point, lu: int, lv: int, lw: int
+) -> tuple[int, int, int]:
+    """The dependency (1, h_v, h_w), u + h_v v + h_w w = 0, of three columns
+    on one line through a residue point, from the logs of their lam
+    (``_slopes``).
+
+    Each column is lam D + mu p with mu its coordinate la, so the dependency
+    is the 2 x 2 minors of the three (lam, mu).  A zero minor means two of
+    the columns are one point and raises; the scaled coefficients are
+    checked to annihilate the three columns.
+    """
+    exp, log = ctx._exp, ctx._log
+    q1 = ctx.q - 1
+    mu, mv, mw = log[u[la]], log[v[la]], log[w[la]]
+    c0 = exp[lv + mw] ^ exp[lw + mv]
+    c1 = exp[lw + mu] ^ exp[lu + mw]
+    c2 = exp[lu + mv] ^ exp[lv + mu]
+    if not (c0 and c1 and c2):
+        raise AssertionError(
+            "partial-support dependency found; columns were not pairwise independent"
+        )
+    # Logs of the coefficients scaled by 1 / c0, reduced so that a product
+    # with a column entry still indexes exp.
+    g1, g2 = (log[c1] - log[c0]) % q1, (log[c2] - log[c0]) % q1
+    if (
+        u[0] ^ exp[g1 + log[v[0]]] ^ exp[g2 + log[w[0]]]
+        or u[1] ^ exp[g1 + log[v[1]]] ^ exp[g2 + log[w[1]]]
+        or u[2] ^ exp[g1 + log[v[2]]] ^ exp[g2 + log[w[2]]]
+    ):
+        raise AssertionError(
+            "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
+        )
+    return (1, exp[g1], exp[g2])
+
+
+def _pencil(arc: Arc, column: Point):
+    """The lines through a residue column over the arc, as (each slope's
+    first arc point, secants by slope).
+
+    A tangent holds one arc point and a secant two.  Each secant is (line,
+    a, b, key, dependency) for the columns (arc point a, arc point b, the
+    residue column P): the line is checked to vanish on all three, and
+    their dependency comes from the slope step.  With P = mu_P p,
+    lam_b Q_a + lam_a Q_b + (lam_b mu_a + lam_a mu_b) / mu_P P = 0, scaled
+    to lead with 1 and checked to annihilate the three columns.  A line with
+    three arc points refutes the arc, and a zero coefficient two arc points
+    at one point; both raise ``AssertionError``.
+    """
+    ctx = arc.ctx
+    exp, log = ctx._exp, ctx._log
+    q1 = ctx.q - 1
+    p = _normalize(ctx, column)
+    la = p.index(1)
+    points = arc.columns
+    slopes, lams = _slopes(ctx, p, la, points)
+    first: dict[int, int] = {}
+    w0, w1, w2 = log[column[0]], log[column[1]], log[column[2]]
+    mw = (w0, w1, w2)[la]
+    secants = {}
+    # The checks of ``_check_on_line`` and ``_dependency`` are written out
+    # here: a pencil has up to q/2 secants, and at q = 128 the two calls per
+    # secant cost a fifth of deriving it.
+    for b, slope in enumerate(slopes):
+        a = first.setdefault(slope, b)
+        if a == b:
+            continue
+        if slope in secants:
             raise AssertionError(
                 "a table line holds three arc points; the conic columns are not an arc"
             )
-        slopes[t] = -1  # P itself, alone in its group: its own slope would be q
-        through: dict[int, list[int]] = {}  # the columns on each line through P but P
-        for j, slope in enumerate(slopes):
-            if slope in through:
-                through[slope].append(j)
-            else:
-                through[slope] = [j]
+        u, v = points[a], points[b]
+        line = _slope_line(ctx, p, la, slope)
+        l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
+        if (
+            exp[l0 + log[u[0]]] ^ exp[l1 + log[u[1]]] ^ exp[l2 + log[u[2]]]
+            or exp[l0 + log[v[0]]] ^ exp[l1 + log[v[1]]] ^ exp[l2 + log[v[2]]]
+            or exp[l0 + w0] ^ exp[l1 + w1] ^ exp[l2 + w2]
+        ):
+            raise AssertionError("a table line misses one of its columns; line table inconsistent")
+        lu, lv = lams[a], lams[b]
+        c0, c1 = exp[lv + mw], exp[lu + mw]
+        c2 = exp[lu + log[v[la]]] ^ exp[lv + log[u[la]]]
+        if not (c0 and c1 and c2):
+            raise AssertionError(
+                "partial-support dependency found; columns were not pairwise independent"
+            )
+        g1, g2 = (log[c1] - log[c0]) % q1, (log[c2] - log[c0]) % q1
+        if (
+            u[0] ^ exp[g1 + log[v[0]]] ^ exp[g2 + w0]
+            or u[1] ^ exp[g1 + log[v[1]]] ^ exp[g2 + w1]
+            or u[2] ^ exp[g1 + log[v[2]]] ^ exp[g2 + w2]
+        ):
+            raise AssertionError(
+                "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
+            )
+        secants[slope] = (line, a, b, _message_key(ctx.q, line), (1, exp[g1], exp[g2]))
+    return first, secants
+
+
+@per_code
+def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tuple], ...]:
+    """The lines of PG(2, q) through three or more columns, as (line,
+    ascending columns, projective-message key, weight-3 dual words of its
+    column triples).
+
+    The code's arc, the conic columns it states or else its leading conic
+    columns, comes first, and no three conic points are collinear, so every
+    listed line passes through a residue point: a later column off the
+    conic.  The lines through a residue point P over the arc are P's
+    pencil, derived by ``_pencil`` once per (arc, P) and kept on the arc, so
+    every code that states the arc shares it.  Per code, only the later
+    columns are sorted into the lines through P by slope: a secant that
+    none of them is on is the pencil's line through (arc a, arc b, P), and
+    a line that one is on is built and checked here.  A line is kept once,
+    under the first residue point on it.  A line through P with three conic
+    columns would refute the arc and raises ``AssertionError``, and only
+    once no line does are the lines with later columns built.
+    """
+    ctx = code.ctx
+    _check_enumeration_guard(ctx.q)
+    points, columns, arc = _canonical_columns(code), code.columns, code.arc
+    lead = len(arc.columns)
+    tail = range(lead, code.n)
+    residue = [lead + i for i in _off_conic(ctx, points[lead:])]
+    conic = set(tail).difference(residue)
+    pencils = arc._pencils
+    lines, later = [], []
+    for i, t in enumerate(residue):
+        column = columns[t]
+        first, secants = pencils.get(column) or pencils.setdefault(column, _pencil(arc, column))
+        p = points[t]
+        la = p.index(1)
+        others = [u for u in tail if u != t]
+        slope_of = dict(zip(others, _slopes(ctx, p, la, [points[u] for u in others])[0]))
+        through: dict[int, list[int]] = {}  # the later columns on each line through P but P
+        for u, slope in slope_of.items():
+            through.setdefault(slope, []).append(u)
+        lines += [
+            (line, cols, key, ((cols, coeffs),))
+            for slope, (line, a, b, key, coeffs) in secants.items()
+            if slope not in through
+            for cols in ((a, b, t),)
+        ]
         for u in residue[:i]:  # a line through an earlier residue point is listed there
-            through.pop(slopes[u], None)
-        for slope, cols in through.items():
-            if len(cols) == 1:  # P's own group, or a line through P and one column
-                continue
-            # On (x_la, x_i1, x_i2), the line through P and (0, 1, slope) is
-            # (P_i1 slope + P_i2, slope, 1), and through (0, 0, 1) at slope
-            # infinity it is (P_i1, 1, 0).
-            v = (p1, 1, 0) if slope == q else (exp[l1 + log[slope]] ^ p2, slope, 1)
-            line = _normalize(ctx, v if la == 0 else (v[1], v[0], v[2]))
-            cols.append(t)
-            cols.sort()
-            lines.append((line, tuple(cols)))
+            through.pop(slope_of[u], None)
+        for slope, us in through.items():
+            if slope in secants:
+                on_line = secants[slope][1:3]
+            else:
+                on_line = (first[slope],) if slope in first else ()
+            if len(on_line) + len(conic.intersection(us)) > 2:
+                raise AssertionError(
+                    "a table line holds three arc points; the conic columns are not an arc"
+                )
+            if len(on_line) + len(us) > 1:
+                later.append((p, la, slope, tuple(sorted([*on_line, *us, t]))))
+    for p, la, slope, cols in later:
+        line = _slope_line(ctx, p, la, slope)
+        vectors = [columns[j] for j in cols]
+        _check_on_line(ctx, line, vectors)
+        lams = _slopes(ctx, p, la, vectors)[1]
+        duals = tuple(
+            (
+                (cols[i], cols[j], cols[k]),
+                _dependency(ctx, la, vectors[i], vectors[j], vectors[k], lams[i], lams[j], lams[k]),
+            )
+            for i, j, k in combinations(range(len(cols)), 3)
+        )
+        lines.append((line, cols, _message_key(ctx.q, line), duals))
     return tuple(lines)
 
 
@@ -333,7 +552,7 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
     """
     q, n = code.ctx.q, code.n
     table = _line_table(code)
-    sizes = Counter(len(cols) for _, cols in table)  # t_z for z >= 3
+    sizes = Counter(len(cols) for _, cols, _, _ in table)  # t_z for z >= 3
     t2 = n * (n - 1) // 2 - sum(t * z * (z - 1) // 2 for z, t in sizes.items())
     t1 = n * (q + 1) - sum(t * z for z, t in sizes.items()) - 2 * t2
     t0 = q * q + q + 1 - len(table) - t2 - t1
@@ -360,37 +579,19 @@ def min_weight_codewords(code: LinearCode) -> list[tuple[tuple[int, ...], Point]
     These are the lines of the table with the most columns: a line outside
     it holds at most two.  A code with no line through three columns is MDS
     and raises ``ValueError``; every caller refuses a code that is not NMDS
-    first.  Two checks hold the table to account: each line must vanish on
-    its columns, and q - 1 times the number of lines must be A_d of the
-    distribution, which counts every line.
+    first.  The table checked each line to vanish on its columns, and q - 1
+    times the number of lines must be A_d of the distribution, which counts
+    every line.
     """
-    ctx, columns = code.ctx, code.columns
-    exp, log = ctx._exp, ctx._log
     table = _line_table(code)
     if not table:
         raise ValueError("no line holds three columns: the code is MDS")
-    size = max(len(cols) for _, cols in table)
-    best = [(line, cols) for line, cols in table if len(cols) == size]
-    # Projective-message order: (1, y, z) as the number y q + z, then
-    # (0, 1, z) from q^2 + z, then (0, 0, 1) last.
-    q = ctx.q
-    best.sort(
-        key=lambda e: e[0][1] * q + e[0][2] if e[0][0] else q * q + (e[0][2] if e[0][1] else q)
-    )
-    words = []
-    for line, cols in best:
-        # O(1) per word instead of encoding it: the line vanishes on its columns.
-        l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
-        for j in cols:
-            x, y, w = columns[j]
-            if exp[l0 + log[x]] ^ exp[l1 + log[y]] ^ exp[l2 + log[w]]:
-                raise AssertionError(
-                    "a table line misses one of its columns; line table inconsistent"
-                )
-        words.append((cols, line))
+    size = max(len(cols) for _, cols, _, _ in table)
+    best = sorted((entry for entry in table if len(entry[1]) == size), key=itemgetter(2))
+    words = [(cols, line) for line, cols, _, _ in best]
     dist = weight_distribution(code)
     a_d = dist.counts[dist.min_distance]
-    if (ctx.q - 1) * len(words) != a_d:
+    if (code.ctx.q - 1) * len(words) != a_d:
         raise AssertionError(
             f"{len(words)} lines of the most columns do not give A_d = {a_d}; "
             "line table inconsistent"
@@ -422,48 +623,13 @@ def min_weight_dual_codewords(
     Requires dual distance exactly 3.  Each support carries exactly
     one dependency up to scalar; the representative scales the first nonzero
     coefficient to 1, and each entry stands for the q-1 multiples of itself.
-    Entries come in the order of their supports.
-
-    For collinear columns u, v, w the identity
-    [v,w,x] u + [w,u,x] v + [u,v,x] w = [u,v,w] x = 0 at x = e_i gives the
-    dependency ((v x w)_i, (w x u)_i, (u x v)_i), a column of the adjugate:
-    the 2 x 2 minors on the two coordinates other than i.  v x w is a
-    multiple of the line through the three, so the leading coordinate i of
-    that line makes it nonzero.  Each dependency is checked to annihilate
-    its three columns, O(1) per word.
+    Entries come in the order of their supports.  The supports are the
+    column triples of the table's lines, and each line carries their
+    dependencies, checked there to annihilate their columns (``_dependency``).
     """
     if dual_distance_exact(code) != 3:
         raise ValueError("dual distance is > 3, expected exactly 3")
-    ctx, columns = code.ctx, code.columns
-    exp, log = ctx._exp, ctx._log
-    q1 = ctx.q - 1
-    words = []
-    for line, on_line in _line_table(code):
-        a, b = _OTHER_TWO[line.index(1)]
-        for triple in combinations(on_line, 3) if len(on_line) > 3 else (on_line,):
-            u, v, w = columns[triple[0]], columns[triple[1]], columns[triple[2]]
-            ua, ub = log[u[a]], log[u[b]]
-            va, vb = log[v[a]], log[v[b]]
-            wa, wb = log[w[a]], log[w[b]]
-            c0 = exp[va + wb] ^ exp[vb + wa]
-            c1 = exp[wa + ub] ^ exp[wb + ua]
-            c2 = exp[ua + vb] ^ exp[ub + va]
-            if not (c0 and c1 and c2):
-                raise AssertionError(
-                    "partial-support dependency found; columns were not pairwise independent"
-                )
-            # Logs of the coefficients scaled by 1 / c0, reduced so that a
-            # product with a column entry still indexes exp.
-            g1, g2 = (log[c1] - log[c0]) % q1, (log[c2] - log[c0]) % q1
-            if (
-                u[0] ^ exp[g1 + log[v[0]]] ^ exp[g2 + log[w[0]]]
-                or u[1] ^ exp[g1 + log[v[1]]] ^ exp[g2 + log[w[1]]]
-                or u[2] ^ exp[g1 + log[v[2]]] ^ exp[g2 + log[w[2]]]
-            ):
-                raise AssertionError(
-                    "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
-                )
-            words.append((triple, (1, exp[g1], exp[g2])))
+    words = [word for _, _, _, duals in _line_table(code) for word in duals]
     words.sort(key=itemgetter(0))  # the supports are distinct
     return words
 

@@ -28,7 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .codes import LinearCode, dual_distance_exact, min_weight_dual_codewords, weight_distribution
+from .codes import (
+    LinearCode,
+    conic_arc,
+    dual_distance_exact,
+    min_weight_dual_codewords,
+    weight_distribution,
+)
 from .field import GF2m
 
 __all__ = [
@@ -152,7 +158,6 @@ class ExpectedProfile:
     """Closed-form expectations for one construction at one field size."""
 
     n: int
-    k: int
     d: int
     d_dual: int
     weights: dict[int, int]
@@ -188,7 +193,7 @@ def expected_profile(cid: str, q: int) -> ExpectedProfile:
     weights = {
         d + i: (q - 1) * (a * q * q + b * q + c) // 2 for i, (a, b, c) in enumerate(family.lines)
     }
-    return ExpectedProfile(n=n, k=3, d=d, d_dual=3, weights=weights)
+    return ExpectedProfile(n=n, d=d, d_dual=3, weights=weights)
 
 
 def expected_locality(cid: str, q: int) -> tuple[int, int]:
@@ -197,11 +202,10 @@ def expected_locality(cid: str, q: int) -> tuple[int, int]:
 
 
 def build(cid: str, ctx: GF2m) -> LinearCode:
-    """The construction's code over the given field."""
-    family = CONSTRUCTIONS[cid]
-    exp, log = ctx._exp, ctx._log
-    cols = [(1, a, exp[2 * log[a]]) for a in ctx.nonzero_elements()]
-    return LinearCode(ctx, cols + list(family.tail))
+    """The construction's code over the given field: the field's conic arc,
+    stated as the first q - 1 columns, then the tail."""
+    arc = conic_arc(ctx)
+    return LinearCode(ctx, arc.columns + CONSTRUCTIONS[cid].tail, arc=arc)
 
 
 @dataclass

@@ -19,8 +19,11 @@ from nmds.codes import (
     _canonical_columns,
     _check_enumeration_guard,
     _line_table,
+    _pencil,
+    Arc,
     LinearCode,
     WeightDistribution,
+    conic_arc,
     dual_distance_exact,
     macwilliams,
     matrix_to_text,
@@ -28,7 +31,8 @@ from nmds.codes import (
     min_weight_dual_codewords,
     weight_distribution,
 )
-from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
+from nmds.cli import main
+from nmds.constructions import CONSTRUCTION_IDS, CONSTRUCTIONS, build, expected_profile
 from nmds.field import GF2m
 from oracles import (
     SMALL_FIELDS,
@@ -425,17 +429,32 @@ def test_min_weight_codewords_in_message_order_across_leading_positions(ctx8):
     assert_min_weight_lines_in_message_order(code)
 
 
-def test_min_weight_codewords_rejects_line_missing_a_column(ctx8):
-    code = build("c", ctx8)
-    table = _line_table(code)
-    size = max(len(cols) for _, cols in table)
-    best = [i for i, (_, cols) in enumerate(table) if len(cols) == size]
-    lines = list(table)
-    # Two distinct lines share at most one column.
-    lines[best[0]] = (lines[best[1]][0], lines[best[0]][1])
-    code._derived[_line_table.__wrapped__] = tuple(lines)
+def _turned(slope_line):
+    """The line step turned to the next slope: the line through the residue
+    point and none of the other columns it was derived for."""
+    return lambda ctx, p, la, slope: slope_line(ctx, p, la, (slope + 1) % (ctx.q + 1))
+
+
+def test_min_weight_codewords_rejects_line_missing_a_column(ctx8, monkeypatch):
+    # The conic columns and one residue point: every line through three
+    # columns is a secant of the pencil, and no later column is on one, so
+    # only the pencil's check sees the turned lines.  The code's own arc
+    # keeps them off the field's shared one.
+    monkeypatch.setattr(nmds.codes, "_slope_line", _turned(nmds.codes._slope_line))
+    code = LinearCode(ctx8, conic_arc(ctx8).columns + ((0, 1, 1),))
     with pytest.raises(AssertionError, match="misses one of its columns"):
         min_weight_codewords(code)
+
+
+def test_line_table_rejects_a_later_line_missing_a_column(ctx8, monkeypatch):
+    # With the pencils derived first, the turned line step reaches only the
+    # lines that a later column is on, which each code builds itself.
+    arc = Arc(ctx8, conic_arc(ctx8).columns)
+    columns = build("c", ctx8).columns
+    assert _line_table(LinearCode(ctx8, columns, arc=arc))
+    monkeypatch.setattr(nmds.codes, "_slope_line", _turned(nmds.codes._slope_line))
+    with pytest.raises(AssertionError, match="misses one of its columns"):
+        min_weight_codewords(LinearCode(ctx8, columns, arc=arc))
 
 
 def test_min_weight_codewords_rejects_a_count_off_the_distribution(ctx8):
@@ -546,7 +565,7 @@ def collinear_triples(code):
     """The column triples on the table lines with three or more columns, in
     lexicographic order: the supports of the weight-3 dual words when the
     columns are pairwise independent."""
-    return sorted(t for _, cols in _line_table(code) for t in combinations(cols, 3))
+    return sorted(t for _, cols, _, _ in _line_table(code) for t in combinations(cols, 3))
 
 
 def column_rank(code, idx):
@@ -738,7 +757,7 @@ def test_arc_line_table_matches_all_pairs_oracle(code):
     assert weight_distribution(code) == dist == enumerated_distribution(
         code.ctx, rows_of(code)
     )
-    assert set(_line_table(code)) == lines
+    assert {(line, cols) for line, cols, _, _ in _line_table(code)} == lines
     if dist.min_distance == code.n - 2:  # MDS: no line holds three columns
         with pytest.raises(ValueError, match=f"^{MDS_REFUSAL}$"):
             min_weight_codewords(code)
@@ -753,7 +772,7 @@ def test_weight_distribution_rejects_a_negative_line_count(ctx8):
     # One line through all 12 columns of c leaves no pair for t_2, gives
     # t_1 = 12 (q + 1) - 12 = 96 and t_0 = 73 - 1 - 96 = -24.
     code = build("c", ctx8)
-    code._derived[_line_table.__wrapped__] = (((0, 1, 0), tuple(range(code.n))),)
+    code._derived[_line_table.__wrapped__] = (((0, 1, 0), tuple(range(code.n)), 0, ()),)
     with pytest.raises(AssertionError, match=r"t_0, t_1, t_2 = -24, 96, 0; line table"):
         weight_distribution(code)
 
@@ -771,34 +790,159 @@ def test_line_table_rejects_three_collinear_arc_points(ctx8):
         weight_distribution(code)
 
 
-def _moved_columns(code, vector, columns):
-    """The code's line table with the columns of line ``vector``, which must
-    be 7, 8 and 10, replaced by ``columns``."""
-    table = _line_table(code)
-    assert dict(table)[vector] == (7, 8, 10)
-    return tuple((v, columns if v == vector else cols) for v, cols in table)
+def _moved_column(code, position, column):
+    """``_dependency`` that sees column ``column`` of ``code`` at ``position``
+    of the triple of columns 7, 8 and 10, which the line y = 0 holds, with
+    the lam of the column it replaces."""
+    real = nmds.codes._dependency
+    triple = tuple(code.columns[j] for j in (7, 8, 10))
+
+    def dependency(ctx, la, *args):
+        cols, lams = list(args[:3]), args[3:]
+        if tuple(cols) == triple:
+            cols[position] = code.columns[column]
+        return real(ctx, la, *cols, *lams)
+
+    return dependency
 
 
 def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8, monkeypatch):
     # The line y = 0 of c holds columns 7 = (1, 0, 0), 8 = (0, 0, 1) and
-    # 10 = (1, 0, 1); column 1 = (1, a, a^2) is off it.  Its minors on x and z
-    # are nonzero, so only the y coordinate shows the fault.
+    # 10 = (1, 0, 1), all later columns, so c builds it itself; column
+    # 1 = (1, a, a^2) is off it.  Seen in place of column 7, its dependency
+    # with 8 and 10 has no zero coefficient, so only the product shows the
+    # fault.
     code = build("c", ctx8)
-    table = _moved_columns(code, (0, 1, 0), (1, 8, 10))
-    monkeypatch.setattr(nmds.codes, "_line_table", lambda code: table)
+    monkeypatch.setattr(nmds.codes, "_dependency", _moved_column(code, 0, 1))
     with pytest.raises(AssertionError, match="misses its columns"):
         min_weight_dual_codewords(code)
 
 
 def test_min_weight_dual_codewords_rejects_a_partial_support(ctx8, monkeypatch):
-    # Column 9 = (0, 1, 0) in place of column 10 on y = 0 is zero on x and z,
-    # so two of the triple's 2 x 2 minors vanish.
+    # Column 9 = (0, 1, 0) in place of column 10 on y = 0, seen from
+    # (1, 0, 1) with column 10's lam, which is zero: its x coordinate, its
+    # mu, is zero too, so the coefficients of columns 7 and 8 vanish.
     code = build("c", ctx8)
     assert code.columns[9] == (0, 1, 0)
-    table = _moved_columns(code, (0, 1, 0), (7, 8, 9))
-    monkeypatch.setattr(nmds.codes, "_line_table", lambda code: table)
+    monkeypatch.setattr(nmds.codes, "_dependency", _moved_column(code, 2, 9))
     with pytest.raises(AssertionError, match="partial-support dependency found"):
         min_weight_dual_codewords(code)
+
+
+# ---------------------------------------------------------------------------
+# the stated arc and the pencils it shares
+# ---------------------------------------------------------------------------
+
+def test_linear_code_refuses_columns_that_are_not_its_stated_arc(ctx8):
+    arc = conic_arc(ctx8)
+    for j in (0, 4):
+        columns = list(build("c", ctx8).columns)
+        columns[j], columns[j + 1] = columns[j + 1], columns[j]
+        with pytest.raises(ValueError, match=rf"^column {j} is not point {j} of the stated arc$"):
+            LinearCode(ctx8, columns, arc=arc)
+    other = GF2m(3, 0b1101)
+    with pytest.raises(ValueError, match=r"^the stated arc is over GF2m\(m=3, modulus=x\^3\+x\+1\), "):
+        LinearCode(other, arc.columns + ((0, 1, 0),), arc=arc)
+
+
+def test_arc_refuses_a_point_off_the_conic(ctx8):
+    with pytest.raises(ValueError, match=r"^arc point 1 is off the conic y\^2 = xz$"):
+        Arc(ctx8, [(1, 1, 1), (1, 1, 0)])
+
+
+def test_pencil_refuses_three_arc_points_on_one_line(ctx8):
+    # (1, 1, 1), (1, 0, 0) and (1, 1, 1) again, scaled, all lie on y = z,
+    # the line through the residue point (0, 1, 1) and (1, 1, 1).
+    arc = Arc(ctx8, [(1, 1, 1), (1, 0, 0), (2, 2, 2)])
+    with pytest.raises(AssertionError, match="three arc points"):
+        _pencil(arc, (0, 1, 1))
+
+
+def test_pencil_refuses_two_arc_points_at_one_point(ctx8):
+    # (1, 1, 1) and (2, 2, 2) share their line through (0, 1, 1), which
+    # vanishes on both, but no dependency of the three has full support.
+    arc = Arc(ctx8, [(1, 1, 1), (2, 2, 2)])
+    with pytest.raises(AssertionError, match="partial-support dependency found"):
+        _pencil(arc, (0, 1, 1))
+
+
+def test_pencil_rejects_a_dependency_that_misses_its_columns(ctx8, monkeypatch):
+    # The slope step's lam of arc point 1 = (1, a, a^2) scaled by a: its
+    # secant through (1, 0, 1) keeps its line, but not its dependency.
+    real = nmds.codes._slopes
+
+    def slopes(ctx, p, la, points):
+        found, lams = real(ctx, p, la, points)
+        return found, [lams[0], lams[1] + 1, *lams[2:]]
+
+    monkeypatch.setattr(nmds.codes, "_slopes", slopes)
+    arc = Arc(ctx8, conic_arc(ctx8).columns)
+    with pytest.raises(AssertionError, match="misses its columns"):
+        _pencil(arc, (1, 0, 1))
+
+
+def code_facts(code):
+    """Everything the kernel derives from a code's line table."""
+    dd = dual_distance_exact(code)
+    return (
+        set(_line_table(code)),
+        weight_distribution(code),
+        min_weight_codewords(code),
+        min_weight_dual_codewords(code) if dd == 3 else dd,
+    )
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_a_shared_arc_gives_what_a_code_derives_alone(m):
+    # A code with no stated arc takes its leading conic columns as its own:
+    # for ids whose tail starts with (1, 0, 0) or (0, 0, 1), more columns
+    # than the shared arc, so other lines come from pencils.
+    ctx = GF2m(m)
+    for cid in CONSTRUCTION_IDS:
+        code = build(cid, ctx)
+        alone = LinearCode(ctx, code.columns)
+        assert code.arc is conic_arc(ctx) and alone.arc is not code.arc
+        assert code_facts(code) == code_facts(alone), cid
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_pencils_do_not_depend_on_the_order_of_the_codes(m):
+    ctx = GF2m(m)
+    arc = Arc(ctx, conic_arc(ctx).columns)
+    for cid in reversed(CONSTRUCTION_IDS):
+        code = LinearCode(ctx, arc.columns + CONSTRUCTIONS[cid].tail, arc=arc)
+        assert code_facts(code) == code_facts(build(cid, ctx)), cid
+
+
+def test_verify_all_derives_one_pencil_per_residue_point(capsys):
+    # A modulus no other test builds codes over, so the field's arc starts
+    # with no pencils.
+    modulus = 0b10001111  # x^7+x^3+x^2+x+1
+    assert main(["verify", "--all", "--m", "7", "--modulus", hex(modulus)]) == 0
+    capsys.readouterr()
+    pencils = conic_arc(GF2m(7, modulus))._pencils
+    assert set(pencils) == {(0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1)}
+
+
+# All six 0/1 points other than (1, 1, 1): an NMDS [q + 5, 3, q + 2] code at odd m.
+SIX_POINT_TAIL = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_six_point_tail_on_the_stated_arc_matches_all_pairs_oracle(m):
+    # Every later column but the conic's (1, 0, 0) and (0, 0, 1) is a residue
+    # point, and each pencil has secants that later columns are on.
+    ctx = GF2m(m)
+    arc = conic_arc(ctx)
+    code = LinearCode(ctx, arc.columns + SIX_POINT_TAIL, arc=arc)
+    dist, words, triples, lines = all_pairs_facts(code)
+    assert weight_distribution(code) == dist
+    assert {(line, cols) for line, cols, _, _ in _line_table(code)} == lines
+    assert any(len(cols) > 3 for _, cols, _, _ in _line_table(code)) == (m % 2 == 0)
+    assert sorted(min_weight_codewords(code)) == words
+    assert collinear_triples(code) == triples
+    assert [sup for sup, _ in min_weight_dual_codewords(code)] == triples
+    assert code_facts(code) == code_facts(LinearCode(ctx, code.columns))
 
 
 def test_line_table_meets_closed_forms_at_m11():

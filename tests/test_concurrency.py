@@ -5,7 +5,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 from nmds.classify import check_min_weight_pairing, classify
 from nmds.cli import run_verification
-from nmds.codes import min_weight_codewords, min_weight_dual_codewords, weight_distribution
+from nmds.codes import (
+    LinearCode,
+    conic_arc,
+    min_weight_codewords,
+    min_weight_dual_codewords,
+    weight_distribution,
+)
 from nmds.constructions import CONSTRUCTION_IDS, build
 from nmds.field import GF2m
 from nmds.lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map
@@ -61,6 +67,34 @@ def test_shared_code_derivations_agree_across_threads():
                 assert a is b, cid
         fresh = build(cid, GF2m(5))
         assert [fn(fresh) for fn in CACHED + REBUILT] == first, cid
+
+
+def test_codes_over_one_field_share_each_pencil_across_threads():
+    # A modulus no other test builds codes over, so the threads race to
+    # derive every pencil of the field's arc.
+    ctx = GF2m(5, 0b111101)  # x^5+x^4+x^3+x^2+1
+    q = ctx.q
+
+    def derive(cid):
+        code = build(cid, ctx)
+        return code, min_weight_codewords(code), min_weight_dual_codewords(code)
+
+    def threaded():
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            futures = [pool.submit(derive, cid) for cid in CONSTRUCTION_IDS]
+            return [f.result(timeout=TIMEOUT_S) for f in futures]
+
+    results = _with_fast_switching(threaded)
+    arc = conic_arc(ctx)
+    assert set(arc._pencils) == {(0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1)}
+    for cid, (code, words, duals) in zip(CONSTRUCTION_IDS, results):
+        alone = LinearCode(ctx, code.columns)  # its own arc and pencils
+        assert (words, duals) == (min_weight_codewords(alone), min_weight_dual_codewords(alone)), cid
+        assert code.arc is arc, cid
+        for cols, coeffs in duals:
+            if cols[1] < q - 1:  # a secant of a pencil: its dependency is the pencil's object
+                _, secants = arc._pencils[code.columns[cols[2]]]
+                assert any(coeffs is secant[4] for secant in secants.values()), (cid, cols)
 
 
 def test_classify_runs_once_per_code():

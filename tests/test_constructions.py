@@ -123,7 +123,7 @@ def test_extend_raises_distance_by_one_for_e1(ctx8, ctx32):
 
 def test_expected_profile_c_q8():
     p = expected_profile("c", 8)
-    assert (p.n, p.k, p.d, p.d_dual) == (12, 3, 9, 3)
+    assert (p.n, p.d, p.d_dual) == (12, 9, 3)
     assert p.weights == {9: 70, 10: 252, 11: 42, 12: 147}
     assert p.dual_weight3_count == 70
 
