@@ -17,7 +17,10 @@ each pencil is derived and checked once per (arc, point) and shared by
 every code that states the arc, and a code sorts only its later columns
 into it.  That is O(q) per pencil and O(r t) per code for r residue points
 among t later columns; a code with no leading conic column crosses all
-O(n^2) pairs (README "Scale" has timings).  So the line table
+O(n^2) pairs (README "Scale" has timings).  Every column triple of a
+listed line, in a pencil or in a code, passes one check (``_collinear``):
+the line vanishes on its three columns, and their dependency, from the
+slope step, has full support and annihilates them.  So the line table
 gives the exact weight distribution, the minimum-weight codewords and the
 weight-3 dual codewords (collinear column triples).  A minimum-weight
 codeword is carried as its line and its zero set, the columns on that
@@ -355,30 +358,31 @@ def _message_key(q: int, line: Point) -> int:
     return line[1] * q + line[2] if line[0] else q * q + (line[2] if line[1] else q)
 
 
-def _check_on_line(ctx: GF2m, line: Point, vectors) -> None:
-    """Raise unless ``line`` vanishes on every one of the columns ``vectors``."""
-    exp, log = ctx._exp, ctx._log
-    l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
-    for x, y, z in vectors:
-        if exp[l0 + log[x]] ^ exp[l1 + log[y]] ^ exp[l2 + log[z]]:
-            raise AssertionError("a table line misses one of its columns; line table inconsistent")
-
-
-def _dependency(
-    ctx: GF2m, la: int, u: Point, v: Point, w: Point, lu: int, lv: int, lw: int
+def _collinear(
+    ctx: GF2m, la: int, line: Point, u: Point, v: Point, w: Point, lu: int, lv: int, lw: int
 ) -> tuple[int, int, int]:
     """The dependency (1, h_v, h_w), u + h_v v + h_w w = 0, of three columns
-    on one line through a residue point, from the logs of their lam
-    (``_slopes``).
+    on ``line``, a line through the residue point p, from the logs of their
+    lam (``_slopes``; p's own lam is zero, its log the sentinel).
 
-    Each column is lam D + mu p with mu its coordinate la, so the dependency
-    is the 2 x 2 minors of the three (lam, mu).  A zero minor means two of
-    the columns are one point and raises; the scaled coefficients are
-    checked to annihilate the three columns.
+    ``line`` is checked to vanish on the three columns.  Each column is
+    lam D + mu p with mu its coordinate la, so the dependency is the 2 x 2
+    minors of the three (lam, mu).  A zero minor means two of the columns
+    are one point and raises; the scaled coefficients are checked to
+    annihilate the three columns.
     """
     exp, log = ctx._exp, ctx._log
-    q1 = ctx.q - 1
-    mu, mv, mw = log[u[la]], log[v[la]], log[w[la]]
+    l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
+    u0, u1, u2 = log[u[0]], log[u[1]], log[u[2]]
+    v0, v1, v2 = log[v[0]], log[v[1]], log[v[2]]
+    w0, w1, w2 = log[w[0]], log[w[1]], log[w[2]]
+    if (
+        exp[l0 + u0] ^ exp[l1 + u1] ^ exp[l2 + u2]
+        or exp[l0 + v0] ^ exp[l1 + v1] ^ exp[l2 + v2]
+        or exp[l0 + w0] ^ exp[l1 + w1] ^ exp[l2 + w2]
+    ):
+        raise AssertionError("a table line misses one of its columns; line table inconsistent")
+    mu, mv, mw = (u0, u1, u2)[la], (v0, v1, v2)[la], (w0, w1, w2)[la]
     c0 = exp[lv + mw] ^ exp[lw + mv]
     c1 = exp[lw + mu] ^ exp[lu + mw]
     c2 = exp[lu + mv] ^ exp[lv + mu]
@@ -388,11 +392,12 @@ def _dependency(
         )
     # Logs of the coefficients scaled by 1 / c0, reduced so that a product
     # with a column entry still indexes exp.
+    q1 = ctx.q - 1
     g1, g2 = (log[c1] - log[c0]) % q1, (log[c2] - log[c0]) % q1
     if (
-        u[0] ^ exp[g1 + log[v[0]]] ^ exp[g2 + log[w[0]]]
-        or u[1] ^ exp[g1 + log[v[1]]] ^ exp[g2 + log[w[1]]]
-        or u[2] ^ exp[g1 + log[v[2]]] ^ exp[g2 + log[w[2]]]
+        u[0] ^ exp[g1 + v0] ^ exp[g2 + w0]
+        or u[1] ^ exp[g1 + v1] ^ exp[g2 + w1]
+        or u[2] ^ exp[g1 + v2] ^ exp[g2 + w2]
     ):
         raise AssertionError(
             "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
@@ -406,27 +411,18 @@ def _pencil(arc: Arc, column: Point):
 
     A tangent holds one arc point and a secant two.  Each secant is (line,
     a, b, key, dependency) for the columns (arc point a, arc point b, the
-    residue column P): the line is checked to vanish on all three, and
-    their dependency comes from the slope step.  With P = mu_P p,
-    lam_b Q_a + lam_a Q_b + (lam_b mu_a + lam_a mu_b) / mu_P P = 0, scaled
-    to lead with 1 and checked to annihilate the three columns.  A line with
-    three arc points refutes the arc, and a zero coefficient two arc points
-    at one point; both raise ``AssertionError``.
+    residue column P), checked by ``_collinear`` with P's lam zero.  A line
+    with three arc points refutes the arc and raises ``AssertionError``, as
+    do two arc points at one point.
     """
     ctx = arc.ctx
-    exp, log = ctx._exp, ctx._log
-    q1 = ctx.q - 1
     p = _normalize(ctx, column)
     la = p.index(1)
     points = arc.columns
     slopes, lams = _slopes(ctx, p, la, points)
+    lp = ctx._log[0]  # P's own lam is zero, its log the sentinel
     first: dict[int, int] = {}
-    w0, w1, w2 = log[column[0]], log[column[1]], log[column[2]]
-    mw = (w0, w1, w2)[la]
     secants = {}
-    # The checks of ``_check_on_line`` and ``_dependency`` are written out
-    # here: a pencil has up to q/2 secants, and at q = 128 the two calls per
-    # secant cost a fifth of deriving it.
     for b, slope in enumerate(slopes):
         a = first.setdefault(slope, b)
         if a == b:
@@ -435,32 +431,9 @@ def _pencil(arc: Arc, column: Point):
             raise AssertionError(
                 "a table line holds three arc points; the conic columns are not an arc"
             )
-        u, v = points[a], points[b]
         line = _slope_line(ctx, p, la, slope)
-        l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
-        if (
-            exp[l0 + log[u[0]]] ^ exp[l1 + log[u[1]]] ^ exp[l2 + log[u[2]]]
-            or exp[l0 + log[v[0]]] ^ exp[l1 + log[v[1]]] ^ exp[l2 + log[v[2]]]
-            or exp[l0 + w0] ^ exp[l1 + w1] ^ exp[l2 + w2]
-        ):
-            raise AssertionError("a table line misses one of its columns; line table inconsistent")
-        lu, lv = lams[a], lams[b]
-        c0, c1 = exp[lv + mw], exp[lu + mw]
-        c2 = exp[lu + log[v[la]]] ^ exp[lv + log[u[la]]]
-        if not (c0 and c1 and c2):
-            raise AssertionError(
-                "partial-support dependency found; columns were not pairwise independent"
-            )
-        g1, g2 = (log[c1] - log[c0]) % q1, (log[c2] - log[c0]) % q1
-        if (
-            u[0] ^ exp[g1 + log[v[0]]] ^ exp[g2 + w0]
-            or u[1] ^ exp[g1 + log[v[1]]] ^ exp[g2 + w1]
-            or u[2] ^ exp[g1 + log[v[2]]] ^ exp[g2 + w2]
-        ):
-            raise AssertionError(
-                "a weight-3 dual codeword misses its columns; collinear triples inconsistent"
-            )
-        secants[slope] = (line, a, b, _message_key(ctx.q, line), (1, exp[g1], exp[g2]))
+        coeffs = _collinear(ctx, la, line, points[a], points[b], column, lams[a], lams[b], lp)
+        secants[slope] = (line, a, b, _message_key(ctx.q, line), coeffs)
     return first, secants
 
 
@@ -478,10 +451,11 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     every code that states the arc shares it.  Per code, only the later
     columns are sorted into the lines through P by slope: a secant that
     none of them is on is the pencil's line through (arc a, arc b, P), and
-    a line that one is on is built and checked here.  A line is kept once,
-    under the first residue point on it.  A line through P with three conic
-    columns would refute the arc and raises ``AssertionError``, and only
-    once no line does are the lines with later columns built.
+    a line that one is on is built here, each of its column triples checked
+    by ``_collinear``.  A line is kept once, under the first residue point
+    on it.  A line through P with three conic columns would refute the arc
+    and raises ``AssertionError``, and only once no line does are the lines
+    with later columns built.
     """
     ctx = code.ctx
     _check_enumeration_guard(ctx.q)
@@ -524,14 +498,10 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     for p, la, slope, cols in later:
         line = _slope_line(ctx, p, la, slope)
         vectors = [columns[j] for j in cols]
-        _check_on_line(ctx, line, vectors)
         lams = _slopes(ctx, p, la, vectors)[1]
         duals = tuple(
-            (
-                (cols[i], cols[j], cols[k]),
-                _dependency(ctx, la, vectors[i], vectors[j], vectors[k], lams[i], lams[j], lams[k]),
-            )
-            for i, j, k in combinations(range(len(cols)), 3)
+            ((a, b, c), _collinear(ctx, la, line, u, v, w, lu, lv, lw))
+            for (a, u, lu), (b, v, lv), (c, w, lw) in combinations(zip(cols, vectors, lams), 3)
         )
         lines.append((line, cols, _message_key(ctx.q, line), duals))
     return tuple(lines)
@@ -625,7 +595,7 @@ def min_weight_dual_codewords(
     coefficient to 1, and each entry stands for the q-1 multiples of itself.
     Entries come in the order of their supports.  The supports are the
     column triples of the table's lines, and each line carries their
-    dependencies, checked there to annihilate their columns (``_dependency``).
+    dependencies, checked there to annihilate their columns (``_collinear``).
     """
     if dual_distance_exact(code) != 3:
         raise ValueError("dual distance is > 3, expected exactly 3")

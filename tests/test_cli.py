@@ -213,6 +213,25 @@ def test_verify_reports_are_pinned(m):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[m]
 
 
+# sha256 of `verify --all` in csv and in markdown at the m whose json the
+# benchmark reference pins.
+FORMAT_SHA256 = {
+    ("csv", 3): "bff650abb64dd8a2835ffa8bb4375644b219be620a3fb6e2fa6edb9d66cc7b8c",
+    ("csv", 4): "909b076fb8925e550affdb2559be47620b04fbd25c46d4e2a6a6347001603bb6",
+    ("csv", 7): "d671a7599e9c7509a56bcbd902f708e33349190a26d341f003f52f3d416cc71f",
+    ("markdown", 3): "6ddf69da73cb746a4ef3f4bac2f1d6d25886e10eb797ea0d96cdd51691596cea",
+    ("markdown", 4): "1ff4cd7865eabe5621492a52e953f66f830799bf38dd761ea3eabf0d677fb243",
+    ("markdown", 7): "1e346cdcf168901a2680efd5e7c55fd2b2d1ff6979734976d27ce4034507ac9f",
+}
+
+
+@pytest.mark.parametrize("fmt, m", sorted(FORMAT_SHA256))
+def test_verify_csv_and_markdown_are_pinned(capsys, fmt, m):
+    code, out, _ = run(capsys, ["verify", "--all", "--m", str(m), "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[fmt, m]
+
+
 def test_verify_bad_format_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--all", "--m", "3", "--format", "yaml"])

@@ -790,41 +790,40 @@ def test_line_table_rejects_three_collinear_arc_points(ctx8):
         weight_distribution(code)
 
 
-def _moved_column(code, position, column):
-    """``_dependency`` that sees column ``column`` of ``code`` at ``position``
-    of the triple of columns 7, 8 and 10, which the line y = 0 holds, with
-    the lam of the column it replaces."""
-    real = nmds.codes._dependency
-    triple = tuple(code.columns[j] for j in (7, 8, 10))
+def _shifted_lams(code, shift):
+    """``_slopes`` that hands the logs of the lam of columns 7, 8 and 10 of
+    ``code``, the triple that the line y = 0 holds, through ``shift``."""
+    real = nmds.codes._slopes
+    triple = [code.columns[j] for j in (7, 8, 10)]
 
-    def dependency(ctx, la, *args):
-        cols, lams = list(args[:3]), args[3:]
-        if tuple(cols) == triple:
-            cols[position] = code.columns[column]
-        return real(ctx, la, *cols, *lams)
+    def slopes(ctx, p, la, points):
+        found, lams = real(ctx, p, la, points)
+        return found, shift(lams) if list(points) == triple else lams
 
-    return dependency
+    return slopes
 
 
 def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8, monkeypatch):
     # The line y = 0 of c holds columns 7 = (1, 0, 0), 8 = (0, 0, 1) and
-    # 10 = (1, 0, 1), all later columns, so c builds it itself; column
-    # 1 = (1, a, a^2) is off it.  Seen in place of column 7, its dependency
-    # with 8 and 10 has no zero coefficient, so only the product shows the
-    # fault.
+    # 10 = (1, 0, 1), all later columns, so c builds it itself from the
+    # residue point 10.  Column 7's lam scaled by a keeps the line and every
+    # minor nonzero, but reads column 7 as another point: only the product
+    # shows the fault.
     code = build("c", ctx8)
-    monkeypatch.setattr(nmds.codes, "_dependency", _moved_column(code, 0, 1))
+    assert [code.columns[j] for j in (7, 8, 10)] == [(1, 0, 0), (0, 0, 1), (1, 0, 1)]
+    slopes = _shifted_lams(code, lambda lams: [lams[0] + 1, *lams[1:]])
+    monkeypatch.setattr(nmds.codes, "_slopes", slopes)
     with pytest.raises(AssertionError, match="misses its columns"):
         min_weight_dual_codewords(code)
 
 
 def test_min_weight_dual_codewords_rejects_a_partial_support(ctx8, monkeypatch):
-    # Column 9 = (0, 1, 0) in place of column 10 on y = 0, seen from
-    # (1, 0, 1) with column 10's lam, which is zero: its x coordinate, its
-    # mu, is zero too, so the coefficients of columns 7 and 8 vanish.
+    # Column 10 is the residue point, whose lam is zero; given column 7's
+    # lam, it reads as column 7's point, and the minor of columns 7 and 10,
+    # the coefficient of column 8, vanishes.
     code = build("c", ctx8)
-    assert code.columns[9] == (0, 1, 0)
-    monkeypatch.setattr(nmds.codes, "_dependency", _moved_column(code, 2, 9))
+    slopes = _shifted_lams(code, lambda lams: [*lams[:2], lams[0]])
+    monkeypatch.setattr(nmds.codes, "_slopes", slopes)
     with pytest.raises(AssertionError, match="partial-support dependency found"):
         min_weight_dual_codewords(code)
 
