@@ -172,9 +172,11 @@ def _parse_m_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad m list {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty m list")
-    for m in values:
+    for i, m in enumerate(values):
         if not 2 <= m <= MAX_M:
             raise argparse.ArgumentTypeError(f"m={m} outside supported range [2, {MAX_M}]")
+        if m in values[:i]:
+            raise argparse.ArgumentTypeError(f"m={m} given more than once")
     return values
 
 

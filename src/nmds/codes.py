@@ -11,24 +11,27 @@ rest (``weight_distribution``).  A code's leading columns are its arc:
 the q - 1 points of the conic y^2 = xz that its construction states
 (``conic_arc``, one ``Arc`` per field), or else its own leading columns on
 the conic.  No three conic points are collinear, so every listed line
-passes through a residue point, a later column off the conic.  The lines
-through a residue point over the arc, its pencil, are a fact of the arc:
-each pencil is derived and checked once per (arc, point) and shared by
-every code that states the arc, and a code sorts only its later columns
-into it.  That is O(q) per pencil and O(r t) per code for r residue points
-among t later columns; a code with no leading conic column crosses all
-O(n^2) pairs (README "Scale" has timings).  Every column triple of a
-listed line, in a pencil or in a code, passes one check (``_collinear``):
-the line vanishes on its three columns, and their dependency, from the
-slope step, has full support and annihilates them.  So the line table
+passes through a residue point, a later column off the conic.  A line is
+named by one int, its place among the projective messages
+(``_message_key``): the line through two points is their cross product,
+scaled.  The lines through a residue point over the arc, its pencil, are a
+fact of the arc: each pencil is derived and checked once per (arc, point)
+and shared by every code that states the arc, and a code merges only its
+later columns by the keys of their lines.  That is O(q) per pencil and
+O(r t) per code for r residue points among t later columns; a code with no
+leading conic column crosses all O(n^2) pairs (README "Scale" has
+timings).  Every column triple of a listed line, in a pencil or in a code,
+passes one check (``_collinear``): the line vanishes on its three columns,
+and their dependency, from the 2 x 2 minors off the line's leading
+coordinate, has full support and annihilates them.  So the line table
 gives the exact weight distribution, the minimum-weight codewords and the
 weight-3 dual codewords (collinear column triples).  A minimum-weight
 codeword is carried as its line and its zero set, the columns on that
 line: pairing and locality read only where a word vanishes, so no word is
 written out in full.  The table refuses q^3 beyond 2^34.  The
-cross product u x v, the line through two points, gives the determinant
-[u, v, w] = (u x v).w that tests three columns for independence.  All of it
-is table lookups on plain ints, in the log arithmetic of ``nmds.field``.
+cross product u x v also gives the determinant [u, v, w] = (u x v).w that
+tests three columns for independence.  All of it is table lookups on plain
+ints, in the log arithmetic of ``nmds.field``.
 No one or two distinct points are dependent, so the dual distance is 3
 exactly when some three columns are collinear.  The MacWilliams transform
 gives the full dual distribution in exact big-integer arithmetic from the
@@ -71,9 +74,6 @@ __all__ = [
 ENUMERATION_GUARD = 1 << 34
 
 Point = tuple[int, int, int]
-
-# The other two coordinates, ascending, of each coordinate 0, 1, 2.
-_OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
 
 class LinearCode:
@@ -319,57 +319,21 @@ def _off_conic(ctx: GF2m, points) -> list[int]:
     return [i for i, (x, y, z) in enumerate(points) if exp[2 * log[y]] != exp[log[x] + log[z]]]
 
 
-def _slopes(ctx: GF2m, p: Point, la: int, points) -> tuple[list[int], list[int]]:
-    """The slope of each point seen from the residue point p, with p_la = 1,
-    and the log of its lam.
-
-    R = Q + Q_la p is where the line pQ meets the line x_la = 0, at the
-    point D = (0, 1, slope) on (x_la, x_i1, x_i2), for i1 < i2 the other two
-    coordinates, or at D = (0, 0, 1) when R_i1 = 0, given slope q.  So
-    Q = lam D + Q_la p with lam = R_i1, or R_i2 when R_i1 = 0; p itself has
-    lam = 0.  Scaling Q scales R, so a column and its point have one slope.
-    """
-    exp, log = ctx._exp, ctx._log
-    q = ctx.q
-    i1, i2 = _OTHER_TWO[la]
-    l1, l2 = log[p[i1]], log[p[i2]]
-    rs = [(pt[i1] ^ exp[lq + l1], pt[i2] ^ exp[lq + l2]) for pt in points for lq in (log[pt[la]],)]
-    slopes = [exp[log[r2] + q - 1 - log[r1]] if r1 else q for r1, r2 in rs]
-    return slopes, [log[r1 or r2] for r1, r2 in rs]
-
-
-def _slope_line(ctx: GF2m, p: Point, la: int, slope: int) -> Point:
-    """The line through p at ``slope``, scaled so that its first nonzero entry is 1.
-
-    On (x_la, x_i1, x_i2), the line through p and (0, 1, slope) is
-    (p_i1 slope + p_i2, slope, 1), and through (0, 0, 1) at slope q it is
-    (p_i1, 1, 0).
-    """
-    exp, log = ctx._exp, ctx._log
-    i1, i2 = _OTHER_TWO[la]
-    p1, p2 = p[i1], p[i2]
-    v = (p1, 1, 0) if slope == ctx.q else (exp[log[p1] + log[slope]] ^ p2, slope, 1)
-    return _normalize(ctx, v if la == 0 else (v[1], v[0], v[2]))
-
-
 def _message_key(q: int, line: Point) -> int:
     """A line's place among the projective messages: (1, y, z) as the
     number y q + z, then (0, 1, z) from q^2 + z, then (0, 0, 1) last."""
     return line[1] * q + line[2] if line[0] else q * q + (line[2] if line[1] else q)
 
 
-def _collinear(
-    ctx: GF2m, la: int, line: Point, u: Point, v: Point, w: Point, lu: int, lv: int, lw: int
-) -> tuple[int, int, int]:
+def _collinear(ctx: GF2m, line: Point, u: Point, v: Point, w: Point) -> tuple[int, int, int]:
     """The dependency (1, h_v, h_w), u + h_v v + h_w w = 0, of three columns
-    on ``line``, a line through the residue point p, from the logs of their
-    lam (``_slopes``; p's own lam is zero, its log the sentinel).
+    on ``line``.
 
-    ``line`` is checked to vanish on the three columns.  Each column is
-    lam D + mu p with mu its coordinate la, so the dependency is the 2 x 2
-    minors of the three (lam, mu).  A zero minor means two of the columns
-    are one point and raises; the scaled coefficients are checked to
-    annihilate the three columns.
+    ``line`` is checked to vanish on the three columns.  Its leading
+    coordinate is nonzero, so a column on it is fixed by its other two
+    coordinates, and the dependency is the 2 x 2 minors of those.  A zero
+    minor means two of the columns are one point and raises; the scaled
+    coefficients are checked to annihilate the three columns.
     """
     exp, log = ctx._exp, ctx._log
     l0, l1, l2 = log[line[0]], log[line[1]], log[line[2]]
@@ -382,10 +346,11 @@ def _collinear(
         or exp[l0 + w0] ^ exp[l1 + w1] ^ exp[l2 + w2]
     ):
         raise AssertionError("a table line misses one of its columns; line table inconsistent")
-    mu, mv, mw = (u0, u1, u2)[la], (v0, v1, v2)[la], (w0, w1, w2)[la]
-    c0 = exp[lv + mw] ^ exp[lw + mv]
-    c1 = exp[lw + mu] ^ exp[lu + mw]
-    c2 = exp[lu + mv] ^ exp[lv + mu]
+    i, j = (1, 2) if line[0] else (0, 2) if line[1] else (0, 1)
+    ui, uj, vi, vj, wi, wj = log[u[i]], log[u[j]], log[v[i]], log[v[j]], log[w[i]], log[w[j]]
+    c0 = exp[vi + wj] ^ exp[wi + vj]
+    c1 = exp[wi + uj] ^ exp[ui + wj]
+    c2 = exp[ui + vj] ^ exp[vi + uj]
     if not (c0 and c1 and c2):
         raise AssertionError(
             "partial-support dependency found; columns were not pairwise independent"
@@ -406,34 +371,29 @@ def _collinear(
 
 
 def _pencil(arc: Arc, column: Point):
-    """The lines through a residue column over the arc, as (each slope's
-    first arc point, secants by slope).
+    """The lines through a residue column P over the arc, by message key, as
+    (each line's first arc point, its secants).
 
     A tangent holds one arc point and a secant two.  Each secant is (line,
-    a, b, key, dependency) for the columns (arc point a, arc point b, the
-    residue column P), checked by ``_collinear`` with P's lam zero.  A line
-    with three arc points refutes the arc and raises ``AssertionError``, as
-    do two arc points at one point.
+    a, b, dependency) for the columns (arc point a, arc point b, P), checked
+    by ``_collinear``.  A line with three arc points refutes the arc and
+    raises ``AssertionError``, as do two arc points at one point.
     """
     ctx = arc.ctx
-    p = _normalize(ctx, column)
-    la = p.index(1)
     points = arc.columns
-    slopes, lams = _slopes(ctx, p, la, points)
-    lp = ctx._log[0]  # P's own lam is zero, its log the sentinel
     first: dict[int, int] = {}
     secants = {}
-    for b, slope in enumerate(slopes):
-        a = first.setdefault(slope, b)
+    for b, point in enumerate(points):
+        line = _normalize(ctx, _cross(ctx, column, point))
+        key = _message_key(ctx.q, line)
+        a = first.setdefault(key, b)
         if a == b:
             continue
-        if slope in secants:
+        if key in secants:
             raise AssertionError(
                 "a table line holds three arc points; the conic columns are not an arc"
             )
-        line = _slope_line(ctx, p, la, slope)
-        coeffs = _collinear(ctx, la, line, points[a], points[b], column, lams[a], lams[b], lp)
-        secants[slope] = (line, a, b, _message_key(ctx.q, line), coeffs)
+        secants[key] = (line, a, b, _collinear(ctx, line, points[a], point, column))
     return first, secants
 
 
@@ -449,11 +409,11 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     conic.  The lines through a residue point P over the arc are P's
     pencil, derived by ``_pencil`` once per (arc, P) and kept on the arc, so
     every code that states the arc shares it.  Per code, only the later
-    columns are sorted into the lines through P by slope: a secant that
-    none of them is on is the pencil's line through (arc a, arc b, P), and
-    a line that one is on is built here, each of its column triples checked
-    by ``_collinear``.  A line is kept once, under the first residue point
-    on it.  A line through P with three conic columns would refute the arc
+    columns are merged by the key of their line through each P, so a line
+    through two residue points is merged once: a secant that none of them
+    is on is the pencil's line through (arc a, arc b, P), and a line that
+    one is on is built here, each of its column triples checked by
+    ``_collinear``.  A line with three conic columns would refute the arc
     and raises ``AssertionError``, and only once no line does are the lines
     with later columns built.
     """
@@ -465,45 +425,41 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     residue = [lead + i for i in _off_conic(ctx, points[lead:])]
     conic = set(tail).difference(residue)
     pencils = arc._pencils
-    lines, later = [], []
-    for i, t in enumerate(residue):
+    lines = []
+    merged: dict[int, tuple[int, Point, set[int]]] = {}  # key -> (P on it, line, later columns)
+    for t in residue:
         column = columns[t]
-        first, secants = pencils.get(column) or pencils.setdefault(column, _pencil(arc, column))
+        _, secants = pencils.get(column) or pencils.setdefault(column, _pencil(arc, column))
         p = points[t]
-        la = p.index(1)
-        others = [u for u in tail if u != t]
-        slope_of = dict(zip(others, _slopes(ctx, p, la, [points[u] for u in others])[0]))
-        through: dict[int, list[int]] = {}  # the later columns on each line through P but P
-        for u, slope in slope_of.items():
-            through.setdefault(slope, []).append(u)
+        for u in tail:
+            if u != t:
+                line = _normalize(ctx, _cross(ctx, p, points[u]))
+                merged.setdefault(_message_key(ctx.q, line), (t, line, {t}))[2].add(u)
         lines += [
             (line, cols, key, ((cols, coeffs),))
-            for slope, (line, a, b, key, coeffs) in secants.items()
-            if slope not in through
+            for key, (line, a, b, coeffs) in secants.items()
+            if key not in merged
             for cols in ((a, b, t),)
         ]
-        for u in residue[:i]:  # a line through an earlier residue point is listed there
-            through.pop(slope_of[u], None)
-        for slope, us in through.items():
-            if slope in secants:
-                on_line = secants[slope][1:3]
-            else:
-                on_line = (first[slope],) if slope in first else ()
-            if len(on_line) + len(conic.intersection(us)) > 2:
-                raise AssertionError(
-                    "a table line holds three arc points; the conic columns are not an arc"
-                )
-            if len(on_line) + len(us) > 1:
-                later.append((p, la, slope, tuple(sorted([*on_line, *us, t]))))
-    for p, la, slope, cols in later:
-        line = _slope_line(ctx, p, la, slope)
-        vectors = [columns[j] for j in cols]
-        lams = _slopes(ctx, p, la, vectors)[1]
+    later = []
+    for key, (t, line, us) in merged.items():
+        first, secants = pencils[columns[t]]
+        if key in secants:
+            on_line = secants[key][1:3]
+        else:
+            on_line = (first[key],) if key in first else ()
+        if len(on_line) + len(conic.intersection(us)) > 2:
+            raise AssertionError(
+                "a table line holds three arc points; the conic columns are not an arc"
+            )
+        if len(on_line) + len(us) > 2:
+            later.append((line, tuple(sorted([*on_line, *us])), key))
+    for line, cols, key in later:
         duals = tuple(
-            ((a, b, c), _collinear(ctx, la, line, u, v, w, lu, lv, lw))
-            for (a, u, lu), (b, v, lv), (c, w, lw) in combinations(zip(cols, vectors, lams), 3)
+            ((a, b, c), _collinear(ctx, line, columns[a], columns[b], columns[c]))
+            for a, b, c in combinations(cols, 3)
         )
-        lines.append((line, cols, _message_key(ctx.q, line), duals))
+        lines.append((line, cols, key, duals))
     return tuple(lines)
 
 

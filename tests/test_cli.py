@@ -326,6 +326,7 @@ def test_show_unknown_id(capsys):
     (["verify", "--all", "--m", ""], "empty m list"),
     (["verify", "--all", "--m", ","], "empty m list"),
     (["show", "--id", "c", "--m", "3,5", "--what", "matrix"], "expected a single m value"),
+    (["verify", "--id", "c", "--m", "3,5,3"], "argument --m: m=3 given more than once"),
 ])
 def test_m_list_parsers_reject_the_wrong_number_of_values(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

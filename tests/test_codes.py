@@ -18,7 +18,10 @@ from nmds.classify import classify
 from nmds.codes import (
     _canonical_columns,
     _check_enumeration_guard,
+    _cross,
     _line_table,
+    _message_key,
+    _normalize,
     _pencil,
     Arc,
     LinearCode,
@@ -429,30 +432,39 @@ def test_min_weight_codewords_in_message_order_across_leading_positions(ctx8):
     assert_min_weight_lines_in_message_order(code)
 
 
-def _turned(slope_line):
-    """The line step turned to the next slope: the line through the residue
-    point and none of the other columns it was derived for."""
-    return lambda ctx, p, la, slope: slope_line(ctx, p, la, (slope + 1) % (ctx.q + 1))
+def _faulty_cross(faults):
+    """``_cross`` with the product of each pair (u, v) in ``faults`` replaced
+    by the vector that the pair maps to."""
+    real = nmds.codes._cross
+    return lambda ctx, u, v: faults[u, v] if (u, v) in faults else real(ctx, u, v)
 
 
 def test_min_weight_codewords_rejects_line_missing_a_column(ctx8, monkeypatch):
-    # The conic columns and one residue point: every line through three
-    # columns is a secant of the pencil, and no later column is on one, so
-    # only the pencil's check sees the turned lines.  The code's own arc
-    # keeps them off the field's shared one.
-    monkeypatch.setattr(nmds.codes, "_slope_line", _turned(nmds.codes._slope_line))
-    code = LinearCode(ctx8, conic_arc(ctx8).columns + ((0, 1, 1),))
+    # The conic columns and one residue point P = (0, 1, 1): every line
+    # through three columns is a secant of the pencil, and no later column
+    # is on one, so only the pencil's check sees the fault.  The line y = z
+    # through P holds arc point 0 = (1, 1, 1) alone; arc point 1 put on it
+    # makes a secant whose line misses arc point 1.  The code's own arc
+    # keeps the faulty pencil off the field's shared one.
+    arc = conic_arc(ctx8).columns
+    p = (0, 1, 1)
+    fault = {(p, arc[1]): nmds.codes._cross(ctx8, p, arc[0])}
+    monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
+    code = LinearCode(ctx8, arc + (p,))
     with pytest.raises(AssertionError, match="misses one of its columns"):
         min_weight_codewords(code)
 
 
 def test_line_table_rejects_a_later_line_missing_a_column(ctx8, monkeypatch):
-    # With the pencils derived first, the turned line step reaches only the
-    # lines that a later column is on, which each code builds itself.
+    # With the pencils derived first, the fault reaches only the lines that
+    # a later column is on, which each code builds itself: c's column
+    # 7 = (1, 0, 0), seen from column 10 = (1, 0, 1), is put on the line
+    # x = z through columns 0, 9 and 10, which misses it.
     arc = Arc(ctx8, conic_arc(ctx8).columns)
     columns = build("c", ctx8).columns
     assert _line_table(LinearCode(ctx8, columns, arc=arc))
-    monkeypatch.setattr(nmds.codes, "_slope_line", _turned(nmds.codes._slope_line))
+    fault = {(columns[10], columns[7]): nmds.codes._cross(ctx8, columns[10], columns[9])}
+    monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
     with pytest.raises(AssertionError, match="misses one of its columns"):
         min_weight_codewords(LinearCode(ctx8, columns, arc=arc))
 
@@ -494,6 +506,22 @@ def test_dual_machinery_matches_dual_enumeration(ctx4, seed):
 # ---------------------------------------------------------------------------
 # the PG(2, q) line table against enumeration and rank oracles
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_message_key_names_the_line_through_two_points(m):
+    # The points of PG(2, q) are its messages: (1, y, z), (0, 1, z), (0, 0, 1).
+    ctx = GF2m(m)
+    q = ctx.q
+    points = [*product((1,), range(q), range(q)), *product((0,), (1,), range(q)), (0, 0, 1)]
+    lines = set()
+    for u, v in combinations(points, 2):
+        line = _normalize(ctx, _cross(ctx, u, v))
+        named = points[_message_key(q, line)]  # the message in the key's place
+        for x in (u, v):
+            assert not ctx.mul(named[0], x[0]) ^ ctx.mul(named[1], x[1]) ^ ctx.mul(named[2], x[2])
+        lines.add(line)
+    assert sorted(_message_key(q, line) for line in lines) == list(range(q * q + q + 1))
+
 
 def _canonical_words(ctx: GF2m, words: np.ndarray) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     """(support, word) pairs, each word scaled so its first nonzero symbol is 1."""
@@ -790,40 +818,32 @@ def test_line_table_rejects_three_collinear_arc_points(ctx8):
         weight_distribution(code)
 
 
-def _shifted_lams(code, shift):
-    """``_slopes`` that hands the logs of the lam of columns 7, 8 and 10 of
-    ``code``, the triple that the line y = 0 holds, through ``shift``."""
-    real = nmds.codes._slopes
-    triple = [code.columns[j] for j in (7, 8, 10)]
-
-    def slopes(ctx, p, la, points):
-        found, lams = real(ctx, p, la, points)
-        return found, shift(lams) if list(points) == triple else lams
-
-    return slopes
-
-
 def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8, monkeypatch):
-    # The line y = 0 of c holds columns 7 = (1, 0, 0), 8 = (0, 0, 1) and
-    # 10 = (1, 0, 1), all later columns, so c builds it itself from the
-    # residue point 10.  Column 7's lam scaled by a keeps the line and every
-    # minor nonzero, but reads column 7 as another point: only the product
-    # shows the fault.
-    code = build("c", ctx8)
-    assert [code.columns[j] for j in (7, 8, 10)] == [(1, 0, 0), (0, 0, 1), (1, 0, 1)]
-    slopes = _shifted_lams(code, lambda lams: [lams[0] + 1, *lams[1:]])
-    monkeypatch.setattr(nmds.codes, "_slopes", slopes)
+    # The later columns 7, 8 and 9 are independent, and the residue point 7
+    # sees 8 and 9 on the zero line, which vanishes on every column.  Off
+    # its coordinate 2 the three columns have pairwise independent
+    # (x, y), so every minor is nonzero: only the product shows the fault.
+    tail = ((1, 0, 1), (0, 1, 1), (1, 1, 2))
+    arc = Arc(ctx8, conic_arc(ctx8).columns)  # keeps these pencils off the field's arc
+    code = LinearCode(ctx8, arc.columns + tail, arc=arc)
+    assert [code.columns[j] for j in (7, 8, 9)] == list(tail)
+    assert nmds.codes._det(ctx8, *tail)
+    fault = {(tail[0], tail[1]): (0, 0, 0), (tail[0], tail[2]): (0, 0, 0)}
+    monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
     with pytest.raises(AssertionError, match="misses its columns"):
         min_weight_dual_codewords(code)
 
 
 def test_min_weight_dual_codewords_rejects_a_partial_support(ctx8, monkeypatch):
-    # Column 10 is the residue point, whose lam is zero; given column 7's
-    # lam, it reads as column 7's point, and the minor of columns 7 and 10,
-    # the coefficient of column 8, vanishes.
-    code = build("c", ctx8)
-    slopes = _shifted_lams(code, lambda lams: [*lams[:2], lams[0]])
-    monkeypatch.setattr(nmds.codes, "_slopes", slopes)
+    # The line y = 0 holds the later columns 7 = (1, 0, 0), 8 = (0, 0, 1)
+    # and the residue point 9 = (1, 0, 1).  Seen on the zero line, the
+    # columns' (x, y) are (1, 0), (0, 0) and (1, 0), and the minor of
+    # columns 8 and 9, the coefficient of column 7, vanishes.
+    tail = ((1, 0, 0), (0, 0, 1), (1, 0, 1))
+    arc = Arc(ctx8, conic_arc(ctx8).columns)  # keeps these pencils off the field's arc
+    code = LinearCode(ctx8, arc.columns + tail, arc=arc)
+    fault = {(tail[2], tail[0]): (0, 0, 0), (tail[2], tail[1]): (0, 0, 0)}
+    monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
     with pytest.raises(AssertionError, match="partial-support dependency found"):
         min_weight_dual_codewords(code)
 
@@ -866,18 +886,16 @@ def test_pencil_refuses_two_arc_points_at_one_point(ctx8):
 
 
 def test_pencil_rejects_a_dependency_that_misses_its_columns(ctx8, monkeypatch):
-    # The slope step's lam of arc point 1 = (1, a, a^2) scaled by a: its
-    # secant through (1, 0, 1) keeps its line, but not its dependency.
-    real = nmds.codes._slopes
-
-    def slopes(ctx, p, la, points):
-        found, lams = real(ctx, p, la, points)
-        return found, [lams[0], lams[1] + 1, *lams[2:]]
-
-    monkeypatch.setattr(nmds.codes, "_slopes", slopes)
+    # Arc points 0 = (1, 1, 1) and 1 = (1, a, a^2) seen from (1, 0, 1) on the
+    # zero line: it vanishes on all three, and their (x, y) are pairwise
+    # independent, so every minor is nonzero, but the three are not
+    # collinear and the minors' dependency misses them.
     arc = Arc(ctx8, conic_arc(ctx8).columns)
+    p = (1, 0, 1)
+    fault = {(p, arc.columns[0]): (0, 0, 0), (p, arc.columns[1]): (0, 0, 0)}
+    monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
     with pytest.raises(AssertionError, match="misses its columns"):
-        _pencil(arc, (1, 0, 1))
+        _pencil(arc, p)
 
 
 def code_facts(code):

@@ -94,7 +94,7 @@ def test_codes_over_one_field_share_each_pencil_across_threads():
         for cols, coeffs in duals:
             if cols[1] < q - 1:  # a secant of a pencil: its dependency is the pencil's object
                 _, secants = arc._pencils[code.columns[cols[2]]]
-                assert any(coeffs is secant[4] for secant in secants.values()), (cid, cols)
+                assert any(coeffs is dep for _, _, _, dep in secants.values()), (cid, cols)
 
 
 def test_classify_runs_once_per_code():

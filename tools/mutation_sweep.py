@@ -17,9 +17,10 @@ order (module, then position in the source):
 Each mutant runs the tier-1 suite with ``-x`` in a temporary copy of the
 repository, two mutants at a time, with a cap of 45 s per run.  A mutant is
 killed when the suite fails, hung when it hits the cap, and survives when
-the suite passes.  The survivors are printed, one per line, with the
-counts per probe.  The standard library is all it needs beyond the test
-dependencies; a full sweep takes about half an hour on two cores.
+the suite passes.  The survivors and the hung mutants are printed, one per
+line, with the counts per probe.  The standard library is all it needs
+beyond the test dependencies; a full sweep takes 34 to 47 minutes on two
+cores.
 
     python3 tools/mutation_sweep.py
 """
@@ -258,8 +259,8 @@ def main() -> int:
         counts = {r: sum(1 for _, x in picked if x == r) for r in ("killed", "hung", "survived")}
         print(f"{probe}: {len(picked)} mutants, " + ", ".join(f"{v} {k}" for k, v in counts.items()))
     for m, r in zip(mutants, results):
-        if r == "survived":
-            print(f"SURVIVED {m.probe} {m.path.relative_to(ROOT)}:{m.line} {m.what}")
+        if r != "killed":
+            print(f"{r.upper()} {m.probe} {m.path.relative_to(ROOT)}:{m.line} {m.what}")
     return 0
 
 
