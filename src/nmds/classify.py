@@ -2,14 +2,13 @@
 
 A code with Singleton defect 0 is MDS; defect 1 is AMDS; AMDS with an AMDS
 dual is NMDS, and every AMDS code the kernel accepts is NMDS (``classify``).
-For an NMDS code the whole weight distribution of either side
-follows from one seed count by a recurrence, computed here in exact
-big-integer arithmetic (the counts overflow 64-bit well inside the supported
-range) with one Horner step per weight.  The pairing check confirms that
-minimum-weight codewords of the code and its dual come in disjoint-support
-pairs, unique up to scalars: in dimension 3 the zero set of each
-minimum-weight codeword must be the support of exactly one weight-3 dual
-codeword.
+For an NMDS code the whole weight distribution of either side follows from
+one seed count by a recurrence, in exact big-integer arithmetic with one
+Horner step per weight, and the first four dual counts check both
+(``dual_moments``).  The pairing check confirms that minimum-weight
+codewords of the code and its dual come in disjoint-support pairs, unique up
+to scalars: in dimension 3 the zero set of each minimum-weight codeword is
+the support of exactly one weight-3 dual codeword.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .codes import (
 __all__ = [
     "CodeClass",
     "classify",
+    "dual_moments",
     "nmds_dual_distribution_from_Ak",
     "nmds_primal_distribution_from_Ank",
     "PairingReport",
@@ -57,6 +57,27 @@ def classify(code: LinearCode) -> CodeClass:
     d = weight_distribution(code).min_distance
     defect = code.n - code.k + 1 - d
     return CodeClass("MDS" if defect == 0 else "NMDS" if defect == 1 else "other", d)
+
+
+def dual_moments(dist: WeightDistribution, q: int) -> list[int]:
+    """q^3 times the dual counts B_0..B_3 of a dimension-3 distribution A over
+    GF(q), the first four MacWilliams identities (Pless power moments):
+    q^3 B_j = sum_i A_i sum_l (-1)^l (q-1)^(j-l) C(i, l) C(n-i, j-l).
+
+    They decide both recurrence checks of an NMDS code.  A is zero at
+    weights 1..n-4, and B_0 = 1, B_1 = B_2 = 0 are three linear equations in
+    A_(n-3)..A_n, leaving one free parameter: they hold exactly when A is the
+    primal recurrence from A_(n-3), and then the MacWilliams transform B of A
+    is the dual recurrence from B_3, integral.  Its sign is not implied but
+    holds for the kernel's codes: the seed is q-1 times the N column triples
+    of checked table lines, a 4-set of columns holds at most one (two would
+    share a line), so (n-3) N <= C(n, 4), that is B_4 >= 0, and for q >= 4
+    that makes every B_w >= 0 (``tests/test_transforms.py`` has the proof).
+    """
+    return [sum(
+        a * (-1) ** l * (q - 1) ** (j - l) * comb(i, l) * comb(dist.n - i, j - l)
+        for i, a in dist.nonzero_items() for l in range(j + 1)
+    ) for j in range(4)]
 
 
 def _nmds_distribution(n: int, w: int, q: int, seed: int) -> WeightDistribution:

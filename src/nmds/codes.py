@@ -28,16 +28,13 @@ gives the exact weight distribution, the minimum-weight codewords and the
 weight-3 dual codewords (collinear column triples).  A minimum-weight
 codeword is carried as its line and its zero set, the columns on that
 line: pairing and locality read only where a word vanishes, so no word is
-written out in full.  The table refuses q^3 beyond 2^34.  The
-cross product u x v also gives the determinant [u, v, w] = (u x v).w that
-tests three columns for independence.  All of it is table lookups on plain
-ints, in the log arithmetic of ``nmds.field``.
+written out in full.  The cross product u x v also gives the determinant
+[u, v, w] = (u x v).w that tests three columns for independence.  All of it
+is table lookups on plain ints, in the log arithmetic of ``nmds.field``.
 No one or two distinct points are dependent, so the dual distance is 3
-exactly when some three columns are collinear.  The MacWilliams transform
-gives the full dual distribution in exact big-integer arithmetic from the
-Krawtchouk generating function, with the factor (1 - z)^d that the terms of
-all positive weights share taken out: two long binomial rows and
-O(n (n - d)) multiply-adds, which for an NMDS distribution is O(n k).
+exactly when some three columns are collinear.  ``macwilliams`` gives the
+full dual distribution exactly; ``verify`` reads only the first four counts
+(``nmds.classify.dual_moments``).
 
 Every derivation of a code (point list, line table, distribution,
 minimum-weight words of the code and of its dual) runs once per code: the
@@ -68,10 +65,6 @@ __all__ = [
     "macwilliams",
     "matrix_to_text",
 ]
-
-# The line table refuses q**3 beyond this, that is m >= 12, where the dual
-# transforms have no stated cap yet.
-ENUMERATION_GUARD = 1 << 34
 
 Point = tuple[int, int, int]
 
@@ -222,15 +215,7 @@ def per_code(fn):
     return derived
 
 
-# -- guard and canonical forms ---------------------------------------------------
-
-def _check_enumeration_guard(q: int) -> None:
-    if q**3 > ENUMERATION_GUARD:
-        raise ValueError(
-            f"q^k = {q}^3 exceeds the enumeration guard q^k <= 2^34, "
-            "which allows m <= 11 for a dimension-3 code"
-        )
-
+# -- canonical forms -------------------------------------------------------------
 
 def _normalize(ctx: GF2m, vec: Point) -> Point:
     """``vec`` scaled so that its first nonzero entry is 1; zero stays zero."""
@@ -418,7 +403,6 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     with later columns built.
     """
     ctx = code.ctx
-    _check_enumeration_guard(ctx.q)
     points, columns, arc = _canonical_columns(code), code.columns, code.arc
     lead = len(arc.columns)
     tail = range(lead, code.n)

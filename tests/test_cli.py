@@ -10,7 +10,6 @@ import pytest
 import nmds.cli
 import nmds.constructions as cons
 from nmds.cli import main, report_to_json, run_verification
-from nmds.codes import WeightDistribution
 from nmds.field import GF2m
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -130,21 +129,23 @@ def test_verify_verbose_streams_one_line_per_pair(capsys):
     assert err == "c@3: ok\nc@4: ok (1 warning)\n"
 
 
-@pytest.mark.parametrize("recurrence, check", [
-    ("nmds_dual_distribution_from_Ak", "macwilliams_vs_recurrence"),
-    ("nmds_primal_distribution_from_Ank", "primal_recurrence"),
-])
-def test_verify_detects_a_recurrence_mismatch(capsys, monkeypatch, recurrence, check):
-    real = getattr(nmds.cli, recurrence)
+@pytest.mark.parametrize("j, failed", [
+    (3, "macwilliams_vs_recurrence"),
+    (2, "macwilliams_vs_recurrence, primal_recurrence"),
+], ids=["B_3", "B_2"])
+def test_verify_detects_a_recurrence_mismatch(capsys, monkeypatch, j, failed):
+    # one dual count off: B_3 fails the dual check alone, B_2 both checks
+    real = nmds.cli.dual_moments
 
-    def off_at_weight_n(n, k, q, seed):
-        counts = real(n, k, q, seed).counts
-        return WeightDistribution(n, counts[:-1] + (counts[-1] + 1,))
+    def off_at_weight_j(dist, q):
+        moments = real(dist, q)
+        moments[j] += 1
+        return moments
 
-    monkeypatch.setattr(nmds.cli, recurrence, off_at_weight_n)
+    monkeypatch.setattr(nmds.cli, "dual_moments", off_at_weight_j)
     code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3"])
     assert code == 1
-    assert err == f"nmds: FAIL c@3: {check}\n"
+    assert err == f"nmds: FAIL c@3: {failed}\n"
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
@@ -168,15 +169,17 @@ def test_verify_bad_m_rejected():
     assert exc.value.code == 2
 
 
-def test_verify_beyond_guard_names_the_cap(capsys):
-    code, _, err = run(capsys, ["verify", "--id", "c", "--m", "12"])
-    assert code == 2
-    assert "m <= 11" in err
+@pytest.mark.parametrize("cid, m", [("c", "15"), ("d1", "16")])
+def test_verify_reaches_the_top_of_the_field_range(capsys, cid, m):
+    code, out, err = run(capsys, ["verify", "--id", cid, "--m", m])
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)
+    assert report["class"] == "NMDS" and report["warnings"] == []
 
 
 @pytest.mark.parametrize("argv", [
-    ["--m", "9,12"],
     ["--m", "9,10", "--modulus", "0x211"],  # a degree-9 modulus fits m = 9 only
+    ["--m", "3,16", "--modulus", "0xB"],  # and a degree-3 one m = 3 only
 ])
 def test_verify_rejects_every_m_before_the_first_pair(capsys, monkeypatch, argv):
     calls = []
@@ -194,7 +197,7 @@ def test_verify_prints_the_benchmark_reference(capsys, name, m):
     assert out == (REFERENCE_DIR / f"{name}.json").read_text()
 
 
-# sha256 of report_to_json for all ids at each m up to 11 that the benchmark
+# sha256 of report_to_json for all ids at each m up to 13 that the benchmark
 # reference (m = 3, 4 and 7) does not pin.  A refactor keeps every byte.
 REPORT_SHA256 = {
     2: "1be3af4209bedee3c64fd60c7c0328131e54750cc2b0aaf79c51fda23377df53",
@@ -204,6 +207,8 @@ REPORT_SHA256 = {
     9: "3bc36146a68625e34bb45639cca7d8cca540fd73e5abae3bb120e04e62526541",
     10: "3f9225d844ddd6a723765bb91039ff82090f2ea8c3d8abba21b3289945bae297",
     11: "35ddda2a7496516206196ec5c2731debc5a10fe8e5e22bbb300fa538aae52e02",
+    12: "cd81a88202fc6729d1f3b7feb19b69af9155f2e3266ac93326ed83f215e2d269",
+    13: "0008fee7cb588f9e9587933d4cca88acae80a67f5b81696dbc09e090294e2fd0",
 }
 
 

@@ -17,7 +17,6 @@ import nmds.codes
 from nmds.classify import classify
 from nmds.codes import (
     _canonical_columns,
-    _check_enumeration_guard,
     _cross,
     _line_table,
     _message_key,
@@ -248,16 +247,6 @@ def test_minimum_distance_zero_code_rejected(ctx8):
     zero = enumerated_distribution(ctx8, dual(ctx8, np.eye(3, dtype=np.int64)))
     with pytest.raises(ValueError, match="zero code"):
         zero.min_distance
-
-
-def test_enumeration_guard():
-    ctx = GF2m(16)
-    eye = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    with pytest.raises(ValueError, match="guard"):
-        weight_distribution(LinearCode(ctx, eye))
-    # The point list, which refuses a zero column, is read behind the guard.
-    with pytest.raises(ValueError, match="guard"):
-        dual_distance_exact(LinearCode(ctx, eye + [(0, 0, 0)]))
 
 
 def test_row_scaling_invariance(ctx8):
@@ -677,7 +666,6 @@ def all_pairs_line_table(code: LinearCode) -> AllPairsLineTable:
     """Oracle: the normalized cross product of every pair of columns at
     distinct points, then the (line, column) incidences by sort and dedupe."""
     ctx, q, n = code.ctx, code.ctx.q, code.n
-    _check_enumeration_guard(q)
     canon = normalize_rows(ctx, code.columns)
     radix = np.array([q * q, q, 1])
     key = canon @ radix  # the point of each column as a number, 0 for a zero column

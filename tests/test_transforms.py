@@ -8,17 +8,34 @@ sum and the double loop over each recurrence's inner sum, one ``q**e`` and
 two ``comb`` calls per term.  The new kernels must agree with them exactly,
 error messages included, on real code distributions, on closed forms, on
 arbitrary counts and over a grid of parameters.
+
+``verify`` runs neither transform: it compares the first four dual counts
+(``dual_moments``), and the full comparisons it replaced, MacWilliams
+against the dual recurrence and the primal recurrence against the
+distribution, are its oracle here.
 """
 
+from collections import Counter
+from itertools import permutations
 from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nmds.classify import nmds_dual_distribution_from_Ak, nmds_primal_distribution_from_Ank
-from nmds.codes import WeightDistribution, macwilliams
-from nmds.constructions import CONSTRUCTION_IDS, expected_profile
+from nmds.classify import (
+    classify,
+    dual_moments,
+    nmds_dual_distribution_from_Ak,
+    nmds_primal_distribution_from_Ank,
+)
+from nmds.codes import (
+    WeightDistribution,
+    macwilliams,
+    min_weight_dual_codewords,
+    weight_distribution,
+)
+from nmds.constructions import CONSTRUCTION_IDS, build, expected_profile
 from nmds.field import GF2m
 from oracles import enumerated_distribution, rank
 
@@ -294,3 +311,97 @@ def test_dual_recurrence_rejects_dimension_outside_length(k):
     # report a negative count at weight 0
     with pytest.raises(ValueError, match=rf"^dimension k = {k} outside 0\.\.n = 12$"):
         nmds_dual_distribution_from_Ak(12, k, 8, 70)
+
+
+# -- the moment check ----------------------------------------------------------------
+
+def full_checks(dist: WeightDistribution, q: int, seed: int) -> tuple[bool, bool]:
+    """(macwilliams_vs_recurrence, primal_recurrence) by the full transforms of
+    a dimension-3 distribution; a ValueError from a transform fails its check."""
+    n = dist.n
+    try:
+        dual_ok = macwilliams(dist, 3, q).counts == nmds_dual_distribution_from_Ak(n, 3, q, seed).counts
+    except ValueError:
+        dual_ok = False
+    try:
+        primal_ok = nmds_primal_distribution_from_Ank(n, 3, q, dist.counts[n - 3]).counts == dist.counts
+    except ValueError:
+        primal_ok = False
+    return dual_ok, primal_ok
+
+
+def moment_checks(dist: WeightDistribution, q: int, seed: int) -> tuple[bool, bool]:
+    """The same two checks as ``run_verification`` makes them."""
+    moments = dual_moments(dist, q)
+    return moments == [q**3, 0, 0, q**3 * seed], moments[:3] == [q**3, 0, 0]
+
+
+def tampered(dist: WeightDistribution, q: int, seed: int):
+    """A reported (distribution, seed), the seed moved by -+(q - 1), and
+    q - 1 codewords moved from each of the top four weights to each other."""
+    n, counts = dist.n, dist.counts
+    yield dist, seed
+    yield dist, seed - (q - 1)
+    yield dist, seed + (q - 1)
+    for a, b in permutations(range(n - 3, n + 1), 2):
+        if counts[a] >= q - 1:
+            moved = list(counts)
+            moved[a] -= q - 1
+            moved[b] += q - 1
+            yield WeightDistribution(n, tuple(moved)), seed
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_moment_checks_match_full_comparisons(m):
+    ctx = GF2m(m)
+    q = ctx.q
+    verdicts = Counter()
+    for cid in CONSTRUCTION_IDS:
+        code = build(cid, ctx)
+        if classify(code).tag != "NMDS":
+            continue
+        dist = weight_distribution(code)
+        seed = (q - 1) * len(min_weight_dual_codewords(code))
+        for counts, a3 in tampered(dist, q, seed):
+            verdict = moment_checks(counts, q, a3)
+            assert verdict == full_checks(counts, q, a3), (cid, counts, a3)
+            verdicts[verdict] += 1
+    # every id is NMDS at odd m, and d1, e, e2 and f3 at even m too; the
+    # seed moves fail the dual check alone, the other moves both
+    pairs = 12 if m % 2 else 4
+    assert verdicts[True, True] == pairs and verdicts[False, True] == 2 * pairs
+    assert verdicts[False, False] > 0 and verdicts[True, False] == 0
+
+
+def test_dual_recurrence_sign_follows_from_weight_4():
+    """``dual_moments`` reads the sign of the dual counts off B_4 >= 0.
+
+    The dual recurrence gives B_(3+s) / C(n, 3+s) = S_s + (-1)^s C(s+3, 3)
+    B_3 / C(n, 3), with S_s = sum_{j<s} (-1)^j C(s+3, j) (q^(s-j) - 1), and
+    B_4 >= 0 is B_3 / C(n, 3) <= (q-1) / 4.  So every count is >= 0 once
+    S_s >= 0 at even s and 4 S_s >= (q-1) C(s+3, 3) at odd s.  With
+    P_s = C(s+2, 2) q^3 - C(s+3, 2) q^2 + (s+3) q - 1, the binomial theorem
+    gives q^3 S_s = (q-1)^(s+3) - (-1)^s P_s, and 0 < P_s < C(s+2, 2) q^3.
+    For q >= 4: S_1 = q-1 and S_3 = (q-1)(q^2-5q+10) meet the odd bound,
+    S_2 = (q-1)(q-4) >= 0, and from s = 4 on (q-1)^(s+3) / q^3 >=
+    (27/64) (q-1)^s, with (q-1)^(s-1) >= 3^(s-1), exceeds C(s+2, 2) at even
+    s and (q-1) C(s+3, 3) / 4 at odd s.  The identity and the bounds are checked below for q = 4..2^16 at
+    small s, and the recurrence at both ends of the seed range for every s
+    up to 2q, lengths up to n = 2q + 3, at q <= 2^10.
+    """
+    for m in range(2, 17):
+        q = 1 << m
+        for s in range(1, 40):
+            s_s = sum((-1) ** j * comb(s + 3, j) * (q ** (s - j) - 1) for j in range(s))
+            p_s = comb(s + 2, 2) * q**3 - comb(s + 3, 2) * q**2 + (s + 3) * q - 1
+            assert q**3 * s_s == (q - 1) ** (s + 3) - (-1) ** s * p_s
+            assert 0 < p_s < comb(s + 2, 2) * q**3
+            assert s_s >= 0 if s % 2 == 0 else 4 * s_s >= (q - 1) * comb(s + 3, 3)
+    for m in range(2, 11):
+        q = 1 << m
+        n = 2 * q + 3
+        top = (q - 1) * comb(n, 4) // (n - 3)  # the largest seed with B_4 >= 0
+        for seed in (0, top):  # the counts are linear in the seed
+            nmds_dual_distribution_from_Ak(n, 3, q, seed)  # raises on a negative count
+        with pytest.raises(ValueError, match="negative count at weight 4$"):
+            nmds_dual_distribution_from_Ak(n, 3, q, top + 1)
