@@ -252,6 +252,15 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _require_nmds(cid: str, code) -> None:
+    """Locality, bounds and repair read an NMDS code.  Every registry pair
+    that is not NMDS is off its m-constraint, and is refused naming both."""
+    tag, m = classify(code).tag, code.ctx.m
+    if tag != "NMDS":
+        raise ValueError(f"{cid} at m={m} is {tag}, not NMDS: m={m} violates the constraint "
+                         "(m >= 3, m odd), and locality, bounds and repair need an NMDS code")
+
+
 def _cmd_show(args) -> int:
     cid = cons.normalize_id(args.id)
     ctx = GF2m(args.m, args.modulus)
@@ -262,6 +271,7 @@ def _cmd_show(args) -> int:
     if args.what == "enumerator":
         print(weight_distribution(code).enumerator_str())
         return 0
+    _require_nmds(cid, code)
     if args.what == "locality":
         r_code = locality_of_code(code).r
         r_dual = locality_of_dual(code).r
@@ -283,6 +293,7 @@ def _cmd_repair(args) -> int:
     cid = cons.normalize_id(args.id)
     ctx = GF2m(args.m, args.modulus)
     code = cons.build(cid, ctx)
+    _require_nmds(cid, code)
     if not 0 <= args.erase < code.n:
         print(f"nmds: erase index {args.erase} outside [0, {code.n})", file=sys.stderr)
         return 2

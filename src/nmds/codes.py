@@ -7,23 +7,23 @@ registry are, and refuses a zero column or two columns at one point.  A
 message is a line l up to scalars, and the codeword of l has weight n minus
 the number of columns on l.  The line table lists the lines through
 three or more columns, and the standard equations of a point set count the
-rest (``weight_distribution``).  A code's leading columns are its arc:
-the q - 1 points of the conic y^2 = xz that its construction states
-(``conic_arc``, one ``Arc`` per field), or else its own leading columns on
-the conic.  No three conic points are collinear, so every listed line
-passes through a residue point, a later column off the conic.  A line is
-named by one int, its place among the projective messages
+rest (``weight_distribution``).  A code's leading columns are the arc it
+states: the q - 1 points of the conic y^2 = xz (``conic_arc``, one ``Arc``
+per field), or none.  No three conic points are collinear, so every listed
+line passes through a residue point, a later column off the conic.  A line
+is named by one int, its place among the projective messages
 (``_message_key``): the line through two points is their cross product,
 scaled.  The lines through a residue point over the arc, its pencil, are a
-fact of the arc: each pencil is derived and checked once per (arc, point)
-and shared by every code that states the arc, and a code merges only its
-later columns by the keys of their lines.  That is O(q) per pencil and
-O(r t) per code for r residue points among t later columns; a code with no
-leading conic column crosses all O(n^2) pairs (README "Scale" has
-timings).  Every column triple of a listed line, in a pencil or in a code,
-passes one check (``_collinear``): the line vanishes on its three columns,
-and their dependency, from the 2 x 2 minors off the line's leading
-coordinate, has full support and annihilates them.  So the line table
+fact of the arc: each pencil is derived and checked once per (arc, point),
+one record per line with its arc points, and shared by every code that
+states the arc, and a code merges only its later columns by the keys of
+their lines.  That is O(q) per pencil and O(r t) per code for r residue
+points among t later columns; a code that states no arc crosses each
+residue point with every column (README "Scale" has timings).  Every
+column triple of a listed line, in a pencil or in a code, passes one check
+(``_collinear``): the line vanishes on its three columns, and their
+dependency, from the 2 x 2 minors off the line's leading coordinate, has
+full support and annihilates them.  So the line table
 gives the exact weight distribution, the minimum-weight codewords and the
 weight-3 dual codewords (collinear column triples).  A minimum-weight
 codeword is carried as its line and its zero set, the columns on that
@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 Point = tuple[int, int, int]
+_NOT_AN_ARC = "a table line holds three arc points; the conic columns are not an arc"
 
 
 class LinearCode:
@@ -76,8 +77,9 @@ class LinearCode:
     columns as points of PG(2, q), so columns of any other length are
     refused.  The columns are kept as 3-tuples of field elements 0..q-1.
     ``arc`` states that the leading columns are the points of an ``Arc``,
-    and a code whose leading columns are not refuses it by name; a code
-    that states none gets its leading conic columns as its own arc.
+    and a code whose leading columns are not refuses it by name.  A code
+    that states none has the empty arc, and its line table crosses each
+    residue point with every other column.
     """
 
     k = 3
@@ -96,12 +98,11 @@ class LinearCode:
             raise ValueError(f"k={lengths.pop()}: only dimension-3 codes are supported")
         if _first_basis(ctx, cols) is None:
             raise ValueError("generator matrix does not have full row rank")
-        if arc is None:  # the leading columns on the conic are the code's own arc
-            off = _off_conic(ctx, cols)
-            arc = Arc(ctx, cols[: off[0] if off else len(cols)])
-        elif (arc.ctx.m, arc.ctx.modulus) != (ctx.m, ctx.modulus):
+        if arc is None:
+            arc = Arc(ctx, ())
+        if (arc.ctx.m, arc.ctx.modulus) != (ctx.m, ctx.modulus):
             raise ValueError(f"the stated arc is over {arc.ctx!r}, the columns over {ctx!r}")
-        elif cols[: len(arc.columns)] != arc.columns:
+        if cols[: len(arc.columns)] != arc.columns:
             j = next((j for j, (c, a) in enumerate(zip(cols, arc.columns)) if c != a), len(cols))
             raise ValueError(f"column {j} is not point {j} of the stated arc")
         self.ctx = ctx
@@ -355,31 +356,30 @@ def _collinear(ctx: GF2m, line: Point, u: Point, v: Point, w: Point) -> tuple[in
     return (1, exp[g1], exp[g2])
 
 
-def _pencil(arc: Arc, column: Point):
+def _pencil(arc: Arc, column: Point) -> dict[int, tuple[Point, tuple[int, ...], Point | None]]:
     """The lines through a residue column P over the arc, by message key, as
-    (each line's first arc point, its secants).
+    (line, its arc points, dependency).
 
-    A tangent holds one arc point and a secant two.  Each secant is (line,
-    a, b, dependency) for the columns (arc point a, arc point b, P), checked
-    by ``_collinear``.  A line with three arc points refutes the arc and
-    raises ``AssertionError``, as do two arc points at one point.
+    A tangent holds one arc point and no dependency.  A secant holds two, a
+    and b, and the dependency of the columns (arc point a, arc point b, P),
+    checked by ``_collinear``.  A line with three arc points refutes the arc
+    and raises ``AssertionError``, as do two arc points at one point.
     """
     ctx = arc.ctx
     points = arc.columns
-    first: dict[int, int] = {}
-    secants = {}
+    pencil: dict = {}
     for b, point in enumerate(points):
         line = _normalize(ctx, _cross(ctx, column, point))
         key = _message_key(ctx.q, line)
-        a = first.setdefault(key, b)
-        if a == b:
-            continue
-        if key in secants:
-            raise AssertionError(
-                "a table line holds three arc points; the conic columns are not an arc"
-            )
-        secants[key] = (line, a, b, _collinear(ctx, line, points[a], point, column))
-    return first, secants
+        entry = pencil.get(key)
+        if entry is None:
+            pencil[key] = (line, (b,), None)
+        elif entry[2] is None:
+            a = entry[1][0]
+            pencil[key] = (line, (a, b), _collinear(ctx, line, points[a], point, column))
+        else:
+            raise AssertionError(_NOT_AN_ARC)
+    return pencil
 
 
 @per_code
@@ -388,62 +388,54 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     ascending columns, projective-message key, weight-3 dual words of its
     column triples).
 
-    The code's arc, the conic columns it states or else its leading conic
-    columns, comes first, and no three conic points are collinear, so every
-    listed line passes through a residue point: a later column off the
-    conic.  The lines through a residue point P over the arc are P's
-    pencil, derived by ``_pencil`` once per (arc, P) and kept on the arc, so
-    every code that states the arc shares it.  Per code, only the later
-    columns are merged by the key of their line through each P, so a line
-    through two residue points is merged once: a secant that none of them
-    is on is the pencil's line through (arc a, arc b, P), and a line that
-    one is on is built here, each of its column triples checked by
-    ``_collinear``.  A line with three conic columns would refute the arc
-    and raises ``AssertionError``, and only once no line does are the lines
-    with later columns built.
+    The code's stated arc comes first, if it states one, and no three conic
+    points are collinear, so every listed line passes through a residue
+    point: a later column off the conic.  The lines through a residue point
+    P over the arc are P's pencil, derived by ``_pencil`` once per (arc, P)
+    and kept on the arc, so every code that states the arc shares it.  Per
+    code, the later columns are merged by the key of their line through
+    each P, and a merged line starts with the arc points that P's pencil
+    puts on it, so a line through two residue points is merged once.  A
+    secant that no later column is on is the pencil's line through (arc a,
+    arc b, P), with the pencil's dependency.  A merged line with three
+    columns on the conic, arc points or later columns, would refute the arc
+    and raises ``AssertionError``, and only once no line does are the merged
+    lines' column triples checked by ``_collinear``.
     """
     ctx = code.ctx
     points, columns, arc = _canonical_columns(code), code.columns, code.arc
     lead = len(arc.columns)
-    tail = range(lead, code.n)
-    residue = [lead + i for i in _off_conic(ctx, points[lead:])]
-    conic = set(tail).difference(residue)
+    residue = {lead + i for i in _off_conic(ctx, points[lead:])}
     pencils = arc._pencils
     lines = []
-    merged: dict[int, tuple[int, Point, set[int]]] = {}  # key -> (P on it, line, later columns)
+    merged: dict[int, tuple[Point, set[int]]] = {}  # key -> (line, columns on it)
     for t in residue:
         column = columns[t]
-        _, secants = pencils.get(column) or pencils.setdefault(column, _pencil(arc, column))
+        pencil = pencils.get(column) or pencils.setdefault(column, _pencil(arc, column))
         p = points[t]
-        for u in tail:
+        for u in range(lead, code.n):
             if u != t:
                 line = _normalize(ctx, _cross(ctx, p, points[u]))
-                merged.setdefault(_message_key(ctx.q, line), (t, line, {t}))[2].add(u)
+                key = _message_key(ctx.q, line)
+                if key not in merged:
+                    merged[key] = (line, {t, *pencil[key][1]} if key in pencil else {t})
+                merged[key][1].add(u)
         lines += [
-            (line, cols, key, ((cols, coeffs),))
-            for key, (line, a, b, coeffs) in secants.items()
-            if key not in merged
-            for cols in ((a, b, t),)
+            (line, cols, key, ((cols, dep),))
+            for key, (line, on, dep) in pencil.items()
+            if dep and key not in merged
+            for cols in ((on[0], on[1], t),)
         ]
-    later = []
-    for key, (t, line, us) in merged.items():
-        first, secants = pencils[columns[t]]
-        if key in secants:
-            on_line = secants[key][1:3]
-        else:
-            on_line = (first[key],) if key in first else ()
-        if len(on_line) + len(conic.intersection(us)) > 2:
-            raise AssertionError(
-                "a table line holds three arc points; the conic columns are not an arc"
+    if any(len(cols.difference(residue)) > 2 for _, cols in merged.values()):
+        raise AssertionError(_NOT_AN_ARC)
+    for key, (line, cols) in merged.items():
+        if len(cols) > 2:
+            cols = tuple(sorted(cols))
+            duals = tuple(
+                ((a, b, c), _collinear(ctx, line, columns[a], columns[b], columns[c]))
+                for a, b, c in combinations(cols, 3)
             )
-        if len(on_line) + len(us) > 2:
-            later.append((line, tuple(sorted([*on_line, *us])), key))
-    for line, cols, key in later:
-        duals = tuple(
-            ((a, b, c), _collinear(ctx, line, columns[a], columns[b], columns[c]))
-            for a, b, c in combinations(cols, 3)
-        )
-        lines.append((line, cols, key, duals))
+            lines.append((line, cols, key, duals))
     return tuple(lines)
 
 

@@ -100,27 +100,23 @@ def _tables(m: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     generator search and table loop once.
     """
     q = 1 << m
-
-    def order(a: int) -> int:
-        # Every order divides q - 1, so a search past it finds none; a
-        # modulus of another degree than m then fails here, not loops.
-        v, n = a, 1
-        while v != 1 and n < q:
-            v = _mul_raw(v, a, modulus)
-            n += 1
-        return n
-
-    g = next((g for g in range(2, q) if order(g) == q - 1), None)
-    if g is None:
-        raise AssertionError("no primitive element found; modulus cannot be irreducible")
     exp = [0] * (2 * (q - 1) + 2 * q)
-    log = [2 * (q - 1)] * q  # every entry but log[0] is overwritten below
-    v = 1
-    for i in range(q - 1):
-        exp[i] = exp[i + q - 1] = v
-        log[v] = i
-        v = _mul_raw(v, g, modulus)
-    return tuple(exp), tuple(log)
+    log = [2 * (q - 1)] * q  # a primitive walk overwrites every entry but log[0]
+    for g in range(2, q):
+        v = 1
+        for i in range(q):
+            exp[i] = exp[i + q - 1] = v
+            log[v] = i
+            v = _mul_raw(v, g, modulus)
+            if v == 1:
+                break
+        # The walk stops where the powers of g first return to 1, in a field
+        # by step q - 1 (every order divides q - 1), and g is primitive when
+        # that is step q - 1.  With a modulus of another degree than m a walk
+        # ends within q steps, so the search fails here, not loops.
+        if i == q - 2:
+            return tuple(exp), tuple(log)
+    raise AssertionError("no primitive element found; modulus cannot be irreducible")
 
 
 class GF2m:

@@ -410,6 +410,31 @@ def test_repair_erase_out_of_range(capsys):
         )
 
 
+NOT_NMDS = (
+    "nmds: {cid} at m={m} is other, not NMDS: m={m} violates the constraint (m >= 3, m odd), "
+    "and locality, bounds and repair need an NMDS code\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    "show --id c --m 4 --what locality",
+    "show --id e1 --m 2 --what bounds",
+    "repair --id c --m 4 --erase 0",
+])
+def test_locality_bounds_and_repair_name_a_pair_that_is_not_nmds(capsys, argv):
+    args = argv.split()
+    assert run(capsys, args) == (2, "", NOT_NMDS.format(cid=args[2], m=args[4]))
+
+
+def test_show_reads_what_it_can_off_the_m_constraint(capsys):
+    # f3 is NMDS at every m, and a distribution needs no class.
+    locality = ["show", "--id", "f3", "--m", "4", "--what", "locality"]
+    assert run(capsys, locality) == (0, "(3, 15)\n", "")
+    assert run(capsys, ["show", "--id", "c", "--m", "4", "--what", "enumerator"]) == (
+        0, "1 + 15z^16 + 240z^17 + 2040z^18 + 240z^19 + 1560z^20\n", ""
+    )
+
+
 def test_repair_refuses_a_repair_set_larger_than_the_locality(capsys, monkeypatch):
     monkeypatch.setattr(nmds.cli, "repair_map", lambda code: {0: ((1, 2, 3), (1, 1, 1))})
     assert run(capsys, ["repair", "--id", "c", "--m", "3", "--erase", "0"]) == (

@@ -433,13 +433,13 @@ def test_min_weight_codewords_rejects_line_missing_a_column(ctx8, monkeypatch):
     # through three columns is a secant of the pencil, and no later column
     # is on one, so only the pencil's check sees the fault.  The line y = z
     # through P holds arc point 0 = (1, 1, 1) alone; arc point 1 put on it
-    # makes a secant whose line misses arc point 1.  The code's own arc
-    # keeps the faulty pencil off the field's shared one.
-    arc = conic_arc(ctx8).columns
+    # makes a secant whose line misses arc point 1.  A fresh arc keeps the
+    # faulty pencil off the field's shared one.
+    arc = Arc(ctx8, conic_arc(ctx8).columns)
     p = (0, 1, 1)
-    fault = {(p, arc[1]): nmds.codes._cross(ctx8, p, arc[0])}
+    fault = {(p, arc.columns[1]): nmds.codes._cross(ctx8, p, arc.columns[0])}
     monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
-    code = LinearCode(ctx8, arc + (p,))
+    code = LinearCode(ctx8, arc.columns + (p,), arc=arc)
     with pytest.raises(AssertionError, match="misses one of its columns"):
         min_weight_codewords(code)
 
@@ -738,11 +738,21 @@ def conic_points(ctx):
     return [(1, a, ctx.mul(a, a)) for a in range(ctx.q)] + [(0, 0, 1)]
 
 
+def stating_its_arc(ctx, columns) -> LinearCode:
+    """The code on ``columns`` that states its leading conic columns as its
+    ``Arc``, so that its line table takes the pencil path on that arc."""
+    lead = next(
+        (j for j, (x, y, z) in enumerate(columns) if ctx.mul(y, y) != ctx.mul(x, z)), len(columns)
+    )
+    return LinearCode(ctx, columns, arc=Arc(ctx, columns[:lead]))
+
+
 @st.composite
 def conic_codes(draw):
     """Full-rank 3 x n generators over GF(4), GF(8) or GF(16) whose columns
     are distinct points: 2-14 conic points and 0-4 residue points (the
-    nucleus (0, 1, 0) or any point off the conic), rescaled and permuted."""
+    nucleus (0, 1, 0) or any point off the conic), rescaled and permuted,
+    stating their leading conic columns as their arc."""
     ctx = draw(st.sampled_from(SMALL_FIELDS))
     conic = conic_points(ctx)
     off_conic = [p for p in plane_points(ctx) if p not in conic]
@@ -754,19 +764,19 @@ def conic_codes(draw):
     cols = [tuple(ctx.mul(a, v) for v in c) for a, c in zip(scales, cols)]
     cols = draw(st.permutations(cols))
     assume(rank(ctx, cols) == 3)
-    return LinearCode(ctx, cols)
+    return stating_its_arc(ctx, cols)
 
 
 @settings(max_examples=80, deadline=None)
 @given(conic_codes())
 # The kernel refuses a zero column and two columns at one point by name.
-@example(LinearCode(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[:5] + [(0, 0, 0)]))
-@example(LinearCode(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[:5] + [(2, 0, 0)]))
+@example(stating_its_arc(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[:5] + [(0, 0, 0)]))
+@example(stating_its_arc(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[:5] + [(2, 0, 0)]))
 # The residue is empty: every column is a distinct conic point.
-@example(LinearCode(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[3:]))
+@example(stating_its_arc(SMALL_FIELDS[1], conic_points(SMALL_FIELDS[1])[3:]))
 # The only residue point is the nucleus (0, 1, 0), on every tangent, so each
 # of its lines holds one conic column and no line holds three columns.
-@example(LinearCode(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)]))
+@example(stating_its_arc(SMALL_FIELDS[2], conic_points(SMALL_FIELDS[2]) + [(0, 1, 0)]))
 def test_arc_line_table_matches_all_pairs_oracle(code):
     code = as_point_set(code, weight_distribution)
     dist, words, triples, lines = all_pairs_facts(code)
@@ -873,6 +883,24 @@ def test_pencil_refuses_two_arc_points_at_one_point(ctx8):
         _pencil(arc, (0, 1, 1))
 
 
+# The residue points of the registry's tails; the nucleus (0, 1, 0) is on every tangent.
+REGISTRY_RESIDUE = ((0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_a_pencil_holds_each_arc_point_once_and_a_dependency_on_each_secant(m):
+    ctx = GF2m(m)
+    arc = Arc(ctx, conic_arc(ctx).columns)
+    for p in REGISTRY_RESIDUE:
+        pencil = _pencil(arc, p)
+        assert sorted(a for _, on, _ in pencil.values() for a in on) == list(range(ctx.q - 1)), p
+        for key, (line, on, dep) in pencil.items():
+            assert key == _message_key(ctx.q, line), (p, key)
+            assert (dep is not None) == (len(on) == 2), (p, key)
+            for v in (p, *(arc.columns[a] for a in on)):
+                assert ctx.mul(line[0], v[0]) ^ ctx.mul(line[1], v[1]) ^ ctx.mul(line[2], v[2]) == 0
+
+
 def test_pencil_rejects_a_dependency_that_misses_its_columns(ctx8, monkeypatch):
     # Arc points 0 = (1, 1, 1) and 1 = (1, a, a^2) seen from (1, 0, 1) on the
     # zero line: it vanishes on all three, and their (x, y) are pairwise
@@ -899,14 +927,13 @@ def code_facts(code):
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_a_shared_arc_gives_what_a_code_derives_alone(m):
-    # A code with no stated arc takes its leading conic columns as its own:
-    # for ids whose tail starts with (1, 0, 0) or (0, 0, 1), more columns
-    # than the shared arc, so other lines come from pencils.
+    # A code alone states no arc: it has no pencils, and its line table
+    # crosses each residue point with every other column, the all-pairs path.
     ctx = GF2m(m)
     for cid in CONSTRUCTION_IDS:
         code = build(cid, ctx)
         alone = LinearCode(ctx, code.columns)
-        assert code.arc is conic_arc(ctx) and alone.arc is not code.arc
+        assert code.arc is conic_arc(ctx) and alone.arc.columns == ()
         assert code_facts(code) == code_facts(alone), cid
 
 
@@ -926,7 +953,7 @@ def test_verify_all_derives_one_pencil_per_residue_point(capsys):
     assert main(["verify", "--all", "--m", "7", "--modulus", hex(modulus)]) == 0
     capsys.readouterr()
     pencils = conic_arc(GF2m(7, modulus))._pencils
-    assert set(pencils) == {(0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1)}
+    assert set(pencils) == set(REGISTRY_RESIDUE)
 
 
 # All six 0/1 points other than (1, 1, 1): an NMDS [q + 5, 3, q + 2] code at odd m.
@@ -936,7 +963,8 @@ SIX_POINT_TAIL = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 
 @pytest.mark.parametrize("m", (3, 4, 5))
 def test_six_point_tail_on_the_stated_arc_matches_all_pairs_oracle(m):
     # Every later column but the conic's (1, 0, 0) and (0, 0, 1) is a residue
-    # point, and each pencil has secants that later columns are on.
+    # point, and each pencil has secants that later columns are on.  The
+    # last line compares the pencil path with the code that states no arc.
     ctx = GF2m(m)
     arc = conic_arc(ctx)
     code = LinearCode(ctx, arc.columns + SIX_POINT_TAIL, arc=arc)

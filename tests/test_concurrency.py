@@ -88,13 +88,13 @@ def test_codes_over_one_field_share_each_pencil_across_threads():
     arc = conic_arc(ctx)
     assert set(arc._pencils) == {(0, 1, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1)}
     for cid, (code, words, duals) in zip(CONSTRUCTION_IDS, results):
-        alone = LinearCode(ctx, code.columns)  # its own arc and pencils
+        alone = LinearCode(ctx, code.columns)  # no stated arc: no pencils to share
         assert (words, duals) == (min_weight_codewords(alone), min_weight_dual_codewords(alone)), cid
         assert code.arc is arc, cid
         for cols, coeffs in duals:
             if cols[1] < q - 1:  # a secant of a pencil: its dependency is the pencil's object
-                _, secants = arc._pencils[code.columns[cols[2]]]
-                assert any(coeffs is dep for _, _, _, dep in secants.values()), (cid, cols)
+                pencil = arc._pencils[code.columns[cols[2]]]
+                assert any(coeffs is dep for _, _, dep in pencil.values()), (cid, cols)
 
 
 def test_classify_runs_once_per_code():

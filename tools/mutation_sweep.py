@@ -16,9 +16,11 @@ order (module, then position in the source):
 
 Each mutant runs the tier-1 suite with ``-x`` in a temporary copy of the
 repository, two mutants at a time, with a cap of 45 s per run.  A mutant is
-killed when the suite fails, hung when it hits the cap, and survives when
-the suite passes.  The survivors and the hung mutants are printed, one per
-line, with the counts per probe.  The standard library is all it needs
+killed when the suite fails and survives when the suite passes.  One that
+hits the cap runs again alone once both lanes are done, with a cap of 90 s,
+so that the load of the other lane does not decide it: it is hung only if
+it hits that cap too.  The survivors and the hung mutants are printed, one
+per line, with the counts per probe.  The standard library is all it needs
 beyond the test dependencies; a full sweep takes 34 to 47 minutes on two
 cores.
 
@@ -44,6 +46,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nmds"
 WORKERS = 2
 CAP_S = 45
+RETRY_CAP_S = 90  # a capped mutant's second run, alone
 PYTEST = [
     sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
     "--continue-on-collection-errors", "--hypothesis-seed=0",
@@ -195,7 +198,7 @@ def all_mutants() -> list[Mutant]:
     return out
 
 
-def run_suite(copy: Path) -> str:
+def run_suite(copy: Path, cap_s: int = CAP_S) -> str:
     """Tier-1 in a copy of the repository: "passed", "failed" or "hung"."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     # A session of its own, so a hung run is stopped with every process it started.
@@ -204,7 +207,7 @@ def run_suite(copy: Path) -> str:
         start_new_session=True,
     )
     try:
-        return "passed" if proc.wait(timeout=CAP_S) == 0 else "failed"
+        return "passed" if proc.wait(timeout=cap_s) == 0 else "failed"
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -213,12 +216,12 @@ def run_suite(copy: Path) -> str:
         shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
 
 
-def run_mutant(copy: Path, mutant: Mutant) -> str:
+def run_mutant(copy: Path, mutant: Mutant, cap_s: int = CAP_S) -> str:
     """The mutant's outcome: "killed", "hung" or "survived"."""
     target = copy / mutant.path.relative_to(ROOT)
     target.write_bytes(mutant.source())
     try:
-        return {"passed": "survived", "failed": "killed", "hung": "hung"}[run_suite(copy)]
+        return {"passed": "survived", "failed": "killed", "hung": "hung"}[run_suite(copy, cap_s)]
     finally:
         target.write_bytes(mutant.original)
 
@@ -252,6 +255,11 @@ def main() -> int:
         with ThreadPoolExecutor(WORKERS) as pool:
             for part in pool.map(lane, range(WORKERS)):
                 outcomes.update(part)
+        for i in [i for i, r in outcomes.items() if r == "hung"]:
+            m = mutants[i]
+            outcomes[i] = run_mutant(copies[0], m, RETRY_CAP_S)
+            print(f"[{i + 1}/{len(mutants)}] alone: {outcomes[i]} {m.probe} "
+                  f"{m.path.name}:{m.line} {m.what}", file=sys.stderr, flush=True)
         results = [outcomes[i] for i in range(len(mutants))]
 
     for probe in ("operators", "branches", "statements"):
