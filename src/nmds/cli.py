@@ -10,7 +10,9 @@ Grammar:
 
 Exit status: 0 all expectations met, 1 a verified expectation failed (the
 failing fields are named on stderr), 2 usage error.  Violating a
-construction's m-constraint is a recorded warning, not a failure.
+construction's m-constraint is a recorded warning, not a failure.  Both
+come from ``nmds.constructions.verify_construction``; ``run_verification``
+builds a pair's code and renders that comparison as the report.
 
 All codeword counts are serialized as decimal strings; they outgrow 64-bit
 consumers well inside the supported field range.
@@ -26,16 +28,14 @@ import random
 import sys
 
 from . import constructions as cons
-from .classify import check_min_weight_pairing, classify, dual_moments
+from .classify import classify
 from .codes import matrix_to_text, weight_distribution
 from .field import GF2m, MAX_M
-from .lrc import classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
+from .lrc import FLAGS, classify_lrc, locality_of_code, locality_of_dual, repair_map, repair_value
 
 __all__ = ["main", "run_verification", "report_to_json"]
 
 _REPAIR_SEED = 0x5EED
-# Optimality flags of an OptimalityReport, in report order.
-_FLAGS = ("d_optimal", "almost_d_optimal", "k_optimal")
 
 
 def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict, list[str]]:
@@ -46,70 +46,44 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
     names; an empty list means every registered expectation held.
     """
     ctx = GF2m(m, modulus)
-    q = ctx.q
     code = cons.build(cid, ctx)
     vr = cons.verify_construction(cid, ctx, code)
-    dist = weight_distribution(code)
-
-    verdict = classify(code)
-    checks = dict(vr.checks)
-    checks["class"] = verdict.tag == "NMDS"
-
     report: dict = {
         "key": f"{cid}@{m}",
         "id": cid,
         "m": m,
-        "q": q,
+        "q": ctx.q,
         "n": vr.n,
         "k": vr.k,
         "d": vr.d,
         "d_dual": vr.d_dual,
-        "class": verdict.tag,
-        "distribution": {str(w): str(c) for w, c in dist.nonzero_items()},
+        "class": vr.tag,
+        "distribution": {str(w): str(c) for w, c in weight_distribution(code).nonzero_items()},
         "dual_weight3_count": None if vr.dual_weight3_count is None else str(vr.dual_weight3_count),
-        "pairing_ok": None,
+        "pairing_ok": vr.pairing_ok,
         "locality": None,
         "bounds": None,
-        "warnings": list(vr.warnings),
+        "warnings": vr.warnings,
     }
-
-    if verdict.tag == "NMDS":  # for k = 3, dual defect 1 means d_dual = 3
-        q3 = q**3  # the moments are q^3 times the dual counts B_0..B_3
-        moments = dual_moments(dist, q)
-        checks["macwilliams_vs_recurrence"] = moments == [q3, 0, 0, q3 * vr.dual_weight3_count]
-        checks["primal_recurrence"] = moments[:3] == [q3, 0, 0]
-
-        pairing = check_min_weight_pairing(code)
-        report["pairing_ok"] = checks["pairing"] = pairing.ok
-
-        loc_code = locality_of_code(code)
-        loc_dual = locality_of_dual(code)
+    if vr.locality:
+        (loc_code, loc_dual), (opt_code, opt_dual) = vr.locality, vr.bounds
         report["locality"] = {
             "code": loc_code.r,
             "dual": loc_dual.r,
             "mechanism_code": loc_code.mechanism,
             "mechanism_dual": loc_dual.mechanism,
         }
-        opt_code, opt_dual = classify_lrc(code, loc_code.r, loc_dual.r)
         report["bounds"] = {
             "sl_rhs_code": opt_code.sl_rhs,
             "sl_rhs_dual": opt_dual.sl_rhs,
             "cm_rhs_code": opt_code.cm_rhs,
             "cm_rhs_dual": opt_dual.cm_rhs,
             "flags": {
-                "code": {name: getattr(opt_code, name) for name in _FLAGS},
-                "dual": {name: getattr(opt_dual, name) for name in _FLAGS},
+                "code": {name: getattr(opt_code, name) for name in FLAGS},
+                "dual": {name: getattr(opt_dual, name) for name in FLAGS},
             },
         }
-        checks["locality"] = (loc_code.r, loc_dual.r) == cons.expected_locality(cid, q)
-        family = cons.CONSTRUCTIONS[cid]
-        checks["flags_code"] = tuple(getattr(opt_code, name) for name in _FLAGS) == family.flags_code
-        checks["flags_dual"] = tuple(getattr(opt_dual, name) for name in _FLAGS) == family.flags_dual
-
-    # Off its m-constraint a construction's closed forms are not claimed.
-    constraint_ok = cons.m_constraint_ok(cid, m)
-    failures = [] if not constraint_ok else [name for name, ok in checks.items() if not ok]
-    return report, failures
+    return report, vr.failing_fields()
 
 
 def report_to_json(reports: list[dict]) -> str:
@@ -253,12 +227,13 @@ def _cmd_verify(args) -> int:
 
 
 def _require_nmds(cid: str, code) -> None:
-    """Locality, bounds and repair read an NMDS code.  Every registry pair
-    that is not NMDS is off its m-constraint, and is refused naming both."""
+    """Locality, bounds and repair read an NMDS code.  A pair that is not
+    NMDS is refused naming its class, and its m-constraint if it is off it."""
     tag, m = classify(code).tag, code.ctx.m
     if tag != "NMDS":
-        raise ValueError(f"{cid} at m={m} is {tag}, not NMDS: m={m} violates the constraint "
-                         "(m >= 3, m odd), and locality, bounds and repair need an NMDS code")
+        off = "" if cons.m_constraint_ok(cid, m) else ": " + cons.M_CONSTRAINT.format(m=m)
+        raise ValueError(f"{cid} at m={m} is {tag}, not NMDS{off}, and locality, bounds "
+                         "and repair need an NMDS code")
 
 
 def _cmd_show(args) -> int:
@@ -281,7 +256,7 @@ def _cmd_show(args) -> int:
     for rep in (opt_code, opt_dual):
         # k-optimal is always among the flags: on both sides of an NMDS code
         # the CM bound's t = 1 term is k, and _optimality refuses k above it.
-        flags = ", ".join(name.replace("_", "-") for name in _FLAGS if getattr(rep, name))
+        flags = ", ".join(name.replace("_", "-") for name in FLAGS if getattr(rep, name))
         print(
             f"{rep.side}: [n={rep.n}, k={rep.k}, d={rep.d}] r={rep.r} "
             f"singleton_like_rhs={rep.sl_rhs} cm_rhs={rep.cm_rhs} (t={rep.cm_t}) {flags}"

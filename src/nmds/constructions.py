@@ -22,12 +22,17 @@ q points of the conic Y^2 = XZ and column q is off it, and a line meets a
 conic in at most two points, so every weight-3 dual codeword contains
 coordinate q and the dual falls back to locality d.  The acceptance suite's
 external table carries the same values.
+
+``verify_construction`` is the one comparison of a pair with the registry.
+It observes the class and, for an NMDS code, the pairing, localities and
+bounds too, and checks each claim only on the construction's m-constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .classify import check_min_weight_pairing, classify, dual_moments
 from .codes import (
     LinearCode,
     conic_arc,
@@ -36,6 +41,7 @@ from .codes import (
     weight_distribution,
 )
 from .field import GF2m
+from .lrc import FLAGS, LocalityReport, OptimalityReport, classify_lrc, locality_of_code, locality_of_dual
 
 __all__ = [
     "Construction",
@@ -182,6 +188,10 @@ def normalize_id(cid: str) -> str:
     return key
 
 
+# How a warning or a refusal words a violated m-constraint.
+M_CONSTRAINT = "m={m} violates the constraint (m >= 3, m odd)"
+
+
 def m_constraint_ok(cid: str, m: int) -> bool:
     return not CONSTRUCTIONS[cid].odd_m_only or m % 2 == 1
 
@@ -217,6 +227,11 @@ class VerificationReport:
     d: int
     d_dual: int | None
     dual_weight3_count: int | None
+    tag: str  # the class
+    # An NMDS code's pairing verdict, (code, dual) localities and bounds.
+    pairing_ok: bool | None = None
+    locality: tuple[LocalityReport, LocalityReport] | None = None
+    bounds: tuple[OptimalityReport, OptimalityReport] | None = None
     checks: dict[str, bool] = dc_field(default_factory=dict)
     warnings: list[str] = dc_field(default_factory=list)
 
@@ -225,8 +240,8 @@ class VerificationReport:
 
 
 def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationReport:
-    """Compare the parameters, distribution and dual weight-3 count of the
-    construction's code over ``ctx`` against the closed forms.
+    """Compare each value observed on the construction's code over ``ctx``
+    with the registry's claim for it, in report order.
 
     When the field violates the construction's m-constraint the comparison
     checks are skipped (the closed forms are not claimed there); the observed
@@ -234,24 +249,41 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationRe
     """
     q = ctx.q
     profile = expected_profile(cid, q)
+    family = CONSTRUCTIONS[cid]
 
     dist = weight_distribution(code)
     d = dist.min_distance
     dd = dual_distance_exact(code)
     w3 = (q - 1) * len(min_weight_dual_codewords(code)) if dd == 3 else None
+    tag = classify(code).tag
 
-    report = VerificationReport(n=code.n, k=code.k, d=d, d_dual=dd, dual_weight3_count=w3)
-    constraint = m_constraint_ok(cid, ctx.m)
-    if not constraint:
+    report = VerificationReport(n=code.n, k=code.k, d=d, d_dual=dd, dual_weight3_count=w3, tag=tag)
+    claims = [  # (check, observed, claimed), in report order
+        ("n", code.n, profile.n),
+        ("d", d, profile.d),
+        ("d_dual", dd, profile.d_dual),
+        ("distribution", dist.counts, profile.distribution_counts()),
+        ("dual_weight3_count", w3, profile.dual_weight3_count),
+        ("class", tag, "NMDS"),
+    ]
+    if tag == "NMDS":  # for k = 3, dual defect 1 means d_dual = 3
+        q3 = q**3  # the moments are q^3 times the dual counts B_0..B_3
+        moments = dual_moments(dist, q)
+        report.pairing_ok = check_min_weight_pairing(code).ok
+        loc_code, loc_dual = report.locality = locality_of_code(code), locality_of_dual(code)
+        opt_code, opt_dual = report.bounds = classify_lrc(code, loc_code.r, loc_dual.r)
+        claims += [
+            ("macwilliams_vs_recurrence", moments, [q3, 0, 0, q3 * w3]),
+            ("primal_recurrence", moments[:3], [q3, 0, 0]),
+            ("pairing", report.pairing_ok, True),
+            ("locality", (loc_code.r, loc_dual.r), expected_locality(cid, q)),
+            ("flags_code", tuple(getattr(opt_code, name) for name in FLAGS), family.flags_code),
+            ("flags_dual", tuple(getattr(opt_dual, name) for name in FLAGS), family.flags_dual),
+        ]
+    if m_constraint_ok(cid, ctx.m):
+        report.checks = {name: observed == claimed for name, observed, claimed in claims}
+    else:
         report.warnings.append(
-            f"m={ctx.m} violates the constraint (m >= 3, m odd); closed forms not asserted, "
-            "observed values reported"
+            M_CONSTRAINT.format(m=ctx.m) + "; closed forms not asserted, observed values reported"
         )
-        return report
-
-    report.checks["n"] = code.n == profile.n
-    report.checks["d"] = d == profile.d
-    report.checks["d_dual"] = dd == profile.d_dual
-    report.checks["distribution"] = dist.counts == profile.distribution_counts()
-    report.checks["dual_weight3_count"] = w3 == profile.dual_weight3_count
     return report

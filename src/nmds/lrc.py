@@ -139,7 +139,7 @@ def cm_bound_dimension(n: int, d: int, r: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class OptimalityReport:
-    """Bound comparison for one side of a code."""
+    """Bound comparison for one side of a code; ``FLAGS`` names its flags in order."""
 
     side: str
     n: int
@@ -152,6 +152,9 @@ class OptimalityReport:
     d_optimal: bool
     almost_d_optimal: bool
     k_optimal: bool
+
+
+FLAGS = ("d_optimal", "almost_d_optimal", "k_optimal")
 
 
 def _optimality(side: str, n: int, k: int, d: int, r: int) -> OptimalityReport:

@@ -129,20 +129,36 @@ def test_verify_verbose_streams_one_line_per_pair(capsys):
     assert err == "c@3: ok\nc@4: ok (1 warning)\n"
 
 
+@pytest.mark.parametrize("field, claim, failed", [
+    ("flags_code", (False, True, True), "flags_code"),
+    ("flags_dual", (False, True, True), "flags_dual"),
+    ("r_dual_offset", -1, "locality"),
+])
+def test_verify_names_a_flag_or_dual_locality_mismatch(capsys, monkeypatch, field, claim, failed):
+    # c at m = 3 is d-optimal on both sides with dual locality q; one claim
+    # changed fails its own check, on the command and in the report alike.
+    wrong = dataclasses.replace(cons.CONSTRUCTIONS["c"], **{field: claim})
+    monkeypatch.setitem(cons.CONSTRUCTIONS, "c", wrong)
+    code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3"])
+    assert (code, err) == (1, f"nmds: FAIL c@3: {failed}\n")
+    ctx = GF2m(3)
+    assert cons.verify_construction("c", ctx, cons.build("c", ctx)).failing_fields() == [failed]
+
+
 @pytest.mark.parametrize("j, failed", [
     (3, "macwilliams_vs_recurrence"),
     (2, "macwilliams_vs_recurrence, primal_recurrence"),
 ], ids=["B_3", "B_2"])
 def test_verify_detects_a_recurrence_mismatch(capsys, monkeypatch, j, failed):
     # one dual count off: B_3 fails the dual check alone, B_2 both checks
-    real = nmds.cli.dual_moments
+    real = cons.dual_moments
 
     def off_at_weight_j(dist, q):
         moments = real(dist, q)
         moments[j] += 1
         return moments
 
-    monkeypatch.setattr(nmds.cli, "dual_moments", off_at_weight_j)
+    monkeypatch.setattr(cons, "dual_moments", off_at_weight_j)
     code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3"])
     assert code == 1
     assert err == f"nmds: FAIL c@3: {failed}\n"
@@ -424,6 +440,17 @@ NOT_NMDS = (
 def test_locality_bounds_and_repair_name_a_pair_that_is_not_nmds(capsys, argv):
     args = argv.split()
     assert run(capsys, args) == (2, "", NOT_NMDS.format(cid=args[2], m=args[4]))
+
+
+def test_a_pair_on_its_m_constraint_that_is_not_nmds_is_refused_by_its_class(capsys, monkeypatch):
+    # e at m = 3 with the full-conic tail of
+    # test_verify_names_every_check_a_full_conic_fails is MDS, and e has no
+    # m-constraint to violate, so the refusal names only the class.
+    conic = dataclasses.replace(cons.CONSTRUCTIONS["e"], tail=((1, 0, 0), (0, 0, 1)))
+    monkeypatch.setitem(cons.CONSTRUCTIONS, "e", conic)
+    assert run(capsys, ["show", "--id", "e", "--m", "3", "--what", "locality"]) == (
+        2, "", "nmds: e at m=3 is MDS, not NMDS, and locality, bounds and repair need an NMDS code\n"
+    )
 
 
 def test_show_reads_what_it_can_off_the_m_constraint(capsys):

@@ -174,10 +174,14 @@ def test_verify_construction_all_pass_q8(ctx8):
 
 
 def test_verify_construction_names_each_failing_check(ctx8):
-    # e's code against c's closed forms: n = 9 and d = 6 where c has 12 and
-    # 9, and 28 weight-3 dual words where c has 70; both have d_dual = 3.
+    # e's code against c's claims: n = 9 and d = 6 where c has 12 and 9, 28
+    # weight-3 dual words where c has 70, dual locality q - 2 where c has q,
+    # and dual flags (False, True, True) where c has (True, False, True).
+    # Both are NMDS with d_dual = 3 and the same code locality and flags.
     report = verify_construction("c", ctx8, build("e", ctx8))
-    assert report.failing_fields() == ["n", "d", "distribution", "dual_weight3_count"]
+    assert report.failing_fields() == [
+        "n", "d", "distribution", "dual_weight3_count", "locality", "flags_dual",
+    ]
 
 
 def test_verify_construction_warning_at_even_m(ctx4):
