@@ -87,7 +87,7 @@ def run_verification(cid: str, m: int, modulus: int | None = None) -> tuple[dict
 
 
 def report_to_json(reports: list[dict]) -> str:
-    return json.dumps(reports, indent=2, sort_keys=False) + "\n"
+    return json.dumps(reports, indent=2) + "\n"
 
 
 def _flatten(report: dict) -> dict:
@@ -247,13 +247,11 @@ def _cmd_show(args) -> int:
         print(weight_distribution(code).enumerator_str())
         return 0
     _require_nmds(cid, code)
+    r_code, r_dual = locality_of_code(code).r, locality_of_dual(code).r
     if args.what == "locality":
-        r_code = locality_of_code(code).r
-        r_dual = locality_of_dual(code).r
         print(f"({r_code}, {r_dual})")
         return 0
-    opt_code, opt_dual = classify_lrc(code)
-    for rep in (opt_code, opt_dual):
+    for rep in classify_lrc(code, r_code, r_dual):
         # k-optimal is always among the flags: on both sides of an NMDS code
         # the CM bound's t = 1 term is k, and _optimality refuses k above it.
         flags = ", ".join(name.replace("_", "-") for name in FLAGS if getattr(rep, name))

@@ -1,9 +1,10 @@
 """Dimension-3 linear codes over GF(2^m): columns, distributions, duals.
 
-A code is held as its n generator columns, and every count comes from
-one table of lines of the projective plane PG(2, q).  The kernel reads the
-columns as n distinct nonzero points, as the columns of every code of the
-registry are, and refuses a zero column or two columns at one point.  A
+A code is held as one list, its n generator columns, and every count comes
+from one table of lines of the projective plane PG(2, q).  The kernel reads
+each column, as given, as a point: scaling it moves neither the point nor a
+line through it.  The columns of every code of the registry are n distinct
+nonzero points, and the kernel refuses a zero column or two at one point.  A
 message is a line l up to scalars, and the codeword of l has weight n minus
 the number of columns on l.  The line table lists the lines through
 three or more columns, and the standard equations of a point set count the
@@ -36,11 +37,11 @@ exactly when some three columns are collinear.  ``macwilliams`` gives the
 full dual distribution exactly; ``verify`` reads only the first four counts
 (``nmds.classify.dual_moments``).
 
-Every derivation of a code (point list, line table, distribution,
-minimum-weight words of the code and of its dual) runs once per code: the
-``per_code`` decorator keeps each result on the code, keyed by the deriving
-function, and hands the same object to every later caller.  A pencil is
-kept on its arc the same way.
+Every derivation of a code (line table, distribution, minimum-weight
+words of the code and of its dual) runs once per code: the ``per_code``
+decorator keeps each result on the code, keyed by the deriving function,
+and hands the same object to every later caller.  A pencil is kept on its
+arc the same way.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def per_code(fn):
     return derived
 
 
-# -- canonical forms -------------------------------------------------------------
+# -- points of PG(2, q) --------------------------------------------------------
 
 def _normalize(ctx: GF2m, vec: Point) -> Point:
     """``vec`` scaled so that its first nonzero entry is 1; zero stays zero."""
@@ -228,23 +229,18 @@ def _normalize(ctx: GF2m, vec: Point) -> Point:
     return (exp[log[vec[0]] + shift], exp[log[vec[1]] + shift], exp[log[vec[2]] + shift])
 
 
-@per_code
-def _canonical_columns(code: LinearCode) -> tuple[Point, ...]:
-    """The generator columns as points of PG(2, q), each scaled so that its
-    first nonzero entry is 1.
+def _require_distinct_points(code: LinearCode) -> None:
+    """Refuse a code whose columns are not distinct nonzero points of PG(2, q).
 
-    The kernel counts the columns as a set of distinct nonzero points, which
-    every code of the registry is, so a zero column or two columns at one
-    point raise ``ValueError`` naming them.
+    The kernel counts the columns as a set of points, which every code of
+    the registry is, so a zero column or two columns at one point raise
+    ``ValueError`` naming them.
     """
-    ctx = code.ctx
-    canon = tuple(
-        col if (col[0] or col[1] or col[2]) == 1 else _normalize(ctx, col) for col in code.columns
-    )
-    distinct = set(canon)
-    if len(distinct) < len(canon) or (0, 0, 0) in distinct:
+    ctx, columns = code.ctx, code.columns
+    points = {col if (col[0] or col[1] or col[2]) == 1 else _normalize(ctx, col) for col in columns}
+    if len(points) < code.n or (0, 0, 0) in points:
         first: dict[Point, int] = {}  # walked only to name the first offender
-        for j, point in enumerate(canon):
+        for j, point in enumerate(_normalize(ctx, col) for col in columns):
             if point == (0, 0, 0):
                 raise ValueError(f"column {j} is zero; the kernel counts distinct nonzero points")
             i = first.setdefault(point, j)
@@ -253,7 +249,6 @@ def _canonical_columns(code: LinearCode) -> tuple[Point, ...]:
                     f"columns {i} and {j} are one point of PG(2, q); "
                     "the kernel counts distinct nonzero points"
                 )
-    return canon
 
 
 # -- the PG(2, q) kernel: lines, determinants and the line table ---------------
@@ -388,34 +383,36 @@ def _line_table(code: LinearCode) -> tuple[tuple[Point, tuple[int, ...], int, tu
     ascending columns, projective-message key, weight-3 dual words of its
     column triples).
 
-    The code's stated arc comes first, if it states one, and no three conic
-    points are collinear, so every listed line passes through a residue
-    point: a later column off the conic.  The lines through a residue point
-    P over the arc are P's pencil, derived by ``_pencil`` once per (arc, P)
-    and kept on the arc, so every code that states the arc shares it.  Per
-    code, the later columns are merged by the key of their line through
-    each P, and a merged line starts with the arc points that P's pencil
-    puts on it, so a line through two residue points is merged once.  A
-    secant that no later column is on is the pencil's line through (arc a,
-    arc b, P), with the pencil's dependency.  A merged line with three
-    columns on the conic, arc points or later columns, would refute the arc
-    and raises ``AssertionError``, and only once no line does are the merged
-    lines' column triples checked by ``_collinear``.
+    It first refuses columns that are not distinct nonzero points
+    (``_require_distinct_points``), then crosses and conic-tests the columns
+    as given: a scaled column gives the same normalized line and the same
+    y^2 = xz verdict.  The code's stated arc comes first, if it states one,
+    and no three conic points are collinear, so every listed line passes
+    through a residue point: a later column off the conic.  The lines
+    through a residue point P over the arc are P's pencil, derived by
+    ``_pencil`` once per (arc, P) and kept on the arc, so every code that
+    states the arc shares it.  Per code, the later columns are merged by the
+    key of their line through each P, and a merged line starts with the arc
+    points that P's pencil puts on it, so a line through two residue points
+    is merged once.  A secant that no later column is on is the pencil's
+    line through (arc a, arc b, P), with the pencil's dependency.  A merged
+    line with three columns on the conic, arc points or later columns, would
+    refute the arc and raises ``AssertionError``, and only once no line does
+    are the merged lines' column triples checked by ``_collinear``.
     """
-    ctx = code.ctx
-    points, columns, arc = _canonical_columns(code), code.columns, code.arc
+    _require_distinct_points(code)
+    ctx, columns, arc = code.ctx, code.columns, code.arc
     lead = len(arc.columns)
-    residue = {lead + i for i in _off_conic(ctx, points[lead:])}
+    residue = {lead + i for i in _off_conic(ctx, columns[lead:])}
     pencils = arc._pencils
     lines = []
     merged: dict[int, tuple[Point, set[int]]] = {}  # key -> (line, columns on it)
     for t in residue:
         column = columns[t]
         pencil = pencils.get(column) or pencils.setdefault(column, _pencil(arc, column))
-        p = points[t]
         for u in range(lead, code.n):
             if u != t:
-                line = _normalize(ctx, _cross(ctx, p, points[u]))
+                line = _normalize(ctx, _cross(ctx, column, columns[u]))
                 key = _message_key(ctx.q, line)
                 if key not in merged:
                     merged[key] = (line, {t, *pencil[key][1]} if key in pencil else {t})

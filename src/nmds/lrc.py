@@ -195,8 +195,9 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
 
     Returns {i: (repair_set, coefficients)} with c_i = sum_j
     coefficients[j] * c_{repair_set[j]} for every codeword c.  A weight-3
-    dual word h on (a, b, c) gives its three relations at once, c_a =
-    (h1/h0) c_b + (h2/h0) c_c and two rotations, one exp lookup a quotient.
+    dual word on (a, b, c) reads (1, h1, h2), as ``min_weight_dual_codewords``
+    gives it, and gives its three relations at once: c_a = h1 c_b + h2 c_c,
+    c_b = (1/h1) c_a + (h2/h1) c_c and c_c = (1/h2) c_a + (h1/h2) c_b.
     The first word, in order, that covers a coordinate gives its 2-element
     set, as if each position of each word were solved alone.  The rest get
     the lexicographically first independent triple u, v, w of the other
@@ -211,16 +212,16 @@ def repair_map(code: LinearCode) -> dict[int, tuple[tuple[int, ...], tuple[int, 
     q1 = ctx.q - 1
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for (a, b, c), (h0, h1, h2) in min_weight_dual_codewords(code):
-        # A zero's sentinel log would make a quotient a silent zero.
+        # A zero coefficient is no weight-3 word, and its sentinel log would make a quotient zero.
         if not (h0 and h1 and h2):
             raise AssertionError(f"dual word on support ({a}, {b}, {c}) has a zero coefficient")
-        l0, l1, l2 = log[h0], log[h1], log[h2]
+        l1, l2 = log[h1], log[h2]
         if a not in out:
-            out[a] = ((b, c), (exp[q1 + l1 - l0], exp[q1 + l2 - l0]))
+            out[a] = ((b, c), (h1, h2))
         if b not in out:
-            out[b] = ((a, c), (exp[q1 + l0 - l1], exp[q1 + l2 - l1]))
+            out[b] = ((a, c), (exp[q1 - l1], exp[q1 + l2 - l1]))
         if c not in out:
-            out[c] = ((a, b), (exp[q1 + l0 - l2], exp[q1 + l1 - l2]))
+            out[c] = ((a, b), (exp[q1 - l2], exp[q1 + l1 - l2]))
 
     # Fallback coordinates: Cramer's rule over the first independent triple.
     for i in range(code.n):

@@ -16,12 +16,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import nmds.codes
 from nmds.classify import classify
 from nmds.codes import (
-    _canonical_columns,
     _cross,
     _line_table,
     _message_key,
     _normalize,
     _pencil,
+    _require_distinct_points,
     Arc,
     LinearCode,
     WeightDistribution,
@@ -327,7 +327,7 @@ def test_every_registry_code_is_a_point_set():
         ctx = GF2m(m)
         for cid in CONSTRUCTION_IDS:
             code = build(cid, ctx)
-            assert len(set(_canonical_columns(code))) == code.n, (cid, m)
+            _require_distinct_points(code)
 
 
 def test_min_weight_dual_codewords_counts(codes8):
@@ -353,24 +353,37 @@ def test_min_weight_dual_codewords_annihilate(codes8):
                 assert acc == 0, (cid, sup)
 
 
-def test_min_weight_dual_codewords_annihilate_rescaled_columns(codes8):
-    # The registry's columns are already canonical; scaling each column by a
-    # nonzero element keeps the supports and must rescale the coefficients.
+def test_min_weight_dual_codewords_annihilate_rescaled_columns():
+    # Scaling a column moves neither its point nor a line through it, and the
+    # line table crosses the columns as given.  Every column scaled, with no
+    # arc stated, or only the later ones, with the arc stated, a code keeps
+    # its distribution, minimum-weight words and dual supports, and the dual
+    # coefficients must annihilate the scaled columns.
     rng = np.random.default_rng(7)
-    for cid, code in codes8.items():
-        ctx = code.ctx
-        scales = rng.integers(1, ctx.q, size=code.n)
-        scaled_cols = mul_table(ctx)[np.array(code.columns), scales[:, None]]
-        scaled = LinearCode(ctx, scaled_cols.tolist())
-        entries = min_weight_dual_codewords(scaled)
-        assert [sup for sup, _ in entries] == [sup for sup, _ in min_weight_dual_codewords(code)]
-        for sup, coeffs in entries:
-            assert all(coeffs) and coeffs[0] == 1, cid
-            for row in rows_of(scaled):
-                acc = 0
-                for j, lam in zip(sup, coeffs):
-                    acc ^= ctx.mul(lam, int(row[j]))
-                assert acc == 0, (cid, sup)
+    for m in range(2, 8):
+        ctx = GF2m(m)
+        for cid in CONSTRUCTION_IDS:
+            code = build(cid, ctx)
+            lead = len(code.arc.columns)
+            scales = rng.integers(1, ctx.q, size=code.n)
+            scaled_cols = mul_table(ctx)[np.array(code.columns), scales[:, None]].tolist()
+            scaled_cols = [tuple(col) for col in scaled_cols]
+            for scaled in (
+                LinearCode(ctx, scaled_cols),
+                LinearCode(ctx, code.columns[:lead] + tuple(scaled_cols[lead:]), arc=code.arc),
+            ):
+                assert weight_distribution(scaled) == weight_distribution(code), (cid, m)
+                assert min_weight_codewords(scaled) == min_weight_codewords(code), (cid, m)
+                entries = min_weight_dual_codewords(scaled)
+                supports = [sup for sup, _ in min_weight_dual_codewords(code)]
+                assert [sup for sup, _ in entries] == supports, (cid, m)
+                for sup, coeffs in entries:
+                    assert all(coeffs) and coeffs[0] == 1, (cid, m)
+                    for row in rows_of(scaled):
+                        acc = 0
+                        for j, lam in zip(sup, coeffs):
+                            acc ^= ctx.mul(lam, int(row[j]))
+                        assert acc == 0, (cid, m, sup)
 
 
 def test_min_weight_dual_codewords_preconditions(ctx8):
@@ -803,17 +816,17 @@ def test_weight_distribution_rejects_a_negative_line_count(ctx8):
         weight_distribution(code)
 
 
-def test_line_table_rejects_three_collinear_arc_points(ctx8):
-    # A point list holding column 0's point twice, once unscaled, passes for
-    # two conic points; the line through them and a residue point then holds
-    # a third conic column.
-    code = build("c", ctx8)
-    canon = list(_canonical_columns(code))
-    assert canon[0] == (1, 1, 1) and canon[ctx8.q] == (0, 0, 1)
-    canon[ctx8.q] = (2, 2, 2)
-    code._derived[_canonical_columns.__wrapped__] = tuple(canon)
+def test_line_table_rejects_three_collinear_arc_points(ctx8, monkeypatch):
+    # c's residue point 11 = (0, 1, 1) sees arc point 0 = (1, 1, 1) and the
+    # later conic column 7 = (1, 0, 0) on the line y = z.  The conic column
+    # 8 = (0, 0, 1), put on that line too, makes three conic columns on one
+    # merged line, refused before any of its triples is checked.
+    columns = build("c", ctx8).columns
+    assert [columns[j] for j in (0, 7, 8, 11)] == [(1, 1, 1), (1, 0, 0), (0, 0, 1), (0, 1, 1)]
+    fault = {(columns[11], columns[8]): nmds.codes._cross(ctx8, columns[11], columns[0])}
+    monkeypatch.setattr(nmds.codes, "_cross", _faulty_cross(fault))
     with pytest.raises(AssertionError, match="three arc points"):
-        weight_distribution(code)
+        weight_distribution(LinearCode(ctx8, columns, arc=conic_arc(ctx8)))
 
 
 def test_min_weight_dual_codewords_rejects_a_triple_off_its_line(ctx8, monkeypatch):

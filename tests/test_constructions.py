@@ -7,7 +7,7 @@ from operator import xor
 import pytest
 
 import oracles
-from nmds.codes import _canonical_columns, weight_distribution
+from nmds.codes import _require_distinct_points, weight_distribution
 from nmds.constructions import (
     CONSTRUCTION_IDS,
     CONSTRUCTIONS,
@@ -102,12 +102,12 @@ def test_extend_gives_point_sets_only_for_four_ids(m):
     for cid in CONSTRUCTION_IDS:
         ext = oracles.extend(build(cid, ctx))
         if cid in ("d1", "e1", "f1", "f2"):
-            assert len(_canonical_columns(ext)) == ext.n, cid
+            _require_distinct_points(ext)
             continue
         first, last = repeats[cid], ext.n - 1
         why = f"column {last} is zero" if first is None else f"columns {first} and {last} are one point of PG(2, q)"
         with pytest.raises(ValueError, match=f"^{re.escape(why)}; the kernel counts distinct nonzero points$"):
-            _canonical_columns(ext)
+            _require_distinct_points(ext)
 
 
 def test_extend_raises_distance_by_one_for_e1(ctx8, ctx32):
