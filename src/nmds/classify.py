@@ -13,8 +13,8 @@ the support of exactly one weight-3 dual codeword.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .codes import (
     LinearCode,
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CodeClass:
+class CodeClass(NamedTuple):
     """Classification verdict with the code's minimum distance."""
 
     tag: str  # "MDS" | "NMDS" | "other"
@@ -145,8 +144,7 @@ def nmds_primal_distribution_from_Ank(n: int, k: int, q: int, a_nk: int) -> Weig
     return _nmds_distribution(n, n - k, q, a_nk)
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     """Outcome of the disjoint-support pairing between minimum-weight codewords."""
 
     ok: bool

@@ -21,7 +21,6 @@ consumers well inside the supported field range.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import random
@@ -112,6 +111,8 @@ def _flatten(report: dict) -> dict:
 
 
 def report_to_csv(reports: list[dict]) -> str:
+    import csv  # here alone, so that a run without csv output never imports it
+
     rows = [_flatten(rep) for rep in reports]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")

@@ -47,10 +47,10 @@ arc the same way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .field import GF2m
 
@@ -163,20 +163,19 @@ def conic_arc(ctx: GF2m) -> Arc:
     return _CONIC_ARCS[key]
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(NamedTuple("WeightDistribution", [("n", int), ("counts", tuple)])):
     """Exact codeword counts A_0..A_n by Hamming weight."""
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.n + 1:
+    def __new__(cls, n: int, counts: tuple[int, ...]) -> WeightDistribution:
+        if len(counts) != n + 1:
             raise ValueError("counts must have length n+1")
-        if self.counts[0] != 1:
+        if counts[0] != 1:
             raise ValueError("A_0 must be 1")
-        if min(self.counts) < 0:
+        if min(counts) < 0:
             raise ValueError("negative count")
+        return super().__new__(cls, n, counts)
 
     @property
     def min_distance(self) -> int:

@@ -30,7 +30,7 @@ bounds too, and checks each claim only on the construction's m-constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .classify import check_min_weight_pairing, classify, dual_moments
 from .codes import (
@@ -57,21 +57,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """Static description of one construction family."""
 
     tail: tuple[tuple[int, int, int], ...]
     odd_m_only: bool
+    # For i = 0..3, (a, b, c) such that (a q^2 + b q + c) / 2 lines of PG(2, q)
+    # meet the columns in 3 - i points; each gives q - 1 codewords of weight d + i.
+    lines: tuple[tuple[int, int, int], ...]
     # locality of the code and of the dual (dual as offset from q)
     r_code: int = 2
     r_dual_offset: int = 0
     # optimality flags (d_optimal, almost_d_optimal, k_optimal) per side
     flags_code: tuple[bool, bool, bool] = (True, False, True)
     flags_dual: tuple[bool, bool, bool] = (True, False, True)
-    # For i = 0..3, (a, b, c) such that (a q^2 + b q + c) / 2 lines of PG(2, q)
-    # meet the columns in 3 - i points; each gives q - 1 codewords of weight d + i.
-    lines: tuple[tuple[int, int, int], ...] = dc_field(kw_only=True)
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
@@ -159,8 +158,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
 CONSTRUCTION_IDS = tuple(CONSTRUCTIONS)
 
 
-@dataclass(frozen=True)
-class ExpectedProfile:
+class ExpectedProfile(NamedTuple):
     """Closed-form expectations for one construction at one field size."""
 
     n: int
@@ -218,8 +216,7 @@ def build(cid: str, ctx: GF2m) -> LinearCode:
     return LinearCode(ctx, arc.columns + CONSTRUCTIONS[cid].tail, arc=arc)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Computed-versus-expected comparison for one (construction, field) pair."""
 
     n: int
@@ -229,11 +226,11 @@ class VerificationReport:
     dual_weight3_count: int | None
     tag: str  # the class
     # An NMDS code's pairing verdict, (code, dual) localities and bounds.
-    pairing_ok: bool | None = None
-    locality: tuple[LocalityReport, LocalityReport] | None = None
-    bounds: tuple[OptimalityReport, OptimalityReport] | None = None
-    checks: dict[str, bool] = dc_field(default_factory=dict)
-    warnings: list[str] = dc_field(default_factory=list)
+    pairing_ok: bool | None
+    locality: tuple[LocalityReport, LocalityReport] | None
+    bounds: tuple[OptimalityReport, OptimalityReport] | None
+    checks: dict[str, bool]  # empty off the m-constraint
+    warnings: list[str]
 
     def failing_fields(self) -> list[str]:
         return [name for name, ok in self.checks.items() if not ok]
@@ -257,7 +254,6 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationRe
     w3 = (q - 1) * len(min_weight_dual_codewords(code)) if dd == 3 else None
     tag = classify(code).tag
 
-    report = VerificationReport(n=code.n, k=code.k, d=d, d_dual=dd, dual_weight3_count=w3, tag=tag)
     claims = [  # (check, observed, claimed), in report order
         ("n", code.n, profile.n),
         ("d", d, profile.d),
@@ -266,24 +262,28 @@ def verify_construction(cid: str, ctx: GF2m, code: LinearCode) -> VerificationRe
         ("dual_weight3_count", w3, profile.dual_weight3_count),
         ("class", tag, "NMDS"),
     ]
+    pairing_ok = locality = bounds = None
     if tag == "NMDS":  # for k = 3, dual defect 1 means d_dual = 3
         q3 = q**3  # the moments are q^3 times the dual counts B_0..B_3
         moments = dual_moments(dist, q)
-        report.pairing_ok = check_min_weight_pairing(code).ok
-        loc_code, loc_dual = report.locality = locality_of_code(code), locality_of_dual(code)
-        opt_code, opt_dual = report.bounds = classify_lrc(code, loc_code.r, loc_dual.r)
+        pairing_ok = check_min_weight_pairing(code).ok
+        loc_code, loc_dual = locality = locality_of_code(code), locality_of_dual(code)
+        opt_code, opt_dual = bounds = classify_lrc(code, loc_code.r, loc_dual.r)
         claims += [
             ("macwilliams_vs_recurrence", moments, [q3, 0, 0, q3 * w3]),
             ("primal_recurrence", moments[:3], [q3, 0, 0]),
-            ("pairing", report.pairing_ok, True),
+            ("pairing", pairing_ok, True),
             ("locality", (loc_code.r, loc_dual.r), expected_locality(cid, q)),
             ("flags_code", tuple(getattr(opt_code, name) for name in FLAGS), family.flags_code),
             ("flags_dual", tuple(getattr(opt_dual, name) for name in FLAGS), family.flags_dual),
         ]
     if m_constraint_ok(cid, ctx.m):
-        report.checks = {name: observed == claimed for name, observed, claimed in claims}
+        checks, warnings = {name: observed == claimed for name, observed, claimed in claims}, []
     else:
-        report.warnings.append(
+        checks, warnings = {}, [
             M_CONSTRAINT.format(m=ctx.m) + "; closed forms not asserted, observed values reported"
-        )
-    return report
+        ]
+    return VerificationReport(
+        n=code.n, k=code.k, d=d, d_dual=dd, dual_weight3_count=w3, tag=tag,
+        pairing_ok=pairing_ok, locality=locality, bounds=bounds, checks=checks, warnings=warnings,
+    )

@@ -21,8 +21,8 @@ certifies meeting the true bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .classify import classify
 from .codes import (
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalityReport:
+class LocalityReport(NamedTuple):
     """Minimum linear locality of one side, and the mechanism that decided it."""
 
     r: int
@@ -137,8 +136,7 @@ def cm_bound_dimension(n: int, d: int, r: int) -> tuple[int, int]:
     )
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """Bound comparison for one side of a code; ``FLAGS`` names its flags in order."""
 
     side: str

@@ -1,6 +1,5 @@
 """Command surface: argument handling, report schema, exit codes, formats."""
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -94,7 +93,7 @@ def test_verify_modulus_override(capsys):
 def test_verify_detects_mismatch(capsys, monkeypatch):
     real = cons.CONSTRUCTIONS["d"]
     (a, b, c), *rest = real.lines
-    corrupted = dataclasses.replace(real, lines=((a, b, c + 14), *rest))  # break one closed form
+    corrupted = real._replace(lines=((a, b, c + 14), *rest))  # break one closed form
     monkeypatch.setitem(cons.CONSTRUCTIONS, "d", corrupted)
     code, out, err = run(capsys, ["verify", "--id", "d", "--m", "3"])
     assert code == 1
@@ -105,7 +104,7 @@ def test_verify_names_every_check_a_full_conic_fails(capsys, monkeypatch):
     # e's tail replaced by (1, 0, 0) and (0, 0, 1) makes its nine columns the
     # whole conic at m = 3: an MDS code of the right length, no weight-3
     # dual word, and d = 7 where the closed forms say 6.
-    conic = dataclasses.replace(cons.CONSTRUCTIONS["e"], tail=((1, 0, 0), (0, 0, 1)))
+    conic = cons.CONSTRUCTIONS["e"]._replace(tail=((1, 0, 0), (0, 0, 1)))
     monkeypatch.setitem(cons.CONSTRUCTIONS, "e", conic)
     code, out, err = run(capsys, ["verify", "--id", "e", "--m", "3"])
     assert code == 1
@@ -116,7 +115,7 @@ def test_verify_names_every_check_a_full_conic_fails(capsys, monkeypatch):
 
 
 def test_verify_names_a_locality_mismatch(capsys, monkeypatch):
-    wrong = dataclasses.replace(cons.CONSTRUCTIONS["c"], r_code=3)
+    wrong = cons.CONSTRUCTIONS["c"]._replace(r_code=3)
     monkeypatch.setitem(cons.CONSTRUCTIONS, "c", wrong)
     code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3", "-v"])
     assert code == 1
@@ -137,7 +136,7 @@ def test_verify_verbose_streams_one_line_per_pair(capsys):
 def test_verify_names_a_flag_or_dual_locality_mismatch(capsys, monkeypatch, field, claim, failed):
     # c at m = 3 is d-optimal on both sides with dual locality q; one claim
     # changed fails its own check, on the command and in the report alike.
-    wrong = dataclasses.replace(cons.CONSTRUCTIONS["c"], **{field: claim})
+    wrong = cons.CONSTRUCTIONS["c"]._replace(**{field: claim})
     monkeypatch.setitem(cons.CONSTRUCTIONS, "c", wrong)
     code, _, err = run(capsys, ["verify", "--id", "c", "--m", "3"])
     assert (code, err) == (1, f"nmds: FAIL c@3: {failed}\n")
@@ -446,7 +445,7 @@ def test_a_pair_on_its_m_constraint_that_is_not_nmds_is_refused_by_its_class(cap
     # e at m = 3 with the full-conic tail of
     # test_verify_names_every_check_a_full_conic_fails is MDS, and e has no
     # m-constraint to violate, so the refusal names only the class.
-    conic = dataclasses.replace(cons.CONSTRUCTIONS["e"], tail=((1, 0, 0), (0, 0, 1)))
+    conic = cons.CONSTRUCTIONS["e"]._replace(tail=((1, 0, 0), (0, 0, 1)))
     monkeypatch.setitem(cons.CONSTRUCTIONS, "e", conic)
     assert run(capsys, ["show", "--id", "e", "--m", "3", "--what", "locality"]) == (
         2, "", "nmds: e at m=3 is MDS, not NMDS, and locality, bounds and repair need an NMDS code\n"

@@ -16,15 +16,23 @@ when no object's attribute of that name is ever read; reads off the CLI's
 argparse namespace ``args`` do not count.
 
 The package root binds its submodules and nothing else but ``classify``.
+
+Every record the pipeline returns is an immutable value: no field can be
+assigned, and a rebuild from its own fields equals it.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nmds.classify import check_min_weight_pairing, classify
+from nmds.codes import weight_distribution
+from nmds.constructions import CONSTRUCTIONS, expected_profile, verify_construction
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "nmds").glob("*.py"))
@@ -146,7 +154,9 @@ def test_package_root_binds_only_submodules():
 
 def test_package_and_cli_never_import_numpy():
     """numpy is a test dependency: importing it would cost most of the start-up
-    of a CLI call, so ``nmds`` and ``nmds verify|repair`` must run without it."""
+    of a CLI call, so ``nmds`` and ``nmds verify|repair`` must run without it.
+    Nor do they import ``dataclasses`` (through ``inspect``, ``ast`` and
+    ``tokenize``) or ``csv``, which only the csv report format reads."""
     result = _run_script([
         "import contextlib, io, sys",
         "import nmds, nmds.cli",
@@ -156,7 +166,34 @@ def test_package_and_cli_never_import_numpy():
         "    status = main(['repair', '--id', 'c', '--m', '3', '--erase', '0'])",
         "if failures or status:",
         "    sys.exit(f'verify failed {failures}, repair exited {status}')",
-        "if 'numpy' in sys.modules:",
-        "    sys.exit(f'numpy was imported: {sorted(m for m in sys.modules if \"numpy\" in m)}')",
+        "loaded = [name for name in ('numpy', 'dataclasses', 'csv') if name in sys.modules]",
+        "if loaded:",
+        "    sys.exit(f'imported {loaded}')",
     ])
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture(scope="module")
+def records(ctx8, codes8):
+    """One record of each type, as the pipeline returns it for c at m = 3."""
+    code = codes8["c"]
+    report = verify_construction("c", ctx8, code)
+    found = [
+        classify(code), check_min_weight_pairing(code), weight_distribution(code),
+        CONSTRUCTIONS["c"], expected_profile("c", ctx8.q), report,
+        report.locality[0], report.bounds[0],
+    ]
+    return {type(record).__name__: record for record in found}
+
+
+@pytest.mark.parametrize("name", [
+    "CodeClass", "PairingReport", "WeightDistribution", "Construction",
+    "ExpectedProfile", "VerificationReport", "LocalityReport", "OptimalityReport",
+])
+def test_records_are_immutable_values(records, name):
+    record = records[name]
+    fields = list(inspect.signature(type(record)).parameters)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert type(record)(**{field: getattr(record, field) for field in fields}) == record
